@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import chain
 from typing import List, Optional, Tuple
 
 from .core import (
@@ -155,33 +156,35 @@ def _choose_victims(state: NetworkState, rows: List[Row]) -> List[Lsp]:
     """Smallest sufficient victim set under the eviction ordering.
 
     Candidates are scanned lowest class first, then newest first (admit time
-    descending, id descending as the tie-break).  A candidate joins the set
-    only while some row it serves still has a deficit.  A reverse pruning
-    pass then drops members made redundant by later picks, so no member of
-    the result can be removed without reopening a deficit.
+    descending, id descending as the tie-break), read backwards from each
+    class list in ``state.active_by_class``; only classes some row admits
+    are visited.  A candidate joins the set only while some row it serves
+    still has a deficit, so the scan stops once every deficit is cleared.  A
+    reverse pruning pass then drops members made redundant by later picks,
+    so no member of the result can be removed without reopening a deficit.
     """
     if not rows:
         return []
     if any(lo >= hi for _lid, lo, hi, _d in rows):
         raise Infeasible("deficit with no eligible class")
     remaining = [list(r) for r in rows]
-    candidates = sorted(
-        state.active_lsps.values(),
-        key=lambda l: (l.class_index, -(l.admit_time or 0.0), -l.id),
-    )
 
     def serves(lsp: Lsp, row: List) -> bool:
         lid, lo, hi = row[0], row[1], row[2]
         return lo <= lsp.class_index < hi and lid in lsp.path
 
+    eligible = state.active_by_class[min(r[1] for r in rows) : max(r[2] for r in rows)]
+    candidates = chain.from_iterable(map(reversed, eligible))
     chosen: List[Lsp] = []
-    for lsp in candidates:
+    for _admitted, _id, lsp in candidates:
         if not any(row[3] > 0 and serves(lsp, row) for row in remaining):
             continue
         chosen.append(lsp)
         for row in remaining:
             if serves(lsp, row):
                 row[3] -= lsp.demand_kbps
+        if all(row[3] <= 0 for row in remaining):
+            break  # no later candidate could join
     if any(row[3] > 0 for row in remaining):
         raise Infeasible("eligible LSPs cannot cover the deficit")
     # Prune in reverse pick order: later picks may have made earlier ones

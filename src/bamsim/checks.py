@@ -1,17 +1,19 @@
 """Consistency checks over a live NetworkState (and optionally its fabric).
 
 These are meant to run after every simulation event in tests, so they stay
-cheap: one pass over the active registry and one over the links.  During a
-soft-reconfiguration drain the effective cap on each constraint is the larger
-of the current and the pending value; allocations between the two are legal
-until attrition clears them.
+cheap: one pass each over the active registry, the links and the rule table,
+plus a sort of each class's active LSPs, which arrive nearly in order.
+During a soft-reconfiguration drain the effective cap on each constraint is
+the larger of the current and the pending value; allocations between the two
+are legal until attrition clears them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
-from .core import Model, NetworkState
+from .core import Model, NetworkState, age_key
 from .fabric import Fabric
 
 
@@ -54,6 +56,7 @@ def check_state(state: NetworkState) -> None:
                 suffix += link.alloc[b]
                 if suffix > cap[b]:
                     _fail("link %s nested sum from %d over constraint: %d > %d" % (lid, b, suffix, cap[b]))
+    _check_class_lists(state)
     counters = state.counters
     for c in range(n):
         if counters.requested[c] != counters.admitted[c] + counters.blocked[c]:
@@ -63,6 +66,18 @@ def check_state(state: NetworkState) -> None:
             _fail("class %d: admitted != active + completed + preempted" % c)
         if any(row[c] < 0 for row in counters.snapshot()):
             _fail("class %d: negative counter" % c)
+
+
+def _check_class_lists(state: NetworkState) -> None:
+    """``active_by_class`` is what commit and release build: per class, an
+    ``age_key(lsp) + (lsp,)`` entry for each active LSP, sorted."""
+    expected: List[list] = [[] for _ in state.classes]
+    for lsp in state.active_lsps.values():
+        expected[lsp.class_index].append(age_key(lsp) + (lsp,))
+    for entries in expected:
+        entries.sort()
+    if state.active_by_class != expected:
+        _fail("class lists disagree with the active registry")
 
 
 def _effective_cap(
@@ -77,20 +92,23 @@ def _effective_cap(
 
 def check_fabric(state: NetworkState, fabric: Fabric) -> None:
     """Every active LSP holds exactly one rule per on-path switch; no rule
-    belongs to a retired LSP."""
-    per_owner: Dict[int, int] = {}
-    for switch in state.topology.switches:
-        for rule in fabric.rules_on(switch):
-            per_owner[rule.owner] = per_owner.get(rule.owner, 0) + 1
+    belongs to a retired LSP; the owner index lists exactly the table's
+    slots under their owners."""
+    rules = fabric._rules
+    owner_of = {slot: rule.owner for slot, rule in rules.items()}
+    indexed = {slot: owner for owner, slots in fabric._by_owner.items() for slot in slots}
+    if indexed != owner_of or sum(map(len, fabric._by_owner.values())) != len(rules):
+        _fail("fabric owner index disagrees with the rule table")
+    per_owner = Counter(owner_of.values())
     for owner in per_owner:
         if owner not in state.active_lsps:
             _fail("rule owner %d is not an active LSP" % owner)
     for lsp in state.active_lsps.values():
         expected = len(state.topology.switches_on(lsp.path, lsp.src_host))
-        if per_owner.get(lsp.id, 0) != expected:
+        if per_owner[lsp.id] != expected:
             _fail(
                 "LSP %d holds %d rules, path has %d switches"
-                % (lsp.id, per_owner.get(lsp.id, 0), expected)
+                % (lsp.id, per_owner[lsp.id], expected)
             )
 
 

@@ -36,7 +36,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("scenario", help="scenario file or bundled name")
     p_run.add_argument("--seed", type=int, help="override the scenario seed")
     p_run.add_argument("--out", default="./out", help="output directory (default ./out)")
-    p_run.add_argument("--stop", type=int, help="process only the first N requests")
+    p_run.add_argument("--stop", type=int,
+                       help="process only the first N requests (1 <= N <= request count)")
     p_run.add_argument("--quiet", action="store_true", help="suppress the end-of-run summary")
 
     p_val = sub.add_parser("validate", help="parse and check a scenario, run nothing")
@@ -60,6 +61,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.seed is not None:
         scn.run.seed = args.seed
     if args.stop is not None:
+        total = sum(d.count for d in scn.demands)
+        if not 1 <= args.stop <= total:
+            print("error: --stop %d must be between 1 and the request count (%d)"
+                  % (args.stop, total), file=sys.stderr)
+            return EXIT_BAD_INPUT
         scn.run.stop = args.stop
     try:
         result = scenario.simulate(scn)

@@ -10,6 +10,7 @@ topology.
 
 from __future__ import annotations
 
+import bisect
 import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -236,7 +237,8 @@ class Topology:
     def switches_on(self, path: Sequence[str], src: str) -> List[str]:
         """Interior switches traversed by a path (endpoints excluded)."""
         interior = self.nodes_on(path, src)[1:-1]
-        return [n for n in interior if n in self._adjacency and n in set(self.switches)]
+        switches = set(self.switches)
+        return [n for n in interior if n in self._adjacency and n in switches]
 
     def shortest_path(self, src: str, dst: str) -> Tuple[str, ...]:
         if src == dst:
@@ -301,10 +303,26 @@ class Counters:
         )
 
 
+def age_key(lsp: Lsp) -> Tuple[float, int]:
+    """Eviction age of an active LSP: admit time, then id."""
+    return (lsp.admit_time or 0.0, lsp.id)
+
+
+# An entry of a class list: age_key(lsp) + (lsp,).  Active ids are unique, so
+# entries compare on their key alone and the LSPs themselves are never
+# compared.
+AgeEntry = Tuple[float, int, Lsp]
+
+
 @dataclass
 class NetworkState:
     """The controller's authoritative view: topology, allocation ledger,
-    active-LSP registry, constraint configuration and counters."""
+    active-LSP registry, constraint configuration and counters.
+
+    ``active_by_class[c]`` holds an ``AgeEntry`` for each active LSP of class
+    c, sorted, so newest last; commit and release keep it in step with
+    ``active_lsps``.
+    """
 
     topology: Topology
     classes: List[TrafficClass]
@@ -312,10 +330,12 @@ class NetworkState:
     pending_soft_bc: Optional[BcConfig] = None
     active_lsps: Dict[int, Lsp] = field(default_factory=dict)
     counters: Counters = None  # type: ignore[assignment]
+    active_by_class: List[List[AgeEntry]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.counters is None:
             self.counters = Counters.zero(len(self.classes))
+        self.active_by_class = [[] for _ in self.classes]
         if self.bc_config.n_classes != len(self.classes):
             raise InvalidBc("constraint vector length must match class count")
 
@@ -370,6 +390,7 @@ def commit(state: NetworkState, lsp: Lsp) -> None:
         link.alloc[lsp.class_index] += lsp.demand_kbps
     lsp.state = LspState.ACTIVE
     state.active_lsps[lsp.id] = lsp
+    bisect.insort(state.active_by_class[lsp.class_index], age_key(lsp) + (lsp,))
     state.counters.admitted[lsp.class_index] += 1
 
 
@@ -397,6 +418,8 @@ def release(
         link.alloc[lsp.class_index] -= lsp.demand_kbps
         assert link.alloc[lsp.class_index] >= 0, "negative allocation on %s" % link_id
     del state.active_lsps[lsp_id]
+    same_class = state.active_by_class[lsp.class_index]
+    del same_class[bisect.bisect_left(same_class, age_key(lsp))]
     lsp.state = reason
     lsp.end_time = now
     if reason is LspState.PREEMPTED:

@@ -3,8 +3,10 @@
 Admitting an LSP installs exactly one forwarding rule on every switch along
 its path, keyed by the flow's match tuple and rate-limited to the LSP's
 demand.  Tearing an LSP down (completion or preemption) removes its rules by
-owner.  A blocked request never lands in a table; it is recorded as an
-ephemeral drop event so the deny history stays inspectable.
+owner, through an owner -> slots index that ``install`` keeps, so teardown
+costs the LSP's path length, not the table size.  A blocked request never
+lands in a table; it is recorded as an ephemeral drop event so the deny
+history stays inspectable.
 """
 
 from __future__ import annotations
@@ -57,10 +59,14 @@ class FlowRule:
         return "drop" if self.out_port is None else "fwd:%d" % self.out_port
 
 
+Slot = Tuple[str, str]  # (switch id, match key)
+
+
 class Fabric:
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
-        self._rules: Dict[Tuple[str, str], FlowRule] = {}
+        self._rules: Dict[Slot, FlowRule] = {}
+        self._by_owner: Dict[Optional[int], List[Slot]] = {}
         self.drops: List[Tuple[float, str, int]] = []  # (time, match key, lsp id)
 
     def _check_switch(self, switch: str) -> None:
@@ -76,6 +82,7 @@ class Fabric:
         if slot in self._rules:
             raise RuleConflict("%s already has a rule for %s" % slot)
         self._rules[slot] = rule
+        self._by_owner.setdefault(rule.owner, []).append(slot)
 
     def lookup(self, switch: str, match: FlowMatch) -> Optional[FlowRule]:
         """Pure read; None signals a table miss."""
@@ -87,7 +94,7 @@ class Fabric:
         return [r for (sw, _m), r in sorted(self._rules.items()) if sw == switch]
 
     def owner_rules(self, owner: int) -> List[FlowRule]:
-        return [r for _k, r in sorted(self._rules.items()) if r.owner == owner]
+        return [self._rules[slot] for slot in sorted(self._by_owner.get(owner, ()))]
 
     def install_path(self, lsp: Lsp, match: FlowMatch) -> List[FlowRule]:
         """One forwarding rule per switch on the LSP's path, all or nothing.
@@ -113,7 +120,7 @@ class Fabric:
     def remove_by_owner(self, lsp_id: int) -> int:
         """Drop every rule owned by an LSP; returns how many were removed
         (the number of switches the LSP occupied)."""
-        slots = [slot for slot, r in self._rules.items() if r.owner == lsp_id]
+        slots = self._by_owner.pop(lsp_id, ())
         for slot in slots:
             del self._rules[slot]
         return len(slots)

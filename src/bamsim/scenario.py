@@ -244,7 +244,11 @@ def _validate(scn: Scenario) -> None:
             raise ValidationError("%s: class %d rate must be positive" % (src, c.index))
         if c.port_lo > c.port_hi:
             raise ValidationError("%s: class %d has an empty port range" % (src, c.index))
-    link_ids = {lid for lid, _a, _b, _cap in scn.links}
+    link_ids = set()
+    for lid, _a, _b, _cap in scn.links:
+        if lid in link_ids:
+            raise ValidationError("%s: duplicate link id %s" % (src, lid))
+        link_ids.add(lid)
     if scn.bottleneck is not None and scn.bottleneck not in link_ids:
         raise ValidationError("%s: bottleneck %s is not a link" % (src, scn.bottleneck))
     if scn.bc_links:
@@ -286,13 +290,16 @@ def _bc_config(scn: Scenario, mbps_values: List[float], percent: bool) -> BcConf
 def build(scn: Scenario) -> Tuple[NetworkState, Fabric, List[bam.ReconfigEvent]]:
     """Instantiate the network state, fabric and reconfig events."""
     topo = Topology()
-    for name, kind in scn.nodes:
-        if kind == "host":
-            topo.add_host(name)
-        else:
-            topo.add_switch(name)
-    for lid, a, b, cap in scn.links:
-        topo.add_link(lid, a, b, kbps(cap))
+    try:
+        for name, kind in scn.nodes:
+            if kind == "host":
+                topo.add_host(name)
+            else:
+                topo.add_switch(name)
+        for lid, a, b, cap in scn.links:
+            topo.add_link(lid, a, b, kbps(cap))
+    except ValueError as exc:  # unknown link endpoints; duplicates in a Scenario made in code
+        raise ValidationError("%s: %s" % (scn.source, exc)) from None
     topo.freeze(scn.n_classes)
     classes = [TrafficClass(c.index, kbps(c.rate_mbps)) for c in scn.classes]
     try:

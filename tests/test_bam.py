@@ -19,7 +19,8 @@ from bamsim import (
     release,
     select_victims,
 )
-from bamsim.bam import Infeasible, _admission_rows
+from bamsim.bam import Infeasible, _admission_rows, _choose_victims, _reconfig_rows
+from bamsim.checks import _check_class_lists
 
 from helpers import (
     admit,
@@ -374,3 +375,144 @@ def test_admission_rows_report_mam_denials_as_unsatisfiable():
     assert rows == [("L1", 0, 0, 1)]
     with pytest.raises(Infeasible):
         select_victims(state, rows)
+
+
+def choose_victims_by_sort(state, rows):
+    """Victim selection as it was before the per-class lists: sort every
+    active LSP by (class, -admit_time, -id) and scan all of them.  Kept here
+    as the reference the incremental order must reproduce."""
+    if not rows:
+        return []
+    if any(lo >= hi for _lid, lo, hi, _d in rows):
+        raise Infeasible("deficit with no eligible class")
+    remaining = [list(r) for r in rows]
+    candidates = sorted(
+        state.active_lsps.values(),
+        key=lambda l: (l.class_index, -(l.admit_time or 0.0), -l.id),
+    )
+
+    def serves(lsp, row):
+        lid, lo, hi = row[0], row[1], row[2]
+        return lo <= lsp.class_index < hi and lid in lsp.path
+
+    chosen = []
+    for lsp in candidates:
+        if not any(row[3] > 0 and serves(lsp, row) for row in remaining):
+            continue
+        chosen.append(lsp)
+        for row in remaining:
+            if serves(lsp, row):
+                row[3] -= lsp.demand_kbps
+    if any(row[3] > 0 for row in remaining):
+        raise Infeasible("eligible LSPs cannot cover the deficit")
+    for i in range(len(chosen) - 1, -1, -1):
+        trial = chosen[:i] + chosen[i + 1 :]
+        deficits = [list(r) for r in rows]
+        for lsp in trial:
+            for row in deficits:
+                if serves(lsp, row):
+                    row[3] -= lsp.demand_kbps
+        if all(row[3] <= 0 for row in deficits):
+            del chosen[i]
+    return chosen
+
+
+class TestVictimOrderMatchesTheSort:
+    """The per-class newest-first walk picks exactly what sorting every
+    active LSP picked, on multi-link RDM states built in random order."""
+
+    LINKS = ("L1", "L2", "L3", "L4", "L5", "L6")
+
+    @staticmethod
+    def outcome(choose, state, rows):
+        try:
+            return tuple(l.id for l in choose(state, rows))
+        except Infeasible:
+            return "infeasible"
+
+    def random_state(self, rng):
+        from bamsim import NetworkState, Topology, TrafficClass
+
+        topo = Topology()
+        for h in ("A", "B", "C", "D"):
+            topo.add_host(h)
+        for s in ("S1", "S2", "S3"):
+            topo.add_switch(s)
+        ends = [("A", "S1"), ("S1", "S2"), ("S2", "S3"), ("S3", "B"), ("C", "S2"), ("D", "S3")]
+        caps = [rng.randint(30, 60) for _ in ends]
+        for lid, (a, b), cap in zip(self.LINKS, ends, caps):
+            topo.add_link(lid, a, b, cap)
+        topo.freeze(3)
+        paths = [topo.shortest_path(a, b) for a in "ABCD" for b in "ABCD" if a != b]
+        demands = [rng.randint(1, 6) for _ in range(3)]
+        classes = [TrafficClass(i, d) for i, d in enumerate(demands)]
+        state = NetworkState(topo, classes, self.random_rdm(rng, min(caps)))
+        return state, paths
+
+    @staticmethod
+    def random_rdm(rng, cap):
+        bc0 = rng.randint(cap // 2, cap)
+        bc1 = rng.randint(1, bc0)
+        return BcConfig(Model.RDM, values_kbps=(bc0, bc1, rng.randint(1, bc1)))
+
+    def test_same_victims_or_same_infeasibility(self):
+        from bamsim import CapacityViolation, Lsp
+
+        rng = random.Random(4127)
+        seen = {"victims": 0, "infeasible": 0, "reconfig_victims": 0}
+
+        def compare(state, rows, where):
+            expected = self.outcome(choose_victims_by_sort, state, rows)
+            assert self.outcome(_choose_victims, state, rows) == expected, where
+            if expected == "infeasible":
+                seen["infeasible"] += 1
+            else:
+                seen["victims"] += len(expected)
+
+        for trial in range(60):
+            state, paths = self.random_state(rng)
+            next_id = 1
+            for step in range(80):
+                action = rng.random()
+                if action < 0.45:
+                    c = rng.randrange(3)
+                    # Ids rise but admit times are drawn from a coarse grid:
+                    # out of order and often tied.
+                    lsp = Lsp(id=next_id, class_index=c,
+                              demand_kbps=state.classes[c].max_lsp_kbps,
+                              path=rng.choice(paths), src_host="A", dst_host="B",
+                              admit_time=rng.randint(0, 8) * 0.5)
+                    next_id += 1
+                    try:
+                        commit(state, lsp)
+                    except CapacityViolation:
+                        pass
+                elif action < 0.6 and state.active_lsps:
+                    gone = rng.choice(sorted(state.active_lsps))
+                    release(state, gone, LspState.COMPLETED, now=float(step))
+                elif action < 0.8:
+                    c = rng.randrange(3)
+                    rows = _admission_rows(state, rng.choice(paths), c,
+                                           state.classes[c].max_lsp_kbps)
+                    compare(state, rows, (trial, step))
+                elif action < 0.93:
+                    rows = []
+                    for _ in range(rng.randint(1, 3)):
+                        lo = rng.randrange(3)
+                        rows.append((rng.choice(self.LINKS), lo, rng.randint(lo, 3),
+                                     rng.randint(1, 20)))
+                    compare(state, rows, (trial, step))
+                else:
+                    config = self.random_rdm(rng, min(
+                        link.capacity_kbps for link in state.topology.links.values()))
+                    rows = _reconfig_rows(state, config)
+                    expected = self.outcome(choose_victims_by_sort, state, rows)
+                    out = reconfigure(state, config, ReconfigMode.HARD, now=float(step))
+                    assert tuple(l.id for l in out) == expected, (trial, step)
+                    seen["reconfig_victims"] += len(out)
+                # Forced commits ignore the constraints, so only the class
+                # lists are checked here.
+                _check_class_lists(state)
+        # The comparison must have covered real evictions and refusals.
+        assert seen["victims"] > 100 and seen["infeasible"] > 100
+        assert seen["reconfig_victims"] > 100

@@ -3,7 +3,7 @@ time and expect the matching violation."""
 
 import pytest
 
-from bamsim import BcConfig, Model
+from bamsim import BcConfig, LspState, Model, release
 from bamsim.checks import InvariantViolation, check_all, check_fabric, check_state
 from bamsim.controller import Classifier, Controller, LspRequest
 from bamsim.fabric import Fabric, FlowMatch
@@ -18,6 +18,13 @@ def healthy():
     admit(state, 1, 0, when=1.0)
     admit(state, 2, 1, when=2.0)
     return state
+
+
+def _keep_entry_of_released(state, lsp_id):
+    entries = state.active_by_class[state.active_lsps[lsp_id].class_index]
+    entry = next(e for e in entries if e[1] == lsp_id)
+    release(state, lsp_id, LspState.COMPLETED)
+    entries.insert(0, entry)
 
 
 class TestStateChecks:
@@ -74,6 +81,22 @@ class TestStateChecks:
         with pytest.raises(InvariantViolation):
             check_state(state)
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda s: s.active_by_class[1].clear(),
+        lambda s: s.active_by_class[0].append(s.active_by_class[0][0]),
+        lambda s: s.active_by_class[0].append(s.active_by_class[1].pop()),
+        lambda s: s.active_by_class[0].reverse(),
+        lambda s: setattr(s.active_lsps[1], "admit_time", 9.0),  # moved, not re-sorted
+        lambda s: _keep_entry_of_released(s, 3),
+    ], ids=["missing", "twice", "wrong_class", "out_of_order", "stale_key", "retired"])
+    def test_class_list_divergence(self, corrupt):
+        state = healthy()
+        admit(state, 3, 0, when=0.5)  # older than LSP 1, so it sorts first
+        check_state(state)
+        corrupt(state)
+        with pytest.raises(InvariantViolation, match="class lists disagree"):
+            check_state(state)
+
     def test_counter_identities(self):
         state = healthy()
         state.counters.requested[0] += 1
@@ -124,6 +147,18 @@ class TestFabricChecks:
         state, fabric = controller_pair()
         fabric.remove_by_owner(1)
         with pytest.raises(InvariantViolation, match="holds 0 rules"):
+            check_fabric(state, fabric)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda f: f._by_owner[1].pop(),
+        lambda f: f._by_owner[1].append(f._by_owner[1][0]),
+        lambda f: f._by_owner.__setitem__(2, f._by_owner.pop(1)),
+        lambda f: f._rules.pop(f._by_owner[1][0]),
+    ], ids=["slot_missing", "slot_twice", "wrong_owner", "rule_gone"])
+    def test_owner_index_divergence(self, corrupt):
+        state, fabric = controller_pair()
+        corrupt(fabric)
+        with pytest.raises(InvariantViolation, match="owner index"):
             check_fabric(state, fabric)
 
     def test_check_all_without_fabric_skips_rule_checks(self):

@@ -112,6 +112,20 @@ class TestRun:
         lines = (out / "metrics.csv").read_text().splitlines()
         assert len(lines) == 1 + 4
 
+    @pytest.mark.parametrize("stop", ["0", "-5", "31"])
+    def test_stop_outside_the_request_count_is_bad_input(self, mini, tmp_path, capsys, stop):
+        out = tmp_path / "o"
+        code = run_cli(["run", mini, "--quiet", "--stop", stop, "--out", str(out)])
+        assert code == cli.EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert "error:" in err and "--stop" in err and "30" in err
+        assert not out.exists()
+
+    def test_stop_at_the_request_count_runs_everything(self, mini, tmp_path):
+        out = tmp_path / "o"
+        assert run_cli(["run", mini, "--quiet", "--stop", "30", "--out", str(out)]) == 0
+        assert len((out / "metrics.csv").read_text().splitlines()) == 1 + 30
+
     def test_nested_out_dir_is_created(self, mini, tmp_path):
         out = tmp_path / "deep" / "er" / "out"
         assert run_cli(["run", mini, "--quiet", "--out", str(out)]) == 0
@@ -154,6 +168,18 @@ class TestValidate:
         bad.write_text(MINI.replace("bc 40 40", "bc 400 40"))
         assert run_cli(["validate", str(bad)]) == cli.EXIT_BAD_INPUT
         assert "error:" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("links,needle", [
+        ("link L1 A B 100\nlink L1 B A 50", "duplicate link id L1"),
+        ("link L1 A B 100\nlink L2 A Z 50", "link L2 references unknown node 'Z'"),
+    ], ids=["duplicate_id", "unknown_endpoint"])
+    def test_bad_link_is_bad_input(self, tmp_path, capsys, links, needle):
+        bad = tmp_path / "bad.scn"
+        bad.write_text(MINI.replace("link L1 A B 100", links))
+        assert run_cli(["validate", str(bad)]) == cli.EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert "error:" in err and needle in err
 
 
 class TestSummary:

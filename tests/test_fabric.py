@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from bamsim import (
@@ -132,3 +134,42 @@ def test_dump_is_stable_and_tab_separated():
         "S1\ttcp/10.0.0.1:20001->10.0.0.4:30001\tfwd:2\t5\t1",
         "S2\ttcp/10.0.0.2:20002->10.0.0.4:31001\tfwd:3\t10\t2",
     ]
+
+
+class TestOwnerIndex:
+    """The owner index must answer exactly what a scan of the table would."""
+
+    MATCHES = [FlowMatch("10.0.0.%d" % (i % 3 + 1), "10.0.0.4", 20000 + i, 30000 + i)
+               for i in range(12)]
+
+    @staticmethod
+    def scan(fabric: Fabric, owner: int):
+        """Rules of one owner by a full scan, in (switch, match key) order."""
+        return [r for sw in sorted(fabric.topology.switches)
+                for r in fabric.rules_on(sw) if r.owner == owner]
+
+    def test_random_installs_and_removals_agree_with_a_scan(self):
+        rng = random.Random(4127)
+        topo = line_topology()
+        switches = sorted(topo.switches)
+        for _trial in range(30):
+            fabric = Fabric(topo)
+            owners = range(1, 7)
+            for _step in range(60):
+                owner = rng.choice(owners)
+                if rng.random() < 0.7:
+                    rule = FlowRule(rng.choice(switches), rng.choice(self.MATCHES),
+                                    1, 1000, owner=owner)
+                    try:
+                        fabric.install(rule)
+                    except RuleConflict:
+                        pass
+                else:
+                    expected = len(self.scan(fabric, owner))
+                    assert fabric.remove_by_owner(owner) == expected
+                    assert self.scan(fabric, owner) == []
+                    assert fabric.remove_by_owner(owner) == 0  # idempotent
+                for o in owners:
+                    assert fabric.owner_rules(o) == self.scan(fabric, o)
+                total = sum(len(fabric.rules_on(sw)) for sw in switches)
+                assert fabric.rule_count() == total

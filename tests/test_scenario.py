@@ -163,6 +163,7 @@ class TestValidation:
         "mangle,needle",
         [
             (lambda t: t.replace("node B host", "node A host"), "duplicate"),
+            (lambda t: t.replace("link L2", "link L1"), "duplicate link id L1"),
             (lambda t: t.replace("class 1 rate", "class 2 rate"), "indices"),
             (lambda t: t.replace("rate 5", "rate 0"), "positive"),
             (lambda t: t.replace("ports 31000-31999", "ports 31999-31000"), "port"),
@@ -184,6 +185,12 @@ class TestValidation:
     def test_bc_over_capacity_is_a_validation_error(self):
         scn = parse(MINI.replace("bc 50 50", "bc 150 50"))
         with pytest.raises(ValidationError):
+            scenario.build(scn)
+
+    def test_build_names_a_duplicate_link_added_after_parsing(self):
+        scn = parse()
+        scn.links.append(scn.links[0])
+        with pytest.raises(ValidationError, match="duplicate link 'L1'"):
             scenario.build(scn)
 
     def test_rdm_vector_order_is_a_validation_error(self):
