@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import chain
 from typing import List, Optional, Tuple
 
 from .core import (
@@ -157,9 +156,9 @@ def _choose_victims(state: NetworkState, rows: List[Row]) -> List[Lsp]:
 
     Candidates are scanned lowest class first, then newest first (admit time
     descending, id descending as the tie-break), read backwards from each
-    class list in ``state.active_by_class``; only classes some row admits
-    are visited.  A candidate joins the set only while some row it serves
-    still has a deficit, so the scan stops once every deficit is cleared.  A
+    class list in ``state.active_by_class``.  A candidate joins the set only
+    while some row it serves still has a deficit, so the walk leaves a class
+    as soon as no row with a deficit left admits that class.  A
     reverse pruning pass then drops members made redundant by later picks,
     so no member of the result can be removed without reopening a deficit.
     """
@@ -173,18 +172,21 @@ def _choose_victims(state: NetworkState, rows: List[Row]) -> List[Lsp]:
         lid, lo, hi = row[0], row[1], row[2]
         return lo <= lsp.class_index < hi and lid in lsp.path
 
-    eligible = state.active_by_class[min(r[1] for r in rows) : max(r[2] for r in rows)]
-    candidates = chain.from_iterable(map(reversed, eligible))
     chosen: List[Lsp] = []
-    for _admitted, _id, lsp in candidates:
-        if not any(row[3] > 0 and serves(lsp, row) for row in remaining):
-            continue
-        chosen.append(lsp)
-        for row in remaining:
-            if serves(lsp, row):
-                row[3] -= lsp.demand_kbps
-        if all(row[3] <= 0 for row in remaining):
-            break  # no later candidate could join
+    for c in range(min(r[1] for r in rows), max(r[2] for r in rows)):
+        # Rows with a deficit left that class c may serve; once none is
+        # left, no later LSP of this class could join.
+        open_rows = [row for row in remaining if row[3] > 0 and row[1] <= c < row[2]]
+        for _admitted, _id, lsp in reversed(state.active_by_class[c]):
+            if not open_rows:
+                break
+            if not any(row[0] in lsp.path for row in open_rows):
+                continue
+            chosen.append(lsp)
+            for row in remaining:
+                if serves(lsp, row):
+                    row[3] -= lsp.demand_kbps
+            open_rows = [row for row in open_rows if row[3] > 0]
     if any(row[3] > 0 for row in remaining):
         raise Infeasible("eligible LSPs cannot cover the deficit")
     # Prune in reverse pick order: later picks may have made earlier ones

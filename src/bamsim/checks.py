@@ -1,8 +1,11 @@
 """Consistency checks over a live NetworkState (and optionally its fabric).
 
 These are meant to run after every simulation event in tests, so they stay
-cheap: one pass each over the active registry, the links and the rule table,
-plus a sort of each class's active LSPs, which arrive nearly in order.
+cheap and build no sorted copies.  ``check_state`` makes one pass over the
+active registry, one over the links and one over the class lists.
+``check_fabric`` makes one pass over the owner index, looking each slot up in
+the rule table, and one over the active registry; it walks each distinct
+route's path once per call to count its switches, not once per LSP.
 During a soft-reconfiguration drain the effective cap on each constraint is
 the larger of the current and the pending value; allocations between the two
 are legal until attrition clears them.
@@ -10,10 +13,10 @@ are legal until attrition clears them.
 
 from __future__ import annotations
 
-from collections import Counter
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
-from .core import Model, NetworkState, age_key
+from .core import Model, NetworkState
 from .fabric import Fabric
 
 
@@ -70,14 +73,32 @@ def check_state(state: NetworkState) -> None:
 
 def _check_class_lists(state: NetworkState) -> None:
     """``active_by_class`` is what commit and release build: per class, an
-    ``age_key(lsp) + (lsp,)`` entry for each active LSP, sorted."""
-    expected: List[list] = [[] for _ in state.classes]
-    for lsp in state.active_lsps.values():
-        expected[lsp.class_index].append(age_key(lsp) + (lsp,))
-    for entries in expected:
-        entries.sort()
-    if state.active_by_class != expected:
+    ``age_key(lsp) + (lsp,)`` entry for each active LSP, sorted.
+
+    Checked without rebuilding or sorting: every entry carries its LSP's
+    current key and class and is that LSP's registry object (or equal to
+    it), keys rise strictly within a class, and the lists hold as many
+    entries as the registry.  Strict order keeps an LSP from appearing twice
+    in its class, and the class check keeps it out of the others, so the
+    count makes the entries one per active LSP."""
+    lists = state.active_by_class
+    active = state.active_lsps
+    if len(lists) != len(state.classes) or sum(map(len, lists)) != len(active):
         _fail("class lists disagree with the active registry")
+    for c, entries in enumerate(lists):
+        prev_time, prev_id = float("-inf"), 0
+        for time, lsp_id, lsp in entries:
+            registered = active.get(lsp_id)
+            if (
+                (registered is not lsp and registered != lsp)
+                or lsp.class_index != c
+                or lsp.id != lsp_id
+                or (lsp.admit_time or 0.0) != time
+                or time < prev_time
+                or (time == prev_time and lsp_id <= prev_id)
+            ):
+                _fail("class lists disagree with the active registry")
+            prev_time, prev_id = time, lsp_id
 
 
 def _effective_cap(
@@ -95,21 +116,34 @@ def check_fabric(state: NetworkState, fabric: Fabric) -> None:
     belongs to a retired LSP; the owner index lists exactly the table's
     slots under their owners."""
     rules = fabric._rules
-    owner_of = {slot: rule.owner for slot, rule in rules.items()}
-    indexed = {slot: owner for owner, slots in fabric._by_owner.items() for slot in slots}
-    if indexed != owner_of or sum(map(len, fabric._by_owner.values())) != len(rules):
+    by_owner = fabric._by_owner
+    # The index matches the table iff each indexed slot holds a rule of that
+    # owner, and the indexed slots are distinct and as many as the rules.
+    indexed = 0
+    for owner, slots in by_owner.items():
+        indexed += len(slots)
+        for slot in slots:
+            rule = rules.get(slot)
+            if rule is None or rule.owner != owner:
+                _fail("fabric owner index disagrees with the rule table")
+    if indexed != len(rules) or len(set(chain.from_iterable(by_owner.values()))) != indexed:
         _fail("fabric owner index disagrees with the rule table")
-    per_owner = Counter(owner_of.values())
-    for owner in per_owner:
-        if owner not in state.active_lsps:
+    active = state.active_lsps
+    for owner, slots in by_owner.items():
+        if slots and owner not in active:
             _fail("rule owner %d is not an active LSP" % owner)
-    for lsp in state.active_lsps.values():
-        expected = len(state.topology.switches_on(lsp.path, lsp.src_host))
-        if per_owner[lsp.id] != expected:
-            _fail(
-                "LSP %d holds %d rules, path has %d switches"
-                % (lsp.id, per_owner[lsp.id], expected)
-            )
+    # Interior-switch count per (path, src_host) route, from the topology;
+    # local to this call, so nothing needs invalidating.
+    switch_count: Dict[Tuple[Tuple[str, ...], str], int] = {}
+    switches_on = state.topology.switches_on
+    for lsp in active.values():
+        route = (lsp.path, lsp.src_host)
+        expected = switch_count.get(route)
+        if expected is None:
+            expected = switch_count[route] = len(switches_on(*route))
+        held = len(by_owner.get(lsp.id, ()))  # the index matches the table by now
+        if held != expected:
+            _fail("LSP %d holds %d rules, path has %d switches" % (lsp.id, held, expected))
 
 
 def check_all(state: NetworkState, fabric: Optional[Fabric] = None) -> None:

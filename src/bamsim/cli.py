@@ -69,6 +69,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         scn.run.stop = args.stop
     try:
         result = scenario.simulate(scn)
+    except scenario.ScenarioError as exc:  # found while building, before any event
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_BAD_INPUT
     except Exception as exc:  # noqa: BLE001 - any internal failure is exit 3
         print("simulation failed: %s" % exc, file=sys.stderr)
         return EXIT_RUNTIME

@@ -29,6 +29,7 @@ from .core import (
     LspState,
     Model,
     NetworkState,
+    NoRoute,
     Topology,
     TrafficClass,
     kbps,
@@ -245,9 +246,11 @@ def _validate(scn: Scenario) -> None:
         if c.port_lo > c.port_hi:
             raise ValidationError("%s: class %d has an empty port range" % (src, c.index))
     link_ids = set()
-    for lid, _a, _b, _cap in scn.links:
+    for lid, _a, _b, cap in scn.links:
         if lid in link_ids:
             raise ValidationError("%s: duplicate link id %s" % (src, lid))
+        if cap <= 0:
+            raise ValidationError("%s: link %s capacity must be positive" % (src, lid))
         link_ids.add(lid)
     if scn.bottleneck is not None and scn.bottleneck not in link_ids:
         raise ValidationError("%s: bottleneck %s is not a link" % (src, scn.bottleneck))
@@ -263,6 +266,10 @@ def _validate(scn: Scenario) -> None:
     for d in scn.demands:
         if d.src not in hosts or d.dst not in hosts:
             raise ValidationError("%s: demand endpoints must be hosts" % src)
+        if d.src == d.dst:
+            raise ValidationError(
+                "%s: demand %s -> %s has the same source and destination" % (src, d.src, d.dst)
+            )
         if not 0 <= d.class_index < scn.n_classes:
             raise ValidationError("%s: demand references unknown class %d" % (src, d.class_index))
         if d.count < 0:
@@ -276,6 +283,12 @@ def _validate(scn: Scenario) -> None:
         raise ValidationError(
             "%s: stop (%d) must equal the demand total (%d)" % (src, scn.run.stop, total)
         )
+    for spec in scn.reconfigs:
+        if spec.after_request is not None and not 1 <= spec.after_request <= total:
+            raise ValidationError(
+                "%s: reconfig after_request %d outside 1..%d, so it would never fire"
+                % (src, spec.after_request, total)
+            )
 
 
 def _bc_config(scn: Scenario, mbps_values: List[float], percent: bool) -> BcConfig:
@@ -288,7 +301,9 @@ def _bc_config(scn: Scenario, mbps_values: List[float], percent: bool) -> BcConf
 
 
 def build(scn: Scenario) -> Tuple[NetworkState, Fabric, List[bam.ReconfigEvent]]:
-    """Instantiate the network state, fabric and reconfig events."""
+    """Instantiate the network state, fabric and reconfig events.  Checks
+    that need the built topology (link endpoints, routes between demanded
+    hosts, constraints against capacities) raise ValidationError here."""
     topo = Topology()
     try:
         for name, kind in scn.nodes:
@@ -301,6 +316,11 @@ def build(scn: Scenario) -> Tuple[NetworkState, Fabric, List[bam.ReconfigEvent]]
     except ValueError as exc:  # unknown link endpoints; duplicates in a Scenario made in code
         raise ValidationError("%s: %s" % (scn.source, exc)) from None
     topo.freeze(scn.n_classes)
+    for d in scn.demands:
+        try:
+            topo.shortest_path(d.src, d.dst)
+        except NoRoute:
+            raise ValidationError("%s: no route for demand %s -> %s" % (scn.source, d.src, d.dst)) from None
     classes = [TrafficClass(c.index, kbps(c.rate_mbps)) for c in scn.classes]
     try:
         config = _bc_config(scn, scn.bc_mbps, scn.bc_percent)

@@ -1,4 +1,7 @@
+import bisect
+import copy
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,7 +23,10 @@ from bamsim import (
     select_victims,
 )
 from bamsim.bam import Infeasible, _admission_rows, _choose_victims, _reconfig_rows
-from bamsim.checks import _check_class_lists
+from bamsim.checks import InvariantViolation, _check_class_lists, check_fabric
+from bamsim.controller import Classifier, Controller, LspRequest
+from bamsim.core import age_key
+from bamsim.fabric import Fabric, FlowMatch, FlowRule
 
 from helpers import (
     admit,
@@ -417,11 +423,41 @@ def choose_victims_by_sort(state, rows):
     return chosen
 
 
+SIX_LINKS = ("L1", "L2", "L3", "L4", "L5", "L6")
+
+
+def six_link_rdm_state(rng):
+    """Hosts A-D on a chain of switches S1-S3 with random capacities, three
+    classes with random demands and a random RDM vector.  Returns the state
+    and the route of every ordered host pair."""
+    from bamsim import NetworkState, Topology, TrafficClass
+
+    topo = Topology()
+    for h in ("A", "B", "C", "D"):
+        topo.add_host(h)
+    for s in ("S1", "S2", "S3"):
+        topo.add_switch(s)
+    ends = [("A", "S1"), ("S1", "S2"), ("S2", "S3"), ("S3", "B"), ("C", "S2"), ("D", "S3")]
+    caps = [rng.randint(30, 60) for _ in ends]
+    for lid, (a, b), cap in zip(SIX_LINKS, ends, caps):
+        topo.add_link(lid, a, b, cap)
+    topo.freeze(3)
+    paths = [topo.shortest_path(a, b) for a in "ABCD" for b in "ABCD" if a != b]
+    demands = [rng.randint(1, 6) for _ in range(3)]
+    classes = [TrafficClass(i, d) for i, d in enumerate(demands)]
+    state = NetworkState(topo, classes, random_rdm(rng, min(caps)))
+    return state, paths
+
+
+def random_rdm(rng, cap):
+    bc0 = rng.randint(cap // 2, cap)
+    bc1 = rng.randint(1, bc0)
+    return BcConfig(Model.RDM, values_kbps=(bc0, bc1, rng.randint(1, bc1)))
+
+
 class TestVictimOrderMatchesTheSort:
     """The per-class newest-first walk picks exactly what sorting every
     active LSP picked, on multi-link RDM states built in random order."""
-
-    LINKS = ("L1", "L2", "L3", "L4", "L5", "L6")
 
     @staticmethod
     def outcome(choose, state, rows):
@@ -429,31 +465,6 @@ class TestVictimOrderMatchesTheSort:
             return tuple(l.id for l in choose(state, rows))
         except Infeasible:
             return "infeasible"
-
-    def random_state(self, rng):
-        from bamsim import NetworkState, Topology, TrafficClass
-
-        topo = Topology()
-        for h in ("A", "B", "C", "D"):
-            topo.add_host(h)
-        for s in ("S1", "S2", "S3"):
-            topo.add_switch(s)
-        ends = [("A", "S1"), ("S1", "S2"), ("S2", "S3"), ("S3", "B"), ("C", "S2"), ("D", "S3")]
-        caps = [rng.randint(30, 60) for _ in ends]
-        for lid, (a, b), cap in zip(self.LINKS, ends, caps):
-            topo.add_link(lid, a, b, cap)
-        topo.freeze(3)
-        paths = [topo.shortest_path(a, b) for a in "ABCD" for b in "ABCD" if a != b]
-        demands = [rng.randint(1, 6) for _ in range(3)]
-        classes = [TrafficClass(i, d) for i, d in enumerate(demands)]
-        state = NetworkState(topo, classes, self.random_rdm(rng, min(caps)))
-        return state, paths
-
-    @staticmethod
-    def random_rdm(rng, cap):
-        bc0 = rng.randint(cap // 2, cap)
-        bc1 = rng.randint(1, bc0)
-        return BcConfig(Model.RDM, values_kbps=(bc0, bc1, rng.randint(1, bc1)))
 
     def test_same_victims_or_same_infeasibility(self):
         from bamsim import CapacityViolation, Lsp
@@ -470,7 +481,7 @@ class TestVictimOrderMatchesTheSort:
                 seen["victims"] += len(expected)
 
         for trial in range(60):
-            state, paths = self.random_state(rng)
+            state, paths = six_link_rdm_state(rng)
             next_id = 1
             for step in range(80):
                 action = rng.random()
@@ -499,11 +510,11 @@ class TestVictimOrderMatchesTheSort:
                     rows = []
                     for _ in range(rng.randint(1, 3)):
                         lo = rng.randrange(3)
-                        rows.append((rng.choice(self.LINKS), lo, rng.randint(lo, 3),
+                        rows.append((rng.choice(SIX_LINKS), lo, rng.randint(lo, 3),
                                      rng.randint(1, 20)))
                     compare(state, rows, (trial, step))
                 else:
-                    config = self.random_rdm(rng, min(
+                    config = random_rdm(rng, min(
                         link.capacity_kbps for link in state.topology.links.values()))
                     rows = _reconfig_rows(state, config)
                     expected = self.outcome(choose_victims_by_sort, state, rows)
@@ -516,3 +527,263 @@ class TestVictimOrderMatchesTheSort:
         # The comparison must have covered real evictions and refusals.
         assert seen["victims"] > 100 and seen["infeasible"] > 100
         assert seen["reconfig_victims"] > 100
+
+
+def check_fabric_by_rebuild(state, fabric):
+    """check_fabric as it was before the per-call route memo and the
+    one-pass owner-index check: two slot -> owner maps compared whole, a
+    Counter of rules per owner, and a path walk for every active LSP.  Kept
+    here as the reference the cheaper check must agree with."""
+    rules = fabric._rules
+    owner_of = {slot: rule.owner for slot, rule in rules.items()}
+    indexed = {slot: owner for owner, slots in fabric._by_owner.items() for slot in slots}
+    if indexed != owner_of or sum(map(len, fabric._by_owner.values())) != len(rules):
+        raise InvariantViolation("fabric owner index disagrees with the rule table")
+    per_owner = Counter(owner_of.values())
+    for owner in per_owner:
+        if owner not in state.active_lsps:
+            raise InvariantViolation("rule owner %d is not an active LSP" % owner)
+    for lsp in state.active_lsps.values():
+        expected = len(state.topology.switches_on(lsp.path, lsp.src_host))
+        if per_owner[lsp.id] != expected:
+            raise InvariantViolation(
+                "LSP %d holds %d rules, path has %d switches"
+                % (lsp.id, per_owner[lsp.id], expected)
+            )
+
+
+def check_class_lists_by_sort(state):
+    """_check_class_lists as it was: rebuild every class list from the
+    registry, sort, and compare.  Kept here as the reference."""
+    expected = [[] for _ in state.classes]
+    for lsp in state.active_lsps.values():
+        expected[lsp.class_index].append(age_key(lsp) + (lsp,))
+    for entries in expected:
+        entries.sort()
+    if state.active_by_class != expected:
+        raise InvariantViolation("class lists disagree with the active registry")
+
+
+def _owned_slots(fabric, rng):
+    owners = sorted(o for o, slots in fabric._by_owner.items() if slots)
+    return (owners, fabric._by_owner[rng.choice(owners)]) if owners else (owners, None)
+
+
+def _drop_rule(state, fabric, rng):
+    _owners, slots = _owned_slots(fabric, rng)
+    if slots:
+        del fabric._rules[slots.pop(rng.randrange(len(slots)))]
+
+
+def _lose_rule(state, fabric, rng):
+    if fabric._rules:
+        del fabric._rules[rng.choice(sorted(fabric._rules))]
+
+
+def _lose_slot(state, fabric, rng):
+    _owners, slots = _owned_slots(fabric, rng)
+    if slots:
+        slots.pop(rng.randrange(len(slots)))
+
+
+def _duplicate_rule(state, fabric, rng):
+    """An extra, consistently indexed rule on a switch off the LSP's path."""
+    for owner in rng.sample(sorted(state.active_lsps), len(state.active_lsps)):
+        lsp = state.active_lsps[owner]
+        off_path = sorted(set(state.topology.switches) - set(
+            state.topology.switches_on(lsp.path, lsp.src_host)))
+        if off_path:
+            match = fabric.owner_rules(owner)[0].match
+            fabric.install(FlowRule(rng.choice(off_path), match, 1, lsp.demand_kbps, owner))
+            return
+
+
+def _duplicate_slot(state, fabric, rng):
+    _owners, slots = _owned_slots(fabric, rng)
+    if slots:
+        slots.append(rng.choice(slots))
+
+
+def _overwrite_slot(state, fabric, rng):
+    """Same index length, one slot listed twice and one rule unlisted."""
+    owners = [o for o, slots in fabric._by_owner.items() if len(slots) > 1]
+    if owners:
+        slots = fabric._by_owner[rng.choice(owners)]
+        slots[0] = slots[1]
+
+
+def _empty_owner_entry(state, fabric, rng):
+    """An owner key with no slots: the rebuild never sees it, so it passes."""
+    fabric._by_owner[max(fabric._by_owner, default=0) + 1] = []
+
+
+def _move_slot(state, fabric, rng):
+    owners, slots = _owned_slots(fabric, rng)
+    if slots:
+        slot = slots.pop(rng.randrange(len(slots)))
+        fabric._by_owner.setdefault(rng.choice(owners + [max(owners) + 1]), []).append(slot)
+
+
+def _reorder_slots(state, fabric, rng):
+    _owners, slots = _owned_slots(fabric, rng)
+    if slots:
+        slots.reverse()
+
+
+def _orphan_rules(state, fabric, rng):
+    if state.active_lsps:
+        release(state, rng.choice(sorted(state.active_lsps)), LspState.COMPLETED)
+
+
+def _class_entries(state, rng):
+    filled = [entries for entries in state.active_by_class if entries]
+    return rng.choice(filled) if filled else None
+
+
+def _drop_entry(state, fabric, rng):
+    entries = _class_entries(state, rng)
+    if entries:
+        entries.pop(rng.randrange(len(entries)))
+
+
+def _duplicate_entry(state, fabric, rng):
+    entries = _class_entries(state, rng)
+    if entries:
+        i = rng.randrange(len(entries))
+        entries.insert(i, entries[i])
+
+
+def _move_entry_to_other_class(state, fabric, rng):
+    entries = _class_entries(state, rng)
+    if entries:
+        entry = entries.pop(rng.randrange(len(entries)))
+        others = [e for e in state.active_by_class if e is not entries]
+        bisect.insort(rng.choice(others), entry)
+
+
+def _swap_entries(state, fabric, rng):
+    entries = _class_entries(state, rng)
+    if entries and len(entries) > 1:
+        i = rng.randrange(len(entries) - 1)
+        entries[i], entries[i + 1] = entries[i + 1], entries[i]
+
+
+def _swap_tied_entries(state, fabric, rng):
+    """Two neighbours with the same admit time, out of id order."""
+    tied = [(entries, i) for entries in state.active_by_class
+            for i in range(len(entries) - 1) if entries[i][0] == entries[i + 1][0]]
+    if tied:
+        entries, i = rng.choice(tied)
+        entries[i], entries[i + 1] = entries[i + 1], entries[i]
+
+
+def _move_admit_time(state, fabric, rng):
+    if state.active_lsps:
+        lsp = state.active_lsps[rng.choice(sorted(state.active_lsps))]
+        lsp.admit_time = rng.choice([lsp.admit_time, 0.0, lsp.admit_time + 0.5, 99.0])
+
+
+def _keep_retired_entry(state, fabric, rng):
+    entries = _class_entries(state, rng)
+    if entries:
+        entry = entries[rng.randrange(len(entries))]
+        release(state, entry[1], LspState.COMPLETED)
+        bisect.insort(entries, entry)
+
+
+def _rekey_lsp(state, fabric, rng):
+    """An LSP filed, in the registry and its class list, under another id."""
+    entries = _class_entries(state, rng)
+    if entries:
+        time, lsp_id, lsp = entries.pop(rng.randrange(len(entries)))
+        new_id = max(state.active_lsps) + 1
+        state.active_lsps[new_id] = state.active_lsps.pop(lsp_id)
+        bisect.insort(entries, (time, new_id, lsp))
+
+
+def _copy_entry_lsp(state, fabric, rng):
+    """An equal copy of the registry's LSP: the rebuild compares entries by
+    value, so this passes both checks."""
+    entries = _class_entries(state, rng)
+    if entries:
+        i = rng.randrange(len(entries))
+        entries[i] = entries[i][:2] + (copy.copy(entries[i][2]),)
+
+
+CORRUPTIONS = [
+    None,
+    # rule table and owner index
+    _drop_rule, _lose_rule, _lose_slot, _duplicate_rule, _duplicate_slot, _overwrite_slot,
+    _empty_owner_entry, _move_slot, _reorder_slots, _orphan_rules,
+    # class lists
+    _drop_entry, _duplicate_entry, _move_entry_to_other_class, _swap_entries, _swap_tied_entries,
+    _move_admit_time,
+    _keep_retired_entry, _rekey_lsp, _copy_entry_lsp,
+]
+
+
+class TestChecksMatchTheRebuild:
+    """check_fabric and _check_class_lists pass or raise, with the same
+    message, exactly where the rebuild-and-compare checks do.  The states
+    come from a controller driven at random over routes of one to three
+    switches, under MAM or RDM with hard and soft reconfigurations, and then
+    get at most one corruption of the rule table, the owner index or the
+    class lists."""
+
+    @staticmethod
+    def verdict(check, *args):
+        try:
+            check(*args)
+        except InvariantViolation as exc:
+            return str(exc)
+        return "pass"
+
+    @staticmethod
+    def random_config(rng, model, cap):
+        if model is Model.RDM:
+            return random_rdm(rng, cap)
+        return BcConfig(Model.MAM, values_kbps=tuple(rng.randint(1, cap) for _ in range(3)))
+
+    def random_run(self, rng, steps):
+        state, _paths = six_link_rdm_state(rng)
+        cap = min(link.capacity_kbps for link in state.topology.links.values())
+        model = rng.choice([Model.MAM, Model.RDM])
+        state.bc_config = self.random_config(rng, model, cap)
+        fabric = Fabric(state.topology)
+        ports = [(30000 + 1000 * c, 30999 + 1000 * c, c) for c in range(3)]
+        controller = Controller(state, fabric, Classifier.for_state(state, ports))
+        ips = state.topology.hosts
+        now = 0.0
+        for lsp_id in range(1, steps + 1):
+            now += rng.choice([0.0, 0.5, 1.0])  # ties in admit time
+            action = rng.random()
+            if action < 0.6:
+                src, dst = rng.sample("ABCD", 2)
+                c = rng.randrange(3)
+                match = FlowMatch(ips[src], ips[dst], 20000 + lsp_id, 30000 + 1000 * c + lsp_id)
+                controller.handle_request(LspRequest(lsp_id, match, now, 10.0))
+            elif action < 0.9 and state.active_lsps:
+                controller.handle_expiry(rng.choice(sorted(state.active_lsps)), now)
+            else:
+                mode = rng.choice([ReconfigMode.HARD, ReconfigMode.SOFT])
+                config = self.random_config(rng, model, cap)
+                controller.apply_reconfig(ReconfigEvent(mode, config, at_time=now), now)
+        return state, fabric
+
+    def test_same_verdicts_and_messages_as_the_rebuild(self):
+        rng = random.Random(4126)
+        raised = {"fabric": 0, "lists": 0}
+        for trial in range(300):
+            state, fabric = self.random_run(rng, rng.randint(5, 40))
+            corrupt = rng.choice(CORRUPTIONS)
+            if corrupt is not None:
+                corrupt(state, fabric, rng)
+            where = (trial, corrupt and corrupt.__name__)
+            expected = self.verdict(check_fabric_by_rebuild, state, fabric)
+            assert self.verdict(check_fabric, state, fabric) == expected, where
+            raised["fabric"] += expected != "pass"
+            expected = self.verdict(check_class_lists_by_sort, state)
+            assert self.verdict(_check_class_lists, state) == expected, where
+            raised["lists"] += expected != "pass"
+        # Both checks must have seen real violations, and passes too.
+        assert 50 < raised["fabric"] < 250 and 50 < raised["lists"] < 250, raised

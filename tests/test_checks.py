@@ -6,7 +6,7 @@ import pytest
 from bamsim import BcConfig, LspState, Model, release
 from bamsim.checks import InvariantViolation, check_all, check_fabric, check_state
 from bamsim.controller import Classifier, Controller, LspRequest
-from bamsim.fabric import Fabric, FlowMatch
+from bamsim.fabric import Fabric, FlowMatch, FlowRule
 
 from helpers import admit, single_link_state
 
@@ -127,6 +127,30 @@ def controller_pair():
     return state, fabric
 
 
+def two_route_pair(requests):
+    """Routes A -> B over S1 and S2, and C -> B over S2 alone; one admitted
+    LSP per (source host, id) in ``requests``, in that order."""
+    from bamsim.core import NetworkState, Topology, TrafficClass
+
+    topo = Topology()
+    for host in ("A", "B", "C"):
+        topo.add_host(host)
+    topo.add_switch("S1")
+    topo.add_switch("S2")
+    topo.add_link("L1", "A", "S1", 100000)
+    topo.add_link("L2", "S1", "S2", 100000)
+    topo.add_link("L3", "S2", "B", 100000)
+    topo.add_link("L4", "C", "S2", 100000)
+    topo.freeze(1)
+    state = NetworkState(topo, [TrafficClass(0, 5000)], BcConfig(Model.MAM, values_kbps=(50000,)))
+    fabric = Fabric(topo)
+    controller = Controller(state, fabric, Classifier.for_state(state, [(30000, 30999, 0)]))
+    for src, lsp_id in requests:
+        match = FlowMatch(topo.hosts[src], topo.hosts["B"], 20000 + lsp_id, 30000 + lsp_id)
+        controller.handle_request(LspRequest(lsp_id, match, float(lsp_id), 10.0))
+    return state, fabric
+
+
 class TestFabricChecks:
     def test_controller_output_is_coherent(self):
         state, fabric = controller_pair()
@@ -159,6 +183,29 @@ class TestFabricChecks:
         state, fabric = controller_pair()
         corrupt(fabric)
         with pytest.raises(InvariantViolation, match="owner index"):
+            check_fabric(state, fabric)
+
+    def test_second_lsp_on_a_route_is_counted_from_the_topology(self):
+        # LSP 1 fills the route's switch count first; LSP 2 on the same
+        # route must still be held to the topology's two switches.
+        state, fabric = two_route_pair([("A", 1), ("A", 2)])
+        check_fabric(state, fabric)
+        del fabric._rules[fabric._by_owner[2].pop()]
+        with pytest.raises(InvariantViolation, match="LSP 2 holds 1 rules, path has 2 switches"):
+            check_fabric(state, fabric)
+
+    @pytest.mark.parametrize("order", [("A", "C"), ("C", "A")], ids=["long_first", "short_first"])
+    def test_each_route_keeps_its_own_switch_count(self, order):
+        # A -> B crosses S1 and S2, C -> B only S2.
+        state, fabric = two_route_pair([(order[0], 1), (order[1], 2)])
+        check_fabric(state, fabric)
+        short = 1 if order[0] == "C" else 2
+        match = fabric.owner_rules(short)[0].match
+        fabric.install(FlowRule("S1", match, 1, 5000, short))
+        with pytest.raises(InvariantViolation, match="LSP %d holds 2 rules, path has 1 switches" % short):
+            check_fabric(state, fabric)
+        fabric.remove_by_owner(short)
+        with pytest.raises(InvariantViolation, match="LSP %d holds 0 rules, path has 1 switches" % short):
             check_fabric(state, fabric)
 
     def test_check_all_without_fabric_skips_rule_checks(self):

@@ -29,8 +29,7 @@ seed 9
 stop 30
 """
 
-# Validates cleanly (endpoints are hosts) but the demanded pair has no
-# path, which only surfaces once the run classifies the first request.
+# The endpoints are hosts, but the demanded pair has no path.
 SPLIT_BRAIN = """
 [topology]
 node A host
@@ -136,14 +135,24 @@ class TestRun:
         assert code == cli.EXIT_BAD_INPUT
         assert "error:" in capsys.readouterr().err
 
-    def test_mid_run_failure_is_a_runtime_error(self, tmp_path, capsys):
+    def test_mid_run_failure_is_a_runtime_error(self, mini, tmp_path, capsys, monkeypatch):
+        def broken(*_args):
+            raise RuntimeError("decision engine fault")
+
+        monkeypatch.setattr("bamsim.bam.decide", broken)
+        assert run_cli(["validate", mini]) == cli.EXIT_OK
+        capsys.readouterr()
+        code = run_cli(["run", mini, "--quiet", "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "simulation failed" in err and "decision engine fault" in err
+
+    def test_demand_without_a_route_is_bad_input(self, tmp_path, capsys):
         path = tmp_path / "split.scn"
         path.write_text(SPLIT_BRAIN)
-        assert run_cli(["validate", str(path)]) == cli.EXIT_OK
-        capsys.readouterr()
         code = run_cli(["run", str(path), "--quiet", "--out", str(tmp_path / "o")])
-        assert code == cli.EXIT_RUNTIME
-        assert "simulation failed" in capsys.readouterr().err
+        assert code == cli.EXIT_BAD_INPUT
+        assert "no route for demand A -> C" in capsys.readouterr().err
 
     def test_bundled_name_resolves(self, tmp_path):
         code = run_cli(
@@ -169,6 +178,12 @@ class TestValidate:
         assert run_cli(["validate", str(bad)]) == cli.EXIT_BAD_INPUT
         assert "error:" in capsys.readouterr().err
 
+    def test_demand_without_a_route_is_bad_input(self, tmp_path, capsys):
+        path = tmp_path / "split.scn"
+        path.write_text(SPLIT_BRAIN)
+        assert run_cli(["validate", str(path)]) == cli.EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert "error:" in err and "no route for demand A -> C" in err
 
     @pytest.mark.parametrize("links,needle", [
         ("link L1 A B 100\nlink L1 B A 50", "duplicate link id L1"),

@@ -175,12 +175,33 @@ class TestValidation:
             (lambda t: t.replace("start_cycle 1", "start_cycle 3"), "start_cycle"),
             (lambda t: t.replace("cycle_length 100", "cycle_length 0"), "out of range"),
             (lambda t: t.replace("stop 18", "stop 17"), "stop"),
+            (lambda t: t.replace("link L1 A SW 100", "link L1 A SW 0"), "capacity must be positive"),
+            (lambda t: t.replace("link L2 SW B 100", "link L2 SW B -5"), "capacity must be positive"),
+            (lambda t: t.replace("flows A B class 1", "flows B B class 1"), "same source and destination"),
+            (lambda t: t.replace("[demand]", "[reconfig]\nevent hard after_request 0 bc 30 70\n\n[demand]"),
+             "after_request 0 outside 1..18"),
+            (lambda t: t.replace("[demand]", "[reconfig]\nevent soft after_request 19 bc 30 70\n\n[demand]"),
+             "after_request 19 outside 1..18"),
         ],
     )
     def test_inconsistent_scenarios_rejected(self, mangle, needle):
         with pytest.raises(ValidationError) as err:
             parse(mangle(MINI))
         assert needle in str(err.value)
+
+    @pytest.mark.parametrize("after", [1, 18])
+    def test_reconfig_may_fire_after_the_first_or_the_last_request(self, after):
+        text = MINI.replace(
+            "[demand]", "[reconfig]\nevent hard after_request %d bc 30 70\n\n[demand]" % after
+        )
+        assert parse(text).reconfigs[0].after_request == after
+
+    def test_demand_without_a_route_is_a_validation_error(self):
+        text = MINI.replace("node SW switch", "node SW switch\nnode C host").replace(
+            "flows A B class 1", "flows A C class 1"
+        )
+        with pytest.raises(ValidationError, match="no route for demand A -> C"):
+            scenario.build(parse(text))
 
     def test_bc_over_capacity_is_a_validation_error(self):
         scn = parse(MINI.replace("bc 50 50", "bc 150 50"))
