@@ -6,10 +6,12 @@ nests the partitions, constraint b capping the combined allocation of classes
 b and above, so a high-class request that does not fit may still be granted
 by evicting lower-class LSPs that are borrowing from its slice.
 
-Decisions are pure: ``check_mam``, ``check_rdm`` and ``select_victims`` never
-touch the allocation ledger.  ``reconfigure`` is the one mutating entry point
-and applies a new constraint vector either immediately (hard, evicting
-whatever no longer fits) or lazily (soft, draining by attrition).
+Decisions are pure: ``decide`` and ``select_victims`` never touch the
+allocation ledger.  Both models go through one kernel, ``_admission_rows``,
+which turns a request into the deficit rows it would leave on its path.
+``reconfigure`` is the one mutating entry point and applies a new constraint
+vector either immediately (hard, evicting whatever no longer fits) or lazily
+(soft, draining by attrition).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from typing import List, Optional, Tuple
 from .core import (
     BcConfig,
     InvalidBc,
-    Link,
     Lsp,
     LspState,
     Model,
@@ -73,57 +74,50 @@ class ReconfigEvent:
 Row = Tuple[str, int, int, int]
 
 
-def _mam_fits(link: Link, bc: Optional[Tuple[int, ...]], class_index: int, demand_kbps: int) -> bool:
-    if link.total_alloc + demand_kbps > link.capacity_kbps:
-        return False
-    if bc is None:
-        return True
-    return link.alloc[class_index] + demand_kbps <= bc[class_index]
-
-
-def _rdm_fits(link: Link, bc: Optional[Tuple[int, ...]], class_index: int, demand_kbps: int) -> bool:
-    # Constraint b caps classes b..n-1 combined; only b <= class is affected
-    # by this request, higher constraints cannot gain allocation from it.
-    if link.total_alloc + demand_kbps > link.capacity_kbps:
-        return False
-    if bc is None:
-        return True
-    suffix = 0
-    for k in range(len(bc) - 1, -1, -1):
-        suffix += link.alloc[k]
-        if k <= class_index and suffix + demand_kbps > bc[k]:
-            return False
-    return True
-
-
 def _admission_rows(
     state: NetworkState, path: Tuple[str, ...], class_index: int, demand_kbps: int
 ) -> List[Row]:
-    """Deficits a request would leave on its path under the admission config.
-    Victims must be strictly lower classes, hence hi = class_index."""
+    """Deficits a request would leave on its path under the admission caps,
+    found in one pass.  Victims must be strictly lower classes, hence
+    hi = class_index.  The pass stops at the first row no victim can serve
+    (lo >= hi, as every MAM row is), so such a row is always the last one.
+    Under RDM a link's capacity row follows its constraint rows; the victim
+    walk does not depend on row order."""
     rows: List[Row] = []
-    model = state.bc_config.model
+    links = state.topology.links
+    caps = state.admission_caps()
+    mam = state.bc_config.model is Model.MAM
     for link_id in path:
-        link = state.topology.links[link_id]
-        bc = state.admission_bc(link)
-        if model is Model.MAM:
-            if not _mam_fits(link, bc, class_index, demand_kbps):
-                # MAM never preempts: emit a row no victim set can satisfy.
-                rows.append((link_id, class_index, class_index, 1))
+        link = links[link_id]
+        alloc = link.alloc
+        bc = caps[link_id]
+        if mam:
+            if sum(alloc) + demand_kbps > link.capacity_kbps or (
+                bc is not None and alloc[class_index] + demand_kbps > bc[class_index]
+            ):
+                # MAM never preempts: a row no victim set can serve.
+                return [(link_id, class_index, class_index, 1)]
             continue
-        over_cap = link.total_alloc + demand_kbps - link.capacity_kbps
+        # Constraint b caps classes b..n-1 combined; only b <= class is
+        # affected by this request.  The suffix sum at b = 0 is the link total.
+        if bc is None:
+            suffix = sum(alloc)
+        else:
+            suffix = 0
+            for b in range(len(bc) - 1, -1, -1):
+                suffix += alloc[b]
+                if b <= class_index:
+                    deficit = suffix + demand_kbps - bc[b]
+                    if deficit > 0:
+                        rows.append((link_id, b, class_index, deficit))
+                        if b == class_index:
+                            return rows
+        over_cap = suffix + demand_kbps - link.capacity_kbps
+        # A constraint 0 within capacity makes the b = 0 row cover this one.
         if over_cap > 0 and (bc is None or bc[0] > link.capacity_kbps):
             rows.append((link_id, 0, class_index, over_cap))
-        if bc is None:
-            continue
-        suffix = 0
-        for b in range(len(bc) - 1, -1, -1):
-            suffix += link.alloc[b]
-            if b > class_index:
-                continue
-            deficit = suffix + demand_kbps - bc[b]
-            if deficit > 0:
-                rows.append((link_id, b, class_index, deficit))
+            if class_index == 0:
+                return rows
     return rows
 
 
@@ -209,52 +203,31 @@ def select_victims(state: NetworkState, rows: List[Row]) -> Tuple[int, ...]:
     return tuple(l.id for l in _choose_victims(state, rows))
 
 
-def check_mam(
-    state: NetworkState, path: Tuple[str, ...], class_index: int, demand_kbps: int
-) -> AdmissionDecision:
-    """MAM verdict for a request across its whole path.  Grant iff on every
-    link the class partition and the physical capacity both fit; there is no
-    sharing, so the alternative is always Deny.  Pure."""
-    for link_id in path:
-        link = state.topology.links[link_id]
-        if not _mam_fits(link, state.admission_bc(link), class_index, demand_kbps):
-            return AdmissionDecision(Verdict.DENY)
-    return AdmissionDecision(Verdict.GRANT)
-
-
-def check_rdm(
-    state: NetworkState, path: Tuple[str, ...], class_index: int, demand_kbps: int
-) -> AdmissionDecision:
-    """RDM verdict for a request across its whole path.
-
-    Grant when every constraint b <= class covers the summed allocation of
-    classes b and above plus the demand, on every link.  When the only
-    violations come from lower classes borrowing headroom this class is
-    entitled to, the verdict is GrantWithPreemption with a minimal victim
-    set; otherwise Deny.  Pure.
-    """
-    fits = all(
-        _rdm_fits(state.topology.links[lid], state.admission_bc(state.topology.links[lid]),
-                  class_index, demand_kbps)
-        for lid in path
-    )
-    if fits:
-        return AdmissionDecision(Verdict.GRANT)
-    rows = _admission_rows(state, path, class_index, demand_kbps)
-    try:
-        victims = select_victims(state, rows)
-    except Infeasible:
-        return AdmissionDecision(Verdict.DENY)
-    return AdmissionDecision(Verdict.GRANT_WITH_PREEMPTION, victims)
+_GRANT = AdmissionDecision(Verdict.GRANT)
+_DENY = AdmissionDecision(Verdict.DENY)
 
 
 def decide(
     state: NetworkState, path: Tuple[str, ...], class_index: int, demand_kbps: int
 ) -> AdmissionDecision:
-    """Model dispatch for the controller."""
-    if state.bc_config.model is Model.MAM:
-        return check_mam(state, path, class_index, demand_kbps)
-    return check_rdm(state, path, class_index, demand_kbps)
+    """Verdict for a request across its whole path.  Pure.
+
+    No deficit row: Grant.  A row no lower class can serve, as every MAM row
+    is: Deny.  Otherwise, under RDM, lower classes borrow headroom this class
+    is entitled to: GrantWithPreemption with a minimal victim set, or Deny
+    when no eligible set clears the rows.
+    """
+    rows = _admission_rows(state, path, class_index, demand_kbps)
+    if not rows:
+        return _GRANT
+    _link_id, lo, hi, _deficit = rows[-1]
+    if lo >= hi:
+        return _DENY
+    try:
+        victims = select_victims(state, rows)
+    except Infeasible:
+        return _DENY
+    return AdmissionDecision(Verdict.GRANT_WITH_PREEMPTION, victims)
 
 
 def reconfigure(

@@ -331,11 +331,14 @@ class NetworkState:
     active_lsps: Dict[int, Lsp] = field(default_factory=dict)
     counters: Counters = None  # type: ignore[assignment]
     active_by_class: List[List[AgeEntry]] = field(init=False, repr=False)
+    # (bc_config, pending_soft_bc, admission vector by link id): see admission_caps.
+    _caps: Tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.counters is None:
             self.counters = Counters.zero(len(self.classes))
         self.active_by_class = [[] for _ in self.classes]
+        self._caps = (None, None, {})
         if self.bc_config.n_classes != len(self.classes):
             raise InvalidBc("constraint vector length must match class count")
 
@@ -351,13 +354,25 @@ class NetworkState:
         requests at once (never preempting), raises wait until attrition
         clears every violation and the pending config is promoted.
         """
-        current = self.bc_config.bc_for(link)
-        if self.pending_soft_bc is None:
-            return current
-        pending = self.pending_soft_bc.bc_for(link)
-        if current is None or pending is None:
-            return pending if current is None else current
-        return tuple(min(a, b) for a, b in zip(current, pending))
+        return self.admission_caps()[link.id]
+
+    def admission_caps(self) -> Dict[str, Optional[Tuple[int, ...]]]:
+        """``admission_bc`` by link id, resolved once per pair of current and
+        pending config.  Both are frozen, so a reconfiguration, a promotion or
+        a direct assignment puts another object in place and the identity
+        test sees it without a hook.  Link capacities are fixed once the
+        topology is frozen."""
+        current, pending, caps = self._caps
+        if current is not self.bc_config or pending is not self.pending_soft_bc:
+            current, pending, caps = self.bc_config, self.pending_soft_bc, {}
+            for link_id, link in self.topology.links.items():
+                bc = current.bc_for(link)
+                soft = pending.bc_for(link) if pending is not None else None
+                if bc is not None and soft is not None:
+                    bc = tuple(map(min, bc, soft))
+                caps[link_id] = soft if bc is None else bc
+            self._caps = (current, pending, caps)
+        return caps
 
 
 def path_for(state: NetworkState, src: str, dst: str) -> Tuple[str, ...]:

@@ -92,9 +92,13 @@ def preemption_rate(admitted: Sequence[int], preempted: Sequence[int], class_ind
 
 
 def write_journal(events: Iterable[Dict], path: str) -> None:
+    """One sorted-key JSON object per line, all from one encoder.  Lines go
+    through the file's buffer, not one string: that would hold the whole
+    journal a second time."""
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w") as fh:
         for event in events:
-            fh.write(json.dumps(event, sort_keys=True) + "\n")
+            fh.write(encode(event) + "\n")
 
 
 def read_journal(path: str) -> List[Dict]:

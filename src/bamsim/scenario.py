@@ -140,6 +140,16 @@ def parse_text(text: str, source: str = "<string>") -> Scenario:
             _parse_line(scn, section, line.split())
         except (ScenarioError, ValueError, IndexError) as exc:
             raise ParseError("%s:%d: %s" % (source, lineno, exc)) from None
+        if section == "classes":
+            new = scn.classes[-1]
+            for old in scn.classes[:-1]:
+                # The classifier takes the first matching range, so a port in
+                # two ranges would be counted silently as the earlier class.
+                if max(old.port_lo, new.port_lo) <= min(old.port_hi, new.port_hi):
+                    raise ValidationError(
+                        "%s:%d: class %d ports %d-%d overlap class %d ports %d-%d"
+                        % (source, lineno, new.index, new.port_lo, new.port_hi,
+                           old.index, old.port_lo, old.port_hi))
     _validate(scn)
     return scn
 

@@ -13,8 +13,6 @@ from bamsim import (
     ReconfigEvent,
     ReconfigMode,
     Verdict,
-    check_mam,
-    check_rdm,
     commit,
     decide,
     promote_pending_if_clear,
@@ -46,29 +44,29 @@ class TestCheckMam:
         state = single_link_state(Model.MAM, [250, 150, 100], 500, [4, 10, 20])
         fill(state, 0, 62, first_id=1)  # 62 * 4 = 248
         assert state.topology.links["L1"].alloc[0] == 248
-        assert check_mam(state, PATH, 0, 5).verdict is Verdict.DENY
+        assert decide(state, PATH, 0, 5).verdict is Verdict.DENY
 
     def test_grants_up_to_the_exact_boundary(self):
         state = single_link_state(Model.MAM, [250, 150, 100], 500, [5, 10, 20])
         fill(state, 0, 49, first_id=1)  # 245
-        assert check_mam(state, PATH, 0, 5).verdict is Verdict.GRANT
+        assert decide(state, PATH, 0, 5).verdict is Verdict.GRANT
         fill(state, 0, 1, first_id=100)  # 250
-        assert check_mam(state, PATH, 0, 5).verdict is Verdict.DENY
+        assert decide(state, PATH, 0, 5).verdict is Verdict.DENY
 
     def test_partitions_are_private(self):
         # A full class 0 partition must not affect class 1 admissions.
         state = single_link_state(Model.MAM, [250, 150, 100], 500, [5, 10, 20])
         fill(state, 0, 50, first_id=1)
-        assert check_mam(state, PATH, 1, 10).verdict is Verdict.GRANT
+        assert decide(state, PATH, 1, 10).verdict is Verdict.GRANT
 
     def test_capacity_binds_even_with_partition_headroom(self):
         state = single_link_state(Model.MAM, [300, 200, 100], 500, [5, 10, 20])
         fill(state, 0, 60, first_id=1)    # 300
         fill(state, 1, 19, first_id=100)  # 190, total 490
         # class 1 still has 10 of partition headroom but only 10 of capacity
-        assert check_mam(state, PATH, 1, 10).verdict is Verdict.GRANT
+        assert decide(state, PATH, 1, 10).verdict is Verdict.GRANT
         fill(state, 1, 1, first_id=200)   # total 500
-        assert check_mam(state, PATH, 1, 10).verdict is Verdict.DENY
+        assert decide(state, PATH, 1, 10).verdict is Verdict.DENY
 
     def test_never_preempts(self):
         rng = random.Random(7)
@@ -83,7 +81,7 @@ class TestCheckMam:
             next_id = 1
             for _ in range(30):
                 c = rng.randrange(3)
-                decision = check_mam(state, PATH, c, demands[c])
+                decision = decide(state, PATH, c, demands[c])
                 assert decision.verdict in (Verdict.GRANT, Verdict.DENY)
                 assert decision.victims == ()
                 if decision.verdict is Verdict.GRANT:
@@ -104,8 +102,8 @@ class TestCheckMam:
         for i in range(5):  # saturate L2's only partition
             commit(state, Lsp(id=i + 1, class_index=0, demand_kbps=10, path=("L2",),
                               src_host="B", dst_host="C", admit_time=float(i)))
-        assert check_mam(state, ("L1", "L2"), 0, 10).verdict is Verdict.DENY
-        assert check_mam(state, ("L1",), 0, 10).verdict is Verdict.GRANT
+        assert decide(state, ("L1", "L2"), 0, 10).verdict is Verdict.DENY
+        assert decide(state, ("L1",), 0, 10).verdict is Verdict.GRANT
 
 
 class TestCheckRdm:
@@ -113,14 +111,14 @@ class TestCheckRdm:
         # Class 0 may run far past what higher constraints would leave it.
         state = single_link_state(Model.RDM, [500, 250, 100], 500, [5, 10, 20])
         fill(state, 0, 99, first_id=1)  # 495
-        assert check_rdm(state, PATH, 0, 5).verdict is Verdict.GRANT
+        assert decide(state, PATH, 0, 5).verdict is Verdict.GRANT
 
     def test_full_borrow_then_entitled_class_preempts(self):
         # Class 0 holds the whole link; a class 1 arrival is entitled to its
         # slice and must reclaim exactly two 5 unit borrowers.
         state = single_link_state(Model.RDM, [500, 250, 100], 500, [5, 10, 20])
         lsps = fill(state, 0, 100, first_id=1)  # 500, ids 1..100
-        decision = check_rdm(state, PATH, 1, 10)
+        decision = decide(state, PATH, 1, 10)
         assert decision.verdict is Verdict.GRANT_WITH_PREEMPTION
         assert len(decision.victims) == 2
         # Newest borrowers go first: highest admit times, ids 100 and 99.
@@ -145,20 +143,20 @@ class TestCheckRdm:
         assert alloc == [0, 240, 100]
         # oracle agreement, spelled out
         assert not rdm_fits_direct(alloc, (500, 250, 100), 500, 1, 10)
-        assert check_rdm(state, PATH, 1, 10).verdict is Verdict.DENY
+        assert decide(state, PATH, 1, 10).verdict is Verdict.DENY
 
     def test_own_class_cannot_be_preempted(self):
         # Constraint 2 is full of class 2 itself; same-class eviction is
         # forbidden, so Deny even though victims of equal class would fit it.
         state = single_link_state(Model.RDM, [500, 250, 100], 500, [5, 10, 20])
         fill(state, 2, 5, first_id=1)  # 100
-        assert check_rdm(state, PATH, 2, 20).verdict is Verdict.DENY
+        assert decide(state, PATH, 2, 20).verdict is Verdict.DENY
 
     def test_mixed_borrowers_evicted_lowest_class_newest_first(self):
         state = single_link_state(Model.RDM, [500, 250, 100], 500, [5, 10, 20])
         fill(state, 0, 90, first_id=1)     # 450, ids 1..90
         fill(state, 1, 5, first_id=300)    # 50, total 500
-        decision = check_rdm(state, PATH, 2, 20)
+        decision = decide(state, PATH, 2, 20)
         assert decision.verdict is Verdict.GRANT_WITH_PREEMPTION
         victims = decision.victims
         # Capacity deficit of 20 is covered from class 0 (the lowest), newest
@@ -171,7 +169,7 @@ class TestCheckRdm:
         state = single_link_state(Model.RDM, [500, 250, 100], 500, [5, 10, 20])
         for i in range(1, 101):
             admit(state, i, 0, when=0.0)  # all at the same instant
-        decision = check_rdm(state, PATH, 1, 10)
+        decision = decide(state, PATH, 1, 10)
         assert decision.verdict is Verdict.GRANT_WITH_PREEMPTION
         assert sorted(decision.victims) == [99, 100]
 
@@ -180,8 +178,8 @@ class TestCheckRdm:
         fill(state, 0, 100, first_id=1)
         before_alloc = list(state.topology.links["L1"].alloc)
         before_active = set(state.active_lsps)
-        first = check_rdm(state, PATH, 1, 10)
-        second = check_rdm(state, PATH, 1, 10)
+        first = decide(state, PATH, 1, 10)
+        second = decide(state, PATH, 1, 10)
         assert first == second
         assert list(state.topology.links["L1"].alloc) == before_alloc
         assert set(state.active_lsps) == before_active
@@ -200,7 +198,7 @@ class TestCheckRdm:
                 c = rng.randrange(3)
                 d = demands[c]
                 expected, _count = oracle_rdm_verdict(state, c, d)
-                decision = check_rdm(state, PATH, c, d)
+                decision = decide(state, PATH, c, d)
                 assert decision.verdict.value == expected, (
                     "trial %d step %d: class %d demand %d" % (trial, step, c, d)
                 )
@@ -325,9 +323,9 @@ class TestReconfigure:
         assert state.pending_soft_bc is not None
         assert state.bc_config.values_kbps == (350, 50, 100)
         # Cuts bite immediately: class 0 is over the pending 250, so Deny.
-        assert check_mam(state, PATH, 0, 5).verdict is Verdict.DENY
+        assert decide(state, PATH, 0, 5).verdict is Verdict.DENY
         # Raises wait: class 1 stays capped at the old 50 while draining.
-        assert check_mam(state, PATH, 1, 10).verdict is Verdict.DENY
+        assert decide(state, PATH, 1, 10).verdict is Verdict.DENY
 
     def test_soft_promotes_once_attrition_clears_the_overflow(self):
         state = single_link_state(Model.MAM, [350, 50, 100], 500, [5, 10, 20])
@@ -343,7 +341,7 @@ class TestReconfigure:
         assert state.bc_config.values_kbps == (250, 150, 100)
         assert state.pending_soft_bc is None
         # The raise is live after promotion.
-        assert check_mam(state, PATH, 1, 10).verdict is Verdict.GRANT
+        assert decide(state, PATH, 1, 10).verdict is Verdict.GRANT
 
     def test_soft_promotes_immediately_when_nothing_violates(self):
         state = single_link_state(Model.MAM, [350, 50, 100], 500, [5, 10, 20])
@@ -527,6 +525,238 @@ class TestVictimOrderMatchesTheSort:
         # The comparison must have covered real evictions and refusals.
         assert seen["victims"] > 100 and seen["infeasible"] > 100
         assert seen["reconfig_victims"] > 100
+
+
+# The admission checks as they were before the one-pass kernel and the
+# resolved caps: each path link's vector resolved on every call, the fit
+# tests and the rows written per model, and the verdict taken from the victim
+# walk.  Kept here as the reference ``decide`` must reproduce.
+
+def admission_bc_before(state, link):
+    current = state.bc_config.bc_for(link)
+    if state.pending_soft_bc is None:
+        return current
+    pending = state.pending_soft_bc.bc_for(link)
+    if current is None or pending is None:
+        return pending if current is None else current
+    return tuple(min(a, b) for a, b in zip(current, pending))
+
+
+def mam_fits_before(link, bc, class_index, demand_kbps):
+    if link.total_alloc + demand_kbps > link.capacity_kbps:
+        return False
+    if bc is None:
+        return True
+    return link.alloc[class_index] + demand_kbps <= bc[class_index]
+
+
+def rdm_fits_before(link, bc, class_index, demand_kbps):
+    if link.total_alloc + demand_kbps > link.capacity_kbps:
+        return False
+    if bc is None:
+        return True
+    suffix = 0
+    for k in range(len(bc) - 1, -1, -1):
+        suffix += link.alloc[k]
+        if k <= class_index and suffix + demand_kbps > bc[k]:
+            return False
+    return True
+
+
+def admission_rows_before(state, path, class_index, demand_kbps):
+    rows = []
+    model = state.bc_config.model
+    for link_id in path:
+        link = state.topology.links[link_id]
+        bc = admission_bc_before(state, link)
+        if model is Model.MAM:
+            if not mam_fits_before(link, bc, class_index, demand_kbps):
+                rows.append((link_id, class_index, class_index, 1))
+            continue
+        over_cap = link.total_alloc + demand_kbps - link.capacity_kbps
+        if over_cap > 0 and (bc is None or bc[0] > link.capacity_kbps):
+            rows.append((link_id, 0, class_index, over_cap))
+        if bc is None:
+            continue
+        suffix = 0
+        for b in range(len(bc) - 1, -1, -1):
+            suffix += link.alloc[b]
+            if b > class_index:
+                continue
+            deficit = suffix + demand_kbps - bc[b]
+            if deficit > 0:
+                rows.append((link_id, b, class_index, deficit))
+    return rows
+
+
+def decide_before(state, path, class_index, demand_kbps):
+    links = state.topology.links
+    if state.bc_config.model is Model.MAM:
+        for link_id in path:
+            link = links[link_id]
+            if not mam_fits_before(link, admission_bc_before(state, link), class_index, demand_kbps):
+                return "Deny", ()
+        return "Grant", ()
+    if all(rdm_fits_before(links[lid], admission_bc_before(state, links[lid]), class_index,
+                           demand_kbps) for lid in path):
+        return "Grant", ()
+    rows = admission_rows_before(state, path, class_index, demand_kbps)
+    try:
+        return "GrantWithPreemption", select_victims(state, rows)
+    except Infeasible:
+        return "Deny", ()
+
+
+def random_admission_config(rng, model, links):
+    """Absolute or percent vector, on every link or on a random subset.
+    Absolute values may exceed a link's capacity, so capacity rows appear
+    beside constraint rows."""
+    top = max(link.capacity_kbps for link in links.values()) + 10
+    percent = rng.random() < 0.3
+    if percent:
+        raw = [round(rng.uniform(0, 100), 1) for _ in range(3)]
+    else:
+        raw = [rng.randint(0, top) for _ in range(3)]
+    if model is Model.RDM:
+        raw.sort(reverse=True)
+    scope = None
+    if rng.random() < 0.6:
+        scope = frozenset(rng.sample(sorted(links), rng.randint(0, 3)))
+    vector = {"percents" if percent else "values_kbps": tuple(raw)}
+    return BcConfig(model, applies_to=scope, **vector)
+
+
+class TestDecideMatchesTheFitChecks:
+    """``decide`` over the one-pass kernel and the resolved caps gives the
+    verdict and the victims that the per-model fit checks and the victim
+    walk gave, on multi-link MAM and RDM states built at random: percent and
+    partial-scope configs, pending soft configs, configs swapped by direct
+    assignment, and constraints above capacity."""
+
+    def test_same_verdicts_victims_and_rows(self):
+        from bamsim import CapacityViolation, Lsp
+
+        rng = random.Random(4125)
+        seen = Counter()
+        for trial in range(150):
+            state, paths = six_link_rdm_state(rng)
+            links = state.topology.links
+            model = rng.choice([Model.MAM, Model.RDM, Model.RDM])
+            state.bc_config = random_admission_config(rng, model, links)
+            next_id = 1
+            for step in range(60):
+                action = rng.random()
+                if action < 0.4:
+                    # A burst of one class on one path, so that the classes
+                    # a victim walk may not touch can fill a link.
+                    c, path = rng.randrange(3), rng.choice(paths)
+                    for _ in range(rng.randint(1, 6)):
+                        lsp = Lsp(id=next_id, class_index=c,
+                                  demand_kbps=state.classes[c].max_lsp_kbps,
+                                  path=path, src_host="A", dst_host="B",
+                                  admit_time=float(step))
+                        next_id += 1
+                        try:
+                            commit(state, lsp)
+                        except CapacityViolation:
+                            break
+                elif action < 0.5 and state.active_lsps:
+                    release(state, rng.choice(sorted(state.active_lsps)), LspState.COMPLETED)
+                elif action < 0.58:
+                    state.pending_soft_bc = rng.choice(
+                        [None, random_admission_config(rng, model, links)])
+                elif action < 0.62:
+                    state.bc_config = random_admission_config(rng, model, links)
+                else:
+                    path = rng.choice(paths)
+                    c = rng.choice([0, 1, 2, 2])
+                    d = state.classes[c].max_lsp_kbps if rng.random() < 0.7 else rng.randint(1, 12)
+                    where = (trial, step, path, c, d)
+                    expected = decide_before(state, path, c, d)
+                    decision = decide(state, path, c, d)
+                    assert (decision.verdict.value, decision.victims) == expected, where
+                    seen[expected[0]] += 1
+                    for lid in path:
+                        link = links[lid]
+                        bc = admission_bc_before(state, link)
+                        assert state.admission_bc(link) == bc, where
+                        if (model is Model.RDM and link.total_alloc + d > link.capacity_kbps
+                                and (bc is None or bc[0] > link.capacity_kbps)):
+                            seen["capacity rows"] += 1
+                    old = admission_rows_before(state, path, c, d)
+                    rows = _admission_rows(state, path, c, d)
+                    assert not Counter(rows) - Counter(old), where
+                    if any(lo >= hi for _lid, lo, hi, _d in old):
+                        # The kernel stops at the first row no victim can serve.
+                        assert rows[-1][1] >= rows[-1][2], where
+                        assert all(r[1] < r[2] for r in rows[:-1]), where
+                        seen["blocked"] += 1
+                    else:
+                        assert sorted(rows) == sorted(old), where
+                        if rows:
+                            seen["walk " + expected[0]] += 1
+        # Every verdict, and rows of every kind, must have come up.
+        assert min(seen["Grant"], seen["GrantWithPreemption"], seen["blocked"]) > 200, seen
+        assert seen["walk Deny"] > 20 and seen["capacity rows"] > 500, seen
+
+
+def test_unservable_row_denies_without_the_victim_walk(monkeypatch):
+    import bamsim.bam as bam_module
+
+    walks = []
+    real = bam_module.select_victims
+    monkeypatch.setattr(bam_module, "select_victims",
+                        lambda state, rows: walks.append(rows) or real(state, rows))
+    state = single_link_state(Model.RDM, [500, 250, 100], 500, [5, 10, 20])
+    fill(state, 2, 5, first_id=1)  # constraint 2 full of class 2 itself
+    assert decide(state, PATH, 2, 20).verdict is Verdict.DENY
+    assert walks == []
+    fill(state, 0, 80, first_id=100)  # 400 + 100: the link is full
+    assert decide(state, PATH, 1, 10).verdict is Verdict.GRANT_WITH_PREEMPTION
+    assert walks == [[("L1", 0, 1, 10)]]
+    # Rows only lower classes may serve, but they hold too little: the walk
+    # runs and finds no victim set.
+    state.bc_config = BcConfig(Model.RDM, values_kbps=(500, 250, 100), applies_to=frozenset())
+    assert decide(state, PATH, 2, 420).verdict is Verdict.DENY
+    assert walks[1:] == [[("L1", 0, 2, 420)]]
+
+
+def test_admission_caps_follow_every_config_change():
+    """The resolved caps are keyed on the identity of the current and the
+    pending config, so each way of changing either one is seen."""
+    state = single_link_state(Model.MAM, [250, 150, 100], 500, [5, 10, 20])
+    link = state.topology.links["L1"]
+    fill(state, 0, 50, first_id=1)  # 250
+    class_1 = fill(state, 1, 10, first_id=100)  # 100
+    assert state.admission_bc(link) == (250, 150, 100)
+    assert decide(state, PATH, 0, 5).verdict is Verdict.DENY
+    # Direct assignment.
+    state.bc_config = BcConfig(Model.MAM, values_kbps=(300, 150, 100))
+    assert state.admission_bc(link) == (300, 150, 100)
+    assert decide(state, PATH, 0, 5).verdict is Verdict.GRANT
+    # Hard reconfiguration: ten class 0 LSPs go, the cut applies at once.
+    assert len(reconfigure(state, BcConfig(Model.MAM, values_kbps=(200, 150, 100)),
+                           ReconfigMode.HARD)) == 10
+    assert state.admission_bc(link) == (200, 150, 100)
+    assert decide(state, PATH, 0, 5).verdict is Verdict.DENY
+    assert decide(state, PATH, 1, 10).verdict is Verdict.GRANT
+    # Pending soft reconfiguration: class 1 holds 100 > 90, so it drains.
+    reconfigure(state, BcConfig(Model.MAM, values_kbps=(300, 90, 100)), ReconfigMode.SOFT)
+    assert state.pending_soft_bc is not None
+    assert state.admission_bc(link) == (200, 90, 100)
+    assert decide(state, PATH, 1, 10).verdict is Verdict.DENY
+    assert decide(state, PATH, 0, 5).verdict is Verdict.DENY
+    # Promotion once one class 1 LSP leaves: the raise is live.
+    release(state, class_1[0].id, LspState.COMPLETED)
+    assert promote_pending_if_clear(state)
+    assert state.admission_bc(link) == (300, 90, 100)
+    assert decide(state, PATH, 0, 5).verdict is Verdict.GRANT
+    assert decide(state, PATH, 1, 10).verdict is Verdict.DENY
+    # Clearing the pending config by assignment.
+    state.pending_soft_bc = BcConfig(Model.MAM, values_kbps=(0, 0, 0))
+    assert decide(state, PATH, 0, 5).verdict is Verdict.DENY
+    state.pending_soft_bc = None
+    assert decide(state, PATH, 0, 5).verdict is Verdict.GRANT
 
 
 def check_fabric_by_rebuild(state, fabric):

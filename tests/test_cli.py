@@ -154,6 +154,15 @@ class TestRun:
         assert code == cli.EXIT_BAD_INPUT
         assert "no route for demand A -> C" in capsys.readouterr().err
 
+    def test_overlapping_port_ranges_are_bad_input(self, tmp_path, capsys):
+        bad = tmp_path / "bad.scn"
+        bad.write_text(MINI.replace("ports 30000-30999", "ports 31500-32000"))
+        code = run_cli(["run", str(bad), "--quiet", "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert "error: %s:10: class 1 ports 31000-31999 overlap class 0" % bad in err
+        assert not (tmp_path / "o").exists()
+
     def test_bundled_name_resolves(self, tmp_path):
         code = run_cli(
             ["run", "exp1_mam", "--quiet", "--stop", "30", "--out", str(tmp_path / "o")]
@@ -184,6 +193,13 @@ class TestValidate:
         assert run_cli(["validate", str(path)]) == cli.EXIT_BAD_INPUT
         err = capsys.readouterr().err
         assert "error:" in err and "no route for demand A -> C" in err
+
+    def test_overlapping_port_ranges_are_bad_input(self, tmp_path, capsys):
+        bad = tmp_path / "bad.scn"
+        bad.write_text(MINI.replace("ports 31000-31999", "ports 30000-30999"))
+        assert run_cli(["validate", str(bad)]) == cli.EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert "error: %s:10: class 1 ports 30000-30999 overlap class 0" % bad in err
 
     @pytest.mark.parametrize("links,needle", [
         ("link L1 A B 100\nlink L1 B A 50", "duplicate link id L1"),

@@ -189,6 +189,22 @@ class TestValidation:
             parse(mangle(MINI))
         assert needle in str(err.value)
 
+    @pytest.mark.parametrize("ports", ["30000-30999", "30999-31999", "30100-30200", "29000-31999"],
+                             ids=["same", "one_port", "inside", "around"])
+    def test_overlapping_class_port_ranges_name_the_later_line(self, ports):
+        text = MINI.replace("ports 31000-31999", "ports " + ports)
+        lineno = text.splitlines().index("class 1 rate 10 ports " + ports) + 1
+        with pytest.raises(ValidationError) as err:
+            parse(text)
+        assert str(err.value) == (
+            "<test>:%d: class 1 ports %s overlap class 0 ports 30000-30999" % (lineno, ports)
+        )
+
+    def test_adjacent_and_reordered_port_ranges_are_accepted(self):
+        text = MINI.replace("class 0 rate 5 ports 30000-30999", "class 0 rate 5 ports 31000-31999")
+        scn = parse(text.replace("class 1 rate 10 ports 31000-31999", "class 1 rate 10 ports 29000-30999"))
+        assert [(c.port_lo, c.port_hi) for c in scn.classes] == [(31000, 31999), (29000, 30999)]
+
     @pytest.mark.parametrize("after", [1, 18])
     def test_reconfig_may_fire_after_the_first_or_the_last_request(self, after):
         text = MINI.replace(
