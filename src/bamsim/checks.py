@@ -6,9 +6,12 @@ active registry, one over the links and one over the class lists.
 ``check_fabric`` makes one pass over the owner index, looking each slot up in
 the rule table, and one over the active registry; it walks each distinct
 route's path once per call to count its switches, not once per LSP.
-During a soft-reconfiguration drain the effective cap on each constraint is
-the larger of the current and the pending value; allocations between the two
-are legal until attrition clears them.
+The ledger must satisfy the current constraint config alone.  A pending soft
+config may sit below the ledger while attrition drains it.  The current
+config still holds: admission under a pending config takes the tighter of
+the two values, releases only lower the ledger, a hard reconfiguration
+evicts down to its config, and a soft one is promoted only once the ledger
+satisfies it.
 """
 
 from __future__ import annotations
@@ -44,9 +47,7 @@ def check_state(state: NetworkState) -> None:
             _fail("link %s has a negative allocation" % lid)
         if link.total_alloc > link.capacity_kbps:
             _fail("link %s over capacity: %d > %d" % (lid, link.total_alloc, link.capacity_kbps))
-        current = state.bc_config.bc_for(link)
-        pending = state.pending_soft_bc.bc_for(link) if state.pending_soft_bc else None
-        cap = _effective_cap(current, pending)
+        cap = state.bc_config.bc_for(link)
         if cap is None:
             continue
         if state.bc_config.model is Model.MAM:
@@ -99,16 +100,6 @@ def _check_class_lists(state: NetworkState) -> None:
             ):
                 _fail("class lists disagree with the active registry")
             prev_time, prev_id = time, lsp_id
-
-
-def _effective_cap(
-    current: Optional[Tuple[int, ...]], pending: Optional[Tuple[int, ...]]
-) -> Optional[Tuple[int, ...]]:
-    if current is None:
-        return pending
-    if pending is None:
-        return current
-    return tuple(max(a, b) for a, b in zip(current, pending))
 
 
 def check_fabric(state: NetworkState, fabric: Fabric) -> None:

@@ -7,7 +7,8 @@
 <scenario> is a file path or the name of a bundled scenario (exp1_mam,
 exp1_rdm, exp2_hard, exp2_soft).  run writes metrics.csv and journal.jsonl
 into --out (default ./out) and prints the key=value summary.  Exit codes:
-0 ok, 2 bad scenario or arguments, 3 simulation failure.
+0 ok, 2 bad scenario or arguments (an --out that cannot be created or
+written included), 3 simulation failure.
 """
 
 from __future__ import annotations
@@ -68,6 +69,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return EXIT_BAD_INPUT
         scn.run.stop = args.stop
     try:
+        os.makedirs(args.out, exist_ok=True)  # before the run, so a bad --out costs none
+    except OSError as exc:
+        print("error: --out: %s" % exc, file=sys.stderr)
+        return EXIT_BAD_INPUT
+    try:
         result = scenario.simulate(scn)
     except scenario.ScenarioError as exc:  # found while building, before any event
         print("error: %s" % exc, file=sys.stderr)
@@ -75,9 +81,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except Exception as exc:  # noqa: BLE001 - any internal failure is exit 3
         print("simulation failed: %s" % exc, file=sys.stderr)
         return EXIT_RUNTIME
-    os.makedirs(args.out, exist_ok=True)
-    result.metrics.write_csv(os.path.join(args.out, "metrics.csv"))
-    metrics.write_journal(result.journal, os.path.join(args.out, "journal.jsonl"))
+    try:
+        result.metrics.write_csv(os.path.join(args.out, "metrics.csv"))
+        metrics.write_journal(result.journal, os.path.join(args.out, "journal.jsonl"))
+    except OSError as exc:
+        print("error: --out: %s" % exc, file=sys.stderr)
+        return EXIT_BAD_INPUT
     if not args.quiet:
         print(metrics.render_summary(metrics.summarize(result.journal)))
     return EXIT_OK

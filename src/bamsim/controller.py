@@ -22,7 +22,6 @@ from .core import (
     UnknownLsp,
     commit,
     mbps,
-    path_for,
     release,
 )
 from .fabric import Fabric, FlowMatch
@@ -67,13 +66,14 @@ class Classifier:
         table = cls()
         for lo, hi, class_index in port_rules:
             table.add_port_rule(lo, hi, class_index)
-        hosts = state.topology.hosts
+        topology = state.topology
+        hosts = topology.hosts
         for src, src_ip in hosts.items():
             for dst, dst_ip in hosts.items():
                 if src == dst:
                     continue
                 try:
-                    table.add_route(src_ip, dst_ip, path_for(state, src, dst), src, dst)
+                    table.add_route(src_ip, dst_ip, topology.shortest_path(src, dst), src, dst)
                 except NoRoute:
                     continue
         return table

@@ -241,6 +241,11 @@ class Topology:
         return [n for n in interior if n in self._adjacency and n in switches]
 
     def shortest_path(self, src: str, dst: str) -> Tuple[str, ...]:
+        """Deterministic minimum-hop route between two nodes as link ids.
+
+        Ties are broken by the lexicographically smallest link-id sequence.
+        Raises NoRoute when the nodes are disconnected; src == dst yields ().
+        """
         if src == dst:
             return ()
         dist_from_src = self._bfs(src)
@@ -373,15 +378,6 @@ class NetworkState:
                 caps[link_id] = soft if bc is None else bc
             self._caps = (current, pending, caps)
         return caps
-
-
-def path_for(state: NetworkState, src: str, dst: str) -> Tuple[str, ...]:
-    """Deterministic minimum-hop route between two nodes as link ids.
-
-    Ties are broken by the lexicographically smallest link-id sequence.
-    Raises NoRoute when the nodes are disconnected; src == dst yields ().
-    """
-    return state.topology.shortest_path(src, dst)
 
 
 def commit(state: NetworkState, lsp: Lsp) -> None:

@@ -78,7 +78,9 @@ class Fabric:
 
     def install(self, rule: FlowRule) -> None:
         self._check_switch(rule.switch_id)
-        slot = (rule.switch_id, rule.match.key())
+        self._put((rule.switch_id, rule.match.key()), rule)
+
+    def _put(self, slot: Slot, rule: FlowRule) -> None:
         if slot in self._rules:
             raise RuleConflict("%s already has a rule for %s" % slot)
         self._rules[slot] = rule
@@ -105,16 +107,16 @@ class Fabric:
         """
         topo = self.topology
         nodes = topo.nodes_on(lsp.path, lsp.src_host)
+        key = match.key()
         rules: List[FlowRule] = []
         for i, node in enumerate(nodes[1:-1], start=1):
             self._check_switch(node)
+            if (node, key) in self._rules:
+                raise RuleConflict("%s already has a rule for %s" % (node, key))
             out_port = topo.port_of(node, lsp.path[i])
             rules.append(FlowRule(node, match, out_port, lsp.demand_kbps, lsp.id))
         for rule in rules:
-            if (rule.switch_id, match.key()) in self._rules:
-                raise RuleConflict("%s already has a rule for %s" % (rule.switch_id, match.key()))
-        for rule in rules:
-            self.install(rule)
+            self._put((rule.switch_id, key), rule)
         return rules
 
     def remove_by_owner(self, lsp_id: int) -> int:

@@ -9,32 +9,25 @@ event stream (JSON lines) from which every figure can be recounted.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
-
-from .core import mbps
+from json.encoder import encode_basestring_ascii
+from math import isfinite
+from operator import itemgetter
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 
 class RateUndefined(Exception):
     """A ratio whose denominator is zero (no admitted/observed requests)."""
 
 
-@dataclass(frozen=True)
-class MetricsRecord:
+class MetricsRecord(NamedTuple):
     request_index: int
     sim_time: float
     util_kbps: Tuple[int, ...]       # watched-link allocation per class
     blocked: Tuple[int, ...]         # cumulative per class
     preempted: Tuple[int, ...]       # cumulative per class
-    admitted: Tuple[int, ...] = ()   # cumulative per class; kept for rate
-                                     # recomputation, not exported to CSV
 
     def csv_row(self) -> str:
-        cells = [str(self.request_index), "%g" % self.sim_time]
-        cells += ["%g" % mbps(v) for v in self.util_kbps]
-        cells += [str(v) for v in self.blocked]
-        cells += [str(v) for v in self.preempted]
-        return ",".join(cells)
+        return _row_format(len(self.util_kbps)) % _cells(self)
 
 
 def csv_header(n_classes: int) -> str:
@@ -45,10 +38,22 @@ def csv_header(n_classes: int) -> str:
     return ",".join(cols)
 
 
+def _row_format(n_classes: int) -> str:
+    """The one CSV row format: index, time, then per class the utilisation in
+    Mbps, the blocked count and the preempted count."""
+    return "%d,%g" + ",%g" * n_classes + ",%d" * (2 * n_classes)
+
+
+def _cells(record: MetricsRecord) -> Tuple:
+    index, time, util, blocked, preempted = record
+    return (index, time, *[v / 1000.0 for v in util], *blocked, *preempted)
+
+
 class MetricsLog:
     def __init__(self, n_classes: int) -> None:
         self.n_classes = n_classes
         self.records: List[MetricsRecord] = []
+        self._row = _row_format(n_classes)
 
     def append(self, record: MetricsRecord) -> None:
         if self.records and record.request_index <= self.records[-1].request_index:
@@ -56,8 +61,9 @@ class MetricsLog:
         self.records.append(record)
 
     def to_csv(self) -> str:
+        row = self._row
         lines = [csv_header(self.n_classes)]
-        lines += [r.csv_row() for r in self.records]
+        lines += [row % _cells(r) for r in self.records]
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path: str) -> None:
@@ -91,14 +97,81 @@ def preemption_rate(admitted: Sequence[int], preempted: Sequence[int], class_ind
     return preempted[class_index] / admitted[class_index]
 
 
+def _template(keys: Sequence[str], types: Tuple[type, ...]) -> Optional[Tuple]:
+    """(format, positions of str, float and list values) for values given in
+    ``keys`` order, or None for a value type the format cannot spell as json
+    does.  Strings are encoded as json encodes them; ints and floats go
+    through ``%r``, which is json's spelling of an int and a finite float."""
+    items, strs, floats, lists = [], [], [], []
+    for i, (key, t) in enumerate(zip(keys, types)):
+        if t is str:
+            strs.append(i)
+        elif t is float:
+            floats.append(i)
+        elif t is list:
+            lists.append(i)
+        elif t is not int:
+            return None
+        spec = "%s" if t is str or t is list else "%r"
+        items.append(encode_basestring_ascii(key).replace("%", "%%") + ": " + spec)
+    return "{" + ", ".join(items) + "}\n", tuple(strs), tuple(floats), tuple(lists)
+
+
+def _line(shapes: Dict[Tuple, Optional[Tuple]], event: Dict) -> Optional[str]:
+    """The event's journal line from its template, or None where only json
+    can write it: an event that is not a dict, keys other than strings, a
+    value of another type, a NaN or infinite float, a list holding anything
+    but strings.  ``shapes`` maps a key tuple to its sorted keys, their
+    getter and a template per tuple of value types, or to None."""
+    if type(event) is not dict:
+        return None
+    keys = tuple(event)
+    try:
+        shape = shapes[keys]
+    except KeyError:
+        ordered = sorted(keys) if all(type(k) is str for k in keys) else ()
+        # An itemgetter of one key returns the value, not a tuple.
+        shape = shapes[keys] = (ordered, itemgetter(*ordered), {}) if len(ordered) > 1 else None
+    if shape is None:
+        return None
+    ordered, get, templates = shape
+    values = get(event)
+    types = tuple(map(type, values))
+    try:
+        template = templates[types]
+    except KeyError:
+        template = templates[types] = _template(ordered, types)
+    if template is None:
+        return None
+    fmt, strs, floats, lists = template
+    args = list(values)
+    for i in floats:
+        if not isfinite(args[i]):
+            return None
+    for i in strs:
+        args[i] = encode_basestring_ascii(args[i])
+    for i in lists:
+        if not all(type(v) is str for v in args[i]):
+            return None
+        args[i] = "[" + ", ".join(map(encode_basestring_ascii, args[i])) + "]"
+    return fmt % tuple(args)
+
+
 def write_journal(events: Iterable[Dict], path: str) -> None:
-    """One sorted-key JSON object per line, all from one encoder.  Lines go
+    """One line per event, exactly ``json.dumps(event, sort_keys=True)``.
+
+    The controller emits a few event shapes, each with a fixed key order and
+    value types, so each shape gets a %-template on first sight.  What no
+    template covers goes through the one sorted-key encoder.  Lines go
     through the file's buffer, not one string: that would hold the whole
     journal a second time."""
     encode = json.JSONEncoder(sort_keys=True).encode
+    shapes: Dict[Tuple, Optional[Tuple]] = {}
     with open(path, "w") as fh:
+        write = fh.write
         for event in events:
-            fh.write(encode(event) + "\n")
+            line = _line(shapes, event)
+            write(line if line is not None else encode(event) + "\n")
 
 
 def read_journal(path: str) -> List[Dict]:

@@ -19,7 +19,7 @@ import os
 import random
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import bam
 from .controller import Classifier, Controller, LspRequest
@@ -105,8 +105,7 @@ class Scenario:
         return len(self.classes)
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(NamedTuple):
     lsp_id: int          # 1-based stream position
     time: float
     class_index: int
@@ -374,20 +373,20 @@ def generate_schedule(scn: Scenario) -> List[Request]:
                 offset = rng.uniform(0.0, scn.run.cycle_length)
                 raw.append((cycle * scn.run.cycle_length + offset, gen_id, entry))
                 gen_id += 1
-    raw.sort(key=lambda item: (item[0], item[1]))
+    raw.sort()  # by (time, gen_id): ids are unique, so entries are never compared
     schedule: List[Request] = []
     for position, (time, _gid, entry) in enumerate(raw, start=1):
         lo, hi = ports[entry.class_index]
         schedule.append(
             Request(
-                lsp_id=position,
-                time=time,
-                class_index=entry.class_index,
-                src=entry.src,
-                dst=entry.dst,
-                demand_kbps=rates[entry.class_index],
-                src_port=20000 + position,
-                dst_port=lo + position % (hi - lo + 1),
+                position,  # lsp_id
+                time,
+                entry.class_index,
+                entry.src,
+                entry.dst,
+                rates[entry.class_index],  # demand_kbps
+                20000 + position,  # src_port
+                lo + position % (hi - lo + 1),  # dst_port
             )
         )
     return schedule
@@ -431,14 +430,17 @@ def simulate(
     watched_link = state.topology.links[watched]
 
     by_count: Dict[int, List[bam.ReconfigEvent]] = {}
-    heap: List[Tuple[float, int, int]] = []
+    # Entries are unique and totally ordered, so heapify pops them in the
+    # same order as pushing them one by one would.
+    heap: List[Tuple[float, int, int]] = [
+        (request.time, _REQUEST, request.lsp_id) for request in schedule
+    ]
     for idx, event in enumerate(events):
         if event.at_time is not None:
-            heapq.heappush(heap, (event.at_time, _TIMED_RECONFIG, idx))
+            heap.append((event.at_time, _TIMED_RECONFIG, idx))
         else:
             by_count.setdefault(event.after_request, []).append(event)
-    for request in schedule:
-        heapq.heappush(heap, (request.time, _REQUEST, request.lsp_id))
+    heapq.heapify(heap)
 
     def notify(kind: str) -> None:
         if on_event is not None:
@@ -475,12 +477,11 @@ def simulate(
                 heapq.heappush(heap, (now + scn.run.lsp_lifetime, _EXPIRY, req.id))
             metrics.append(
                 MetricsRecord(
-                    request_index=request.lsp_id,
-                    sim_time=now,
-                    util_kbps=tuple(watched_link.alloc),
-                    blocked=tuple(state.counters.blocked),
-                    preempted=tuple(state.counters.preempted),
-                    admitted=tuple(state.counters.admitted),
+                    request.lsp_id,
+                    now,
+                    tuple(watched_link.alloc),
+                    tuple(state.counters.blocked),
+                    tuple(state.counters.preempted),
                 )
             )
             notify("request")

@@ -201,3 +201,23 @@ def drain(state: NetworkState) -> None:
 
     for lsp_id in list(state.active_lsps):
         release(state, lsp_id, LspState.COMPLETED)
+
+
+# ---------------------------------------------------------------------------
+# Artifact oracle.
+
+
+def csv_oracle(n_classes: int, records: Sequence[Tuple]) -> str:
+    """metrics.csv written cell by cell: str() of the index and of every
+    count, %g of the time and of each utilisation in Mbps (kbps / 1000)."""
+    cols = ["request_index", "sim_time"]
+    for prefix in ("util_ct", "blk_ct", "pre_ct"):
+        cols += [prefix + str(c) for c in range(n_classes)]
+    lines = [",".join(cols)]
+    for index, time, util, blocked, preempted in records:
+        cells = [str(index), "%g" % time]
+        cells += ["%g" % (v / 1000.0) for v in util]
+        cells += [str(v) for v in blocked]
+        cells += [str(v) for v in preempted]
+        lines.append(",".join(cells))
+    return "".join(line + "\n" for line in lines)

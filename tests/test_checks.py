@@ -3,7 +3,7 @@ time and expect the matching violation."""
 
 import pytest
 
-from bamsim import BcConfig, LspState, Model, release
+from bamsim import BcConfig, LspState, Model, ReconfigMode, reconfigure, release
 from bamsim.checks import InvariantViolation, check_all, check_fabric, check_state
 from bamsim.controller import Classifier, Controller, LspRequest
 from bamsim.fabric import Fabric, FlowMatch, FlowRule
@@ -76,10 +76,41 @@ class TestStateChecks:
         state = healthy()
         state.pending_soft_bc = BcConfig(Model.MAM, values_kbps=(1000, 1000))
         check_state(state)
-        # but not against both
+        # but not against the current one
         state.bc_config = BcConfig(Model.MAM, values_kbps=(1000, 40000))
         with pytest.raises(InvariantViolation):
             check_state(state)
+
+    def test_a_pending_config_never_raises_the_current_cap(self):
+        # Admission under a pending config takes the tighter value, so a
+        # ledger over the current cap is a fault whatever is pending.
+        state = healthy()
+        state.bc_config = BcConfig(Model.MAM, values_kbps=(4000, 40000))
+        state.pending_soft_bc = BcConfig(Model.MAM, values_kbps=(40000, 40000))
+        with pytest.raises(InvariantViolation, match="class 0 over constraint: 5000 > 4000"):
+            check_state(state)
+
+    def test_soft_drain_on_a_link_only_the_pending_config_governs(self):
+        # The current config governs L1 alone; a soft cut to 20 Mbps on L2
+        # alone leaves the 50 Mbps LSP on L2 draining.  Soft mode never
+        # preempts, so this is legal: the ledger must satisfy only the
+        # current config.
+        from bamsim.core import NetworkState, Topology, TrafficClass
+
+        topo = Topology()
+        topo.add_host("A")
+        topo.add_host("B")
+        topo.add_switch("S1")
+        topo.add_link("L1", "A", "S1", 100000)
+        topo.add_link("L2", "S1", "B", 100000)
+        topo.freeze(1)
+        current = BcConfig(Model.MAM, values_kbps=(100000,), applies_to=frozenset({"L1"}))
+        state = NetworkState(topo, [TrafficClass(0, 50000)], current)
+        admit(state, 1, 0, when=1.0, path=("L1", "L2"))
+        cut = BcConfig(Model.MAM, values_kbps=(20000,), applies_to=frozenset({"L2"}))
+        assert reconfigure(state, cut, ReconfigMode.SOFT) == []
+        assert state.pending_soft_bc is cut
+        check_state(state)
 
     @pytest.mark.parametrize("corrupt", [
         lambda s: s.active_by_class[1].clear(),

@@ -130,6 +130,27 @@ class TestRun:
         assert run_cli(["run", mini, "--quiet", "--out", str(out)]) == 0
         assert (out / "metrics.csv").exists()
 
+    def test_out_naming_a_file_is_bad_input_before_the_run(self, mini, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "taken"
+        out.write_text("keep")
+
+        def never(*_args, **_kwargs):
+            raise RuntimeError("simulated before --out was checked")
+
+        monkeypatch.setattr("bamsim.scenario.simulate", never)
+        code = run_cli(["run", mini, "--quiet", "--out", str(out)])
+        assert code == cli.EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out:") and "Traceback" not in err
+        assert out.read_text() == "keep"
+
+    def test_unwritable_artifact_is_bad_input(self, mini, tmp_path, capsys):
+        out = tmp_path / "o"
+        (out / "metrics.csv").mkdir(parents=True)
+        code = run_cli(["run", mini, "--quiet", "--out", str(out)])
+        assert code == cli.EXIT_BAD_INPUT
+        assert capsys.readouterr().err.startswith("error: --out:")
+
     def test_unknown_scenario_is_bad_input(self, tmp_path, capsys):
         code = run_cli(["run", "exp_missing", "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_BAD_INPUT

@@ -18,7 +18,6 @@ from bamsim import (
     commit,
     kbps,
     mbps,
-    path_for,
     release,
 )
 from bamsim.checks import check_state
@@ -312,9 +311,9 @@ class TestCommitRelease:
         check_state(state)
 
 
-def test_path_for_uses_topology_routing():
+def test_shortest_path_uses_topology_routing():
     state = single_link_state(Model.MAM, [250, 150, 100], 500, [5, 10, 20])
-    assert path_for(state, "A", "B") == ("L1",)
+    assert state.topology.shortest_path("A", "B") == ("L1",)
 
 
 def test_state_rejects_mismatched_vector_length():

@@ -1,7 +1,12 @@
 import json
+import math
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bamsim.metrics import (
     MetricsLog,
@@ -16,6 +21,8 @@ from bamsim.metrics import (
     windowed_blocking,
     write_journal,
 )
+
+from helpers import csv_oracle
 
 THREE_CLASS_HEADER = (
     "request_index,sim_time,"
@@ -169,3 +176,85 @@ class TestJournal:
             "completed_ct0=0",
             "completed_ct1=1",
         ]
+
+
+# Property tests: both artifacts equal an independent rendering for arbitrary
+# input, not only for what the bundled scenarios produce.
+PROPERTY = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+
+# Characters json escapes or spells in full, plus "%", which the journal's
+# templates must not read as a conversion.
+ODD_CHARS = ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "%", "é", "\u2028", "\ud800", "\U0001f600"]
+texts = st.text(st.one_of(st.characters(), st.sampled_from(ODD_CHARS)), max_size=6)
+ints = st.one_of(st.integers(), st.integers(0, 10**6))
+floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, 1e16, 5e-324, 123.456789, math.nan, math.inf, -math.inf]),
+)
+odd_values = st.one_of(st.booleans(), st.none(), floats, ints, texts)
+
+
+def _maybe(strategy, odd_rate=8):
+    """Mostly the controller's own value type, sometimes any other."""
+    return st.integers(0, odd_rate - 1).flatmap(lambda r: odd_values if r == 0 else strategy)
+
+
+def _event(kind, **fields):
+    return st.fixed_dictionaries({"kind": _maybe(st.just(kind)), "time": _maybe(floats), **fields})
+
+
+LSP = {"lsp": _maybe(ints), "ct": _maybe(st.integers(0, 3))}
+controller_events = st.one_of(
+    _event("request", **LSP, demand_mbps=_maybe(floats), src=_maybe(texts), dst=_maybe(texts)),
+    _event("block", **LSP),
+    _event("expire", **LSP),
+    _event("preempt", **LSP, by=st.one_of(ints, st.none())),
+    _event("admit", **LSP, path=_maybe(st.lists(st.one_of(texts, texts, ints), max_size=4))),
+    _event("reconfig", mode=texts, bc_mbps=st.lists(floats, max_size=3),
+           preempted=st.lists(ints, max_size=3)),
+    _event("promote", bc_mbps=st.lists(floats, max_size=3)),
+)
+foreign_events = st.one_of(
+    st.dictionaries(texts, st.one_of(odd_values, st.lists(texts, max_size=3)), max_size=5),
+    st.dictionaries(st.integers(), ints, max_size=3),
+    st.lists(st.one_of(texts, odd_values), max_size=3),
+)
+
+
+def _written(write, *args) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "artifact")
+        write(*args, path)
+        with open(path, "rb") as fh:
+            return fh.read().decode("ascii")
+
+
+@PROPERTY
+@given(st.lists(st.one_of(controller_events, controller_events, foreign_events), max_size=12))
+def test_journal_lines_are_exactly_json_dumps_with_sorted_keys(events):
+    expected = "".join(json.dumps(e, sort_keys=True) + "\n" for e in events)
+    assert _written(write_journal, events) == expected
+
+
+@st.composite
+def metrics_logs(draw):
+    n = draw(st.integers(1, 4))
+    counts = st.tuples(*[st.integers(0, 10**12)] * n)
+    records, index = [], 0
+    for _ in range(draw(st.integers(0, 8))):
+        index += draw(st.integers(1, 10**9))
+        records.append(MetricsRecord(
+            index, draw(floats), draw(counts), draw(counts), draw(counts)))
+    return n, records
+
+
+@PROPERTY
+@given(metrics_logs())
+def test_csv_is_exactly_the_cell_by_cell_rendering(log_spec):
+    n, records = log_spec
+    log = MetricsLog(n)
+    for record in records:
+        log.append(record)
+    expected = csv_oracle(n, records)
+    assert log.to_csv() == expected
+    assert [r.csv_row() for r in records] == expected.splitlines()[1:]

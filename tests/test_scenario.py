@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -377,7 +376,7 @@ class TestSimulate:
     def test_departures_precede_arrivals_at_equal_times(self, monkeypatch):
         scn = parse(TIE)
         first, second = scenario.generate_schedule(scn)
-        forced = dataclasses.replace(second, time=first.time + 50.0)
+        forced = second._replace(time=first.time + 50.0)
         monkeypatch.setattr(scenario, "generate_schedule", lambda _scn: [first, forced])
         result = simulate(scn)
         # The link fits one LSP; the second request lands exactly at the
