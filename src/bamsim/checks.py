@@ -122,6 +122,8 @@ def check_fabric(state: NetworkState, fabric: Fabric) -> None:
     active = state.active_lsps
     for owner, slots in by_owner.items():
         if slots and owner not in active:
+            if owner is None:  # blocked flows never land in a table
+                _fail("switch %s holds a rule with no owner LSP" % slots[0][0])
             _fail("rule owner %d is not an active LSP" % owner)
     # Interior-switch count per (path, src_host) route, from the topology;
     # local to this call, so nothing needs invalidating.

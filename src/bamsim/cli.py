@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
 from typing import List, Optional
 
@@ -68,6 +69,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
                   % (args.stop, total), file=sys.stderr)
             return EXIT_BAD_INPUT
         scn.run.stop = args.stop
+    # The topmost directory of --out that does not exist yet, if any, so that
+    # a scenario that fails in build leaves nothing behind.
+    created = None
+    head = os.path.abspath(args.out)
+    while not os.path.exists(head):
+        created, head = head, os.path.dirname(head)
     try:
         os.makedirs(args.out, exist_ok=True)  # before the run, so a bad --out costs none
     except OSError as exc:
@@ -76,6 +83,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         result = scenario.simulate(scn)
     except scenario.ScenarioError as exc:  # found while building, before any event
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_INPUT
     except Exception as exc:  # noqa: BLE001 - any internal failure is exit 3

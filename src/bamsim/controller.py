@@ -1,7 +1,7 @@
 """Centralized admission controller.
 
-Every request flows through the same pipeline: classify the match tuple to a
-traffic class and a precomputed route, consult the decision engine under the
+Every request flows through the same pipeline: classify its match fields to
+a traffic class and a precomputed route, consult the decision engine under the
 active constraint config, then either program the fabric (grant), evict the
 chosen victims first (grant with preemption), or log a drop at the ingress
 (deny).  Expiries and runtime reconfigurations pass through the same object,
@@ -11,7 +11,7 @@ so the journal is a single ordered record of everything that happened.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from . import bam
 from .core import (
@@ -28,21 +28,20 @@ from .fabric import Fabric, FlowMatch
 
 
 class ClassificationFailure(Exception):
-    """Match tuple does not resolve to a class and a route."""
+    """A request's match fields do not resolve to a class and a route."""
 
 
-@dataclass(frozen=True)
-class LspRequest:
-    """One emulated flow request as the controller sees it."""
+class LspRequest(NamedTuple):
+    """One emulated flow request, as the schedule emits it and the controller
+    reads it: the stream id and arrival time plus the header fields the
+    controller classifies on, like an OpenFlow packet-in."""
 
-    id: int
-    match: FlowMatch
-    arrival_time: float
-    lifetime: float
-
-    def __post_init__(self) -> None:
-        if self.lifetime <= 0:
-            raise ValueError("lifetime must be positive")
+    id: int  # 1-based stream position, also the LSP id
+    time: float
+    src_ip: str
+    dst_ip: str
+    src_port: int
+    dst_port: int
 
 
 class Classifier:
@@ -78,18 +77,19 @@ class Classifier:
                     continue
         return table
 
-    def classify(self, match: FlowMatch) -> Tuple[int, Tuple[str, ...], str, str]:
-        """(class_index, path, src_host, dst_host) for a match tuple."""
+    def classify(self, req: LspRequest) -> Tuple[int, Tuple[str, ...], str, str]:
+        """(class_index, path, src_host, dst_host) for a request, from the
+        match fields it carries: the class from its destination port, the
+        route from its source and destination IPs."""
+        dst_port = req.dst_port
         for lo, hi, class_index in self._port_rules:
-            if lo <= match.dst_port <= hi:
+            if lo <= dst_port <= hi:
                 break
         else:
-            raise ClassificationFailure("no class rule matches port %d" % match.dst_port)
-        route = self._routes.get((match.src_ip, match.dst_ip))
+            raise ClassificationFailure("no class rule matches port %d" % dst_port)
+        route = self._routes.get((req.src_ip, req.dst_ip))
         if route is None:
-            raise ClassificationFailure(
-                "no route for %s -> %s" % (match.src_ip, match.dst_ip)
-            )
+            raise ClassificationFailure("no route for %s -> %s" % (req.src_ip, req.dst_ip))
         path, src_host, dst_host = route
         return class_index, path, src_host, dst_host
 
@@ -112,45 +112,42 @@ class Controller:
         self.classifier = classifier
         self.journal: List[Dict] = []
 
-    def _log(self, **event) -> None:
-        self.journal.append(event)
-
     def handle_request(self, req: LspRequest) -> RequestOutcome:
         """Admit, admit-with-preemption, or block one request."""
         state = self.state
-        now = req.arrival_time
-        class_index, path, src_host, dst_host = self.classifier.classify(req.match)
-        lsp = Lsp(
-            id=req.id,
-            class_index=class_index,
-            demand_kbps=state.classes[class_index].max_lsp_kbps,
-            path=path,
-            src_host=src_host,
-            dst_host=dst_host,
-            lifetime=req.lifetime,
-        )
+        journal = self.journal
+        lsp_id, now = req.id, req.time
+        class_index, path, src_host, dst_host = self.classifier.classify(req)
+        demand = state.classes[class_index].max_lsp_kbps
+        lsp = Lsp(lsp_id, class_index, demand, path, src_host, dst_host)
         state.counters.requested[class_index] += 1
-        self._log(
-            kind="request", time=now, lsp=lsp.id, ct=class_index,
-            demand_mbps=mbps(lsp.demand_kbps), src=src_host, dst=dst_host,
-        )
-        decision = bam.decide(state, path, class_index, lsp.demand_kbps)
+        journal.append({
+            "kind": "request", "time": now, "lsp": lsp_id, "ct": class_index,
+            "demand_mbps": mbps(demand), "src": src_host, "dst": dst_host,
+        })
+        decision = bam.decide(state, path, class_index, demand)
         if decision.verdict is bam.Verdict.DENY:
             state.counters.blocked[class_index] += 1
             lsp.state = LspState.BLOCKED
-            self.fabric.record_drop(lsp.id, req.match, now)
-            self._log(kind="block", time=now, lsp=lsp.id, ct=class_index)
+            self.fabric.record_drop(req)
+            journal.append({"kind": "block", "time": now, "lsp": lsp_id, "ct": class_index})
             return RequestOutcome(lsp, decision.verdict)
         preempted: List[Lsp] = []
         for victim_id in decision.victims:
             victim = release(state, victim_id, LspState.PREEMPTED, now=now)
             self.fabric.remove_by_owner(victim_id)
-            self._log(kind="preempt", time=now, lsp=victim_id, ct=victim.class_index, by=lsp.id)
+            journal.append({
+                "kind": "preempt", "time": now, "lsp": victim_id, "ct": victim.class_index,
+                "by": lsp_id,
+            })
             preempted.append(victim)
         lsp.admit_time = now
         commit(state, lsp)
-        self.fabric.install_path(lsp, req.match)
-        self._log(kind="admit", time=now, lsp=lsp.id, ct=class_index, path=list(path))
+        match = FlowMatch(req.src_ip, req.dst_ip, req.src_port, req.dst_port)
+        self.fabric.install_path(lsp, match)
+        journal.append({
+            "kind": "admit", "time": now, "lsp": lsp_id, "ct": class_index, "path": list(path),
+        })
         if preempted and bam.promote_pending_if_clear(state):
             self._log_promote(now)
         return RequestOutcome(lsp, decision.verdict, preempted)
@@ -161,7 +158,7 @@ class Controller:
             raise UnknownLsp(str(lsp_id))
         lsp = release(self.state, lsp_id, LspState.COMPLETED, now=now)
         self.fabric.remove_by_owner(lsp_id)
-        self._log(kind="expire", time=now, lsp=lsp_id, ct=lsp.class_index)
+        self.journal.append({"kind": "expire", "time": now, "lsp": lsp_id, "ct": lsp.class_index})
         if bam.promote_pending_if_clear(self.state):
             self._log_promote(now)
         return lsp
@@ -169,18 +166,22 @@ class Controller:
     def apply_reconfig(self, event: bam.ReconfigEvent, now: float) -> List[Lsp]:
         """Runtime constraint change; hard mode may evict LSPs."""
         preempted = bam.reconfigure(self.state, event.config, event.mode, now=now)
+        journal = self.journal
         for victim in preempted:
             self.fabric.remove_by_owner(victim.id)
-            self._log(kind="preempt", time=now, lsp=victim.id, ct=victim.class_index, by=None)
-        self._log(
-            kind="reconfig", time=now, mode=event.mode.value,
-            bc_mbps=[mbps(v) for v in event.config.values_kbps or ()],
-            preempted=[v.id for v in preempted],
-        )
+            journal.append({
+                "kind": "preempt", "time": now, "lsp": victim.id, "ct": victim.class_index,
+                "by": None,
+            })
+        journal.append({
+            "kind": "reconfig", "time": now, "mode": event.mode.value,
+            "bc_mbps": [mbps(v) for v in event.config.values_kbps or ()],
+            "preempted": [v.id for v in preempted],
+        })
         if event.mode is bam.ReconfigMode.SOFT and self.state.pending_soft_bc is None:
             self._log_promote(now)
         return preempted
 
     def _log_promote(self, now: float) -> None:
         bc = self.state.bc_config.values_kbps or ()
-        self._log(kind="promote", time=now, bc_mbps=[mbps(v) for v in bc])
+        self.journal.append({"kind": "promote", "time": now, "bc_mbps": [mbps(v) for v in bc]})

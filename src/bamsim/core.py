@@ -25,6 +25,11 @@ def mbps(value_kbps: int) -> float:
     return value_kbps / 1000.0
 
 
+def host_ip(index: int) -> str:
+    """Synthetic IP of the index-th host (from 0), in the order hosts are added."""
+    return "10.0.0.%d" % (index + 1)
+
+
 class NoRoute(Exception):
     """Source and destination are not connected."""
 
@@ -175,7 +180,6 @@ class Lsp:
     state: LspState = LspState.REQUESTED
     admit_time: Optional[float] = None
     end_time: Optional[float] = None
-    lifetime: Optional[float] = None
 
 
 class Topology:
@@ -191,7 +195,7 @@ class Topology:
     def add_host(self, name: str) -> None:
         if name in self.hosts or name in self.switches:
             raise ValueError("duplicate node %r" % name)
-        self.hosts[name] = "10.0.0.%d" % (len(self.hosts) + 1)
+        self.hosts[name] = host_ip(len(self.hosts))
 
     def add_switch(self, name: str) -> None:
         if name in self.hosts or name in self.switches:

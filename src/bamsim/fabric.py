@@ -5,14 +5,13 @@ its path, keyed by the flow's match tuple and rate-limited to the LSP's
 demand.  Tearing an LSP down (completion or preemption) removes its rules by
 owner, through an owner -> slots index that ``install`` keeps, so teardown
 costs the LSP's path length, not the table size.  A blocked request never
-lands in a table; it is recorded as an ephemeral drop event so the deny
-history stays inspectable.
+lands in a table; the request itself is kept as an ephemeral drop record so
+the deny history stays inspectable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .core import Lsp, Topology, mbps
 
@@ -25,8 +24,7 @@ class RuleConflict(Exception):
     """A different rule already occupies this (switch, match) slot."""
 
 
-@dataclass(frozen=True)
-class FlowMatch:
+class FlowMatch(NamedTuple):
     src_ip: str
     dst_ip: str
     src_port: int
@@ -39,20 +37,24 @@ class FlowMatch:
         )
 
 
-@dataclass(frozen=True)
-class FlowRule:
-    """out_port None means a drop rule; forward rules carry their owner LSP
-    and a rate limit equal to its demand."""
-
+class _RuleFields(NamedTuple):
     switch_id: str
     match: FlowMatch
     out_port: Optional[int]
     rate_kbps: int
     owner: Optional[int]
 
-    def __post_init__(self) -> None:
-        if self.out_port is not None and self.owner is None:
+
+class FlowRule(_RuleFields):
+    """out_port None means a drop rule; forward rules carry their owner LSP
+    and a rate limit equal to its demand."""
+
+    __slots__ = ()
+
+    def __new__(cls, switch_id, match, out_port, rate_kbps, owner):
+        if out_port is not None and owner is None:
             raise ValueError("forward rules must carry an owner LSP")
+        return tuple.__new__(cls, (switch_id, match, out_port, rate_kbps, owner))
 
     @property
     def action(self) -> str:
@@ -67,7 +69,7 @@ class Fabric:
         self.topology = topology
         self._rules: Dict[Slot, FlowRule] = {}
         self._by_owner: Dict[Optional[int], List[Slot]] = {}
-        self.drops: List[Tuple[float, str, int]] = []  # (time, match key, lsp id)
+        self.drops: list = []  # blocked requests, as the controller passed them
 
     def _check_switch(self, switch: str) -> None:
         if switch not in self.topology.switches:
@@ -127,10 +129,10 @@ class Fabric:
             del self._rules[slot]
         return len(slots)
 
-    def record_drop(self, lsp_id: int, match: FlowMatch, now: float) -> None:
+    def record_drop(self, request) -> None:
         """Log a deny: blocked flows get no persistent rule, only an
-        ephemeral drop record at the ingress."""
-        self.drops.append((now, match.key(), lsp_id))
+        ephemeral drop record at the ingress, which is the request itself."""
+        self.drops.append(request)
 
     def dump(self) -> str:
         """Stable textual table: switch, match, action, rate (Mbps), owner."""

@@ -5,7 +5,8 @@ traffic classes, the constraint config, optional runtime reconfigurations,
 the offered demand and the run parameters.  Demand is expressed as per
 source/class totals spread over fixed-length cycles; arrival offsets inside a
 cycle are drawn from a seeded RNG, so a scenario plus a seed is fully
-deterministic.
+deterministic.  Each schedule entry is a ``controller.LspRequest``, and the
+loop hands the controller that same record.
 
 The simulation itself is a plain discrete-event loop over a heap.  Ties at
 one timestamp resolve as departures first, then timed reconfigurations, then
@@ -19,7 +20,7 @@ import os
 import random
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import bam
 from .controller import Classifier, Controller, LspRequest
@@ -32,9 +33,10 @@ from .core import (
     NoRoute,
     Topology,
     TrafficClass,
+    host_ip,
     kbps,
 )
-from .fabric import Fabric, FlowMatch
+from .fabric import Fabric
 from .metrics import MetricsLog, MetricsRecord
 
 
@@ -103,17 +105,6 @@ class Scenario:
     @property
     def n_classes(self) -> int:
         return len(self.classes)
-
-
-class Request(NamedTuple):
-    lsp_id: int          # 1-based stream position
-    time: float
-    class_index: int
-    src: str
-    dst: str
-    demand_kbps: int
-    src_port: int
-    dst_port: int
 
 
 def parse_file(path: str) -> Scenario:
@@ -351,43 +342,41 @@ def build(scn: Scenario) -> Tuple[NetworkState, Fabric, List[bam.ReconfigEvent]]
     return state, Fabric(topo), events
 
 
-def generate_schedule(scn: Scenario) -> List[Request]:
+def generate_schedule(scn: Scenario) -> List[LspRequest]:
     """Expand demand totals into a timed, id-ordered request stream.
 
     Each demand entry's count is split as evenly as possible over its active
     cycles (earlier cycles take the remainder); every request gets a uniform
     offset inside its cycle from the scenario RNG.  Draw order is file order,
-    then cycle, then index, so the stream is reproducible for a seed.
+    then cycle, then index, so the stream is reproducible for a seed.  A
+    request carries its endpoints as the IPs ``build`` gives the hosts, and
+    its class as a destination port inside the class's range.
     """
     rng = random.Random(scn.run.seed)
-    rates = {c.index: kbps(c.rate_mbps) for c in scn.classes}
-    ports = {c.index: (c.port_lo, c.port_hi) for c in scn.classes}
-    raw: List[Tuple[float, int, DemandEntry]] = []
-    gen_id = 0
+    draw = rng.random
+    cycle_length = scn.run.cycle_length
+    hosts = [name for name, kind in scn.nodes if kind == "host"]
+    ips = {name: host_ip(i) for i, name in enumerate(hosts)}
+    ports = {c.index: (c.port_lo, c.port_hi - c.port_lo + 1) for c in scn.classes}
+    times: List[float] = []
+    fields: List[Tuple[str, str, int, int]] = []  # (src ip, dst ip, port lo, port span)
     for entry in scn.demands:
+        entry_fields = (ips[entry.src], ips[entry.dst], *ports[entry.class_index])
         n_cycles = scn.run.cycles - entry.start_cycle
         base, rem = divmod(entry.count, n_cycles)
         for cycle in range(entry.start_cycle, scn.run.cycles):
             per_cycle = base + (1 if cycle - entry.start_cycle < rem else 0)
-            for _ in range(per_cycle):
-                offset = rng.uniform(0.0, scn.run.cycle_length)
-                raw.append((cycle * scn.run.cycle_length + offset, gen_id, entry))
-                gen_id += 1
-    raw.sort()  # by (time, gen_id): ids are unique, so entries are never compared
-    schedule: List[Request] = []
-    for position, (time, _gid, entry) in enumerate(raw, start=1):
-        lo, hi = ports[entry.class_index]
+            start = cycle * cycle_length
+            # rng.uniform(0.0, cycle_length), bit for bit, without its call.
+            times += [start + cycle_length * draw() for _ in range(per_cycle)]
+            fields += [entry_fields] * per_cycle
+    # By time, then generation order: the sort is stable.
+    order = sorted(range(len(times)), key=times.__getitem__)
+    schedule: List[LspRequest] = []
+    for position, i in enumerate(order, start=1):
+        src_ip, dst_ip, lo, span = fields[i]
         schedule.append(
-            Request(
-                position,  # lsp_id
-                time,
-                entry.class_index,
-                entry.src,
-                entry.dst,
-                rates[entry.class_index],  # demand_kbps
-                20000 + position,  # src_port
-                lo + position % (hi - lo + 1),  # dst_port
-            )
+            LspRequest(position, times[i], src_ip, dst_ip, 20000 + position, lo + position % span)
         )
     return schedule
 
@@ -398,7 +387,7 @@ class RunResult:
     state: NetworkState
     fabric: Fabric
     controller: Controller
-    schedule: List[Request]
+    schedule: List[LspRequest]
     metrics: MetricsLog
 
     @property
@@ -427,13 +416,15 @@ def simulate(
     schedule = generate_schedule(scn)
     metrics = MetricsLog(scn.n_classes)
     watched = scn.bottleneck or min(state.topology.links)
-    watched_link = state.topology.links[watched]
+    alloc = state.topology.links[watched].alloc
+    counters = state.counters
+    lifetime, stop = scn.run.lsp_lifetime, scn.run.stop
 
     by_count: Dict[int, List[bam.ReconfigEvent]] = {}
     # Entries are unique and totally ordered, so heapify pops them in the
     # same order as pushing them one by one would.
     heap: List[Tuple[float, int, int]] = [
-        (request.time, _REQUEST, request.lsp_id) for request in schedule
+        (request.time, _REQUEST, request.id) for request in schedule
     ]
     for idx, event in enumerate(events):
         if event.at_time is not None:
@@ -458,31 +449,13 @@ def simulate(
             controller.apply_reconfig(events[seq], now)
             notify("reconfig")
         else:
-            if scn.run.stop is not None and handled >= scn.run.stop:
+            if stop is not None and handled >= stop:
                 continue  # stop criterion reached; drain departures only
-            request = schedule[seq - 1]
-            req = LspRequest(
-                id=request.lsp_id,
-                match=FlowMatch(
-                    src_ip=state.topology.hosts[request.src],
-                    dst_ip=state.topology.hosts[request.dst],
-                    src_port=request.src_port,
-                    dst_port=request.dst_port,
-                ),
-                arrival_time=now,
-                lifetime=scn.run.lsp_lifetime,
-            )
-            outcome = controller.handle_request(req)
+            outcome = controller.handle_request(schedule[seq - 1])
             if outcome.lsp.state is LspState.ACTIVE:
-                heapq.heappush(heap, (now + scn.run.lsp_lifetime, _EXPIRY, req.id))
+                heapq.heappush(heap, (now + lifetime, _EXPIRY, seq))
             metrics.append(
-                MetricsRecord(
-                    request.lsp_id,
-                    now,
-                    tuple(watched_link.alloc),
-                    tuple(state.counters.blocked),
-                    tuple(state.counters.preempted),
-                )
+                MetricsRecord(seq, now, tuple(alloc), tuple(counters.blocked), tuple(counters.preempted))
             )
             notify("request")
             handled += 1

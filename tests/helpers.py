@@ -54,7 +54,6 @@ def admit(
         src_host="A",
         dst_host="B",
         admit_time=when,
-        lifetime=1.0,
     )
     state.counters.requested[class_index] += 1
     commit(state, lsp)

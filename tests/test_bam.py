@@ -24,7 +24,7 @@ from bamsim.bam import Infeasible, _admission_rows, _choose_victims, _reconfig_r
 from bamsim.checks import InvariantViolation, _check_class_lists, check_fabric
 from bamsim.controller import Classifier, Controller, LspRequest
 from bamsim.core import age_key
-from bamsim.fabric import Fabric, FlowMatch, FlowRule
+from bamsim.fabric import Fabric, FlowRule
 
 from helpers import (
     admit,
@@ -990,8 +990,8 @@ class TestChecksMatchTheRebuild:
             if action < 0.6:
                 src, dst = rng.sample("ABCD", 2)
                 c = rng.randrange(3)
-                match = FlowMatch(ips[src], ips[dst], 20000 + lsp_id, 30000 + 1000 * c + lsp_id)
-                controller.handle_request(LspRequest(lsp_id, match, now, 10.0))
+                controller.handle_request(LspRequest(
+                    lsp_id, now, ips[src], ips[dst], 20000 + lsp_id, 30000 + 1000 * c + lsp_id))
             elif action < 0.9 and state.active_lsps:
                 controller.handle_expiry(rng.choice(sorted(state.active_lsps)), now)
             else:

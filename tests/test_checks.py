@@ -3,7 +3,7 @@ time and expect the matching violation."""
 
 import pytest
 
-from bamsim import BcConfig, LspState, Model, ReconfigMode, reconfigure, release
+from bamsim import BcConfig, LspState, Model, ReconfigMode, reconfigure, release, scenario
 from bamsim.checks import InvariantViolation, check_all, check_fabric, check_state
 from bamsim.controller import Classifier, Controller, LspRequest
 from bamsim.fabric import Fabric, FlowMatch, FlowRule
@@ -153,8 +153,7 @@ def controller_pair():
     fabric = Fabric(topo)
     classifier = Classifier.for_state(state, [(30000, 30999, 0)])
     controller = Controller(state, fabric, classifier)
-    match = FlowMatch("10.0.0.1", "10.0.0.2", 20001, 30001)
-    controller.handle_request(LspRequest(1, match, 0.5, 10.0))
+    controller.handle_request(LspRequest(1, 0.5, "10.0.0.1", "10.0.0.2", 20001, 30001))
     return state, fabric
 
 
@@ -177,8 +176,8 @@ def two_route_pair(requests):
     fabric = Fabric(topo)
     controller = Controller(state, fabric, Classifier.for_state(state, [(30000, 30999, 0)]))
     for src, lsp_id in requests:
-        match = FlowMatch(topo.hosts[src], topo.hosts["B"], 20000 + lsp_id, 30000 + lsp_id)
-        controller.handle_request(LspRequest(lsp_id, match, float(lsp_id), 10.0))
+        controller.handle_request(LspRequest(
+            lsp_id, float(lsp_id), topo.hosts[src], topo.hosts["B"], 20000 + lsp_id, 30000 + lsp_id))
     return state, fabric
 
 
@@ -197,6 +196,14 @@ class TestFabricChecks:
         with pytest.raises(InvariantViolation, match="not an active LSP"):
             check_fabric(state, fabric)
         state.active_lsps[1] = lsp  # quiet the linter; state is scratch
+
+    def test_ownerless_rule_is_a_violation_naming_its_switch(self):
+        # Blocked flows never land in a table, so a drop rule there is stale.
+        state, fabric, _events = scenario.build(scenario.load("exp1_rdm"))
+        match = FlowMatch("10.0.0.1", "10.0.0.4", 20001, 30001)
+        fabric.install(FlowRule("S1", match, None, 0, owner=None))
+        with pytest.raises(InvariantViolation, match="switch S1 holds a rule with no owner LSP"):
+            check_fabric(state, fabric)
 
     def test_missing_rule_detected(self):
         state, fabric = controller_pair()

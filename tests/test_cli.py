@@ -171,9 +171,17 @@ class TestRun:
     def test_demand_without_a_route_is_bad_input(self, tmp_path, capsys):
         path = tmp_path / "split.scn"
         path.write_text(SPLIT_BRAIN)
-        code = run_cli(["run", str(path), "--quiet", "--out", str(tmp_path / "o")])
+        code = run_cli(["run", str(path), "--quiet", "--out", str(tmp_path / "o" / "deep")])
         assert code == cli.EXIT_BAD_INPUT
         assert "no route for demand A -> C" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()  # nothing left behind
+        existing = tmp_path / "kept"
+        existing.mkdir()
+        (existing / "note.txt").write_text("mine")
+        code = run_cli(["run", str(path), "--quiet", "--out", str(existing)])
+        assert code == cli.EXIT_BAD_INPUT
+        assert sorted(p.name for p in existing.iterdir()) == ["note.txt"]
+        assert (existing / "note.txt").read_text() == "mine"
 
     def test_overlapping_port_ranges_are_bad_input(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"

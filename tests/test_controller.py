@@ -1,3 +1,5 @@
+from importlib import resources
+
 import pytest
 
 from bamsim import (
@@ -6,7 +8,6 @@ from bamsim import (
     Classifier,
     Controller,
     Fabric,
-    FlowMatch,
     LspRequest,
     LspState,
     Model,
@@ -16,8 +17,11 @@ from bamsim import (
     Topology,
     TrafficClass,
     UnknownLsp,
+    ValidationError,
     Verdict,
+    parse_text,
 )
+from bamsim import cli
 
 PORT_RULES = [(30000, 30999, 0), (31000, 31999, 1), (32000, 32999, 2)]
 
@@ -48,12 +52,11 @@ def mk_controller(model: Model, bc) -> Controller:
 
 def request(ctl: Controller, rid: int, src: str, dst_port: int, when: float) -> LspRequest:
     hosts = ctl.state.topology.hosts
-    return LspRequest(
-        id=rid,
-        match=FlowMatch(hosts[src], hosts["DST"], 20000 + rid, dst_port),
-        arrival_time=when,
-        lifetime=300.0,
-    )
+    return LspRequest(rid, when, hosts[src], hosts["DST"], 20000 + rid, dst_port)
+
+
+def packet(src_ip: str, dst_ip: str, dst_port: int) -> LspRequest:
+    return LspRequest(1, 0.0, src_ip, dst_ip, 1, dst_port)
 
 
 def kinds(ctl: Controller):
@@ -66,7 +69,7 @@ class TestClassifier:
         table.add_port_rule(30000, 31999, 0)
         table.add_port_rule(31000, 31999, 1)  # shadowed by the wider rule
         table.add_route("10.0.0.1", "10.0.0.2", ("L1",), "A", "B")
-        got = table.classify(FlowMatch("10.0.0.1", "10.0.0.2", 1, 31500))
+        got = table.classify(packet("10.0.0.1", "10.0.0.2", 31500))
         assert got == (0, ("L1",), "A", "B")
 
     def test_unmatched_port_fails(self):
@@ -74,27 +77,36 @@ class TestClassifier:
         table.add_port_rule(30000, 30999, 0)
         table.add_route("10.0.0.1", "10.0.0.2", ("L1",), "A", "B")
         with pytest.raises(ClassificationFailure):
-            table.classify(FlowMatch("10.0.0.1", "10.0.0.2", 1, 50000))
+            table.classify(packet("10.0.0.1", "10.0.0.2", 50000))
 
     def test_unknown_ip_pair_fails(self):
         table = Classifier()
         table.add_port_rule(30000, 30999, 0)
         with pytest.raises(ClassificationFailure):
-            table.classify(FlowMatch("10.0.0.1", "10.0.0.9", 1, 30001))
+            table.classify(packet("10.0.0.1", "10.0.0.9", 30001))
 
     def test_for_state_precomputes_routes_for_host_pairs(self):
         ctl = mk_controller(Model.MAM, (250000, 150000, 100000))
         hosts = ctl.state.topology.hosts
-        ct, path, src, dst = ctl.classifier.classify(
-            FlowMatch(hosts["HS1"], hosts["DST"], 1, 30500)
-        )
+        ct, path, src, dst = ctl.classifier.classify(packet(hosts["HS1"], hosts["DST"], 30500))
         assert (ct, src, dst) == (0, "HS1", "DST")
         assert path == ("L1", "L4", "L5", "L6")
 
 
-def test_lsp_request_requires_positive_lifetime():
-    with pytest.raises(ValueError):
-        LspRequest(1, FlowMatch("a", "b", 1, 2), 0.0, lifetime=0.0)
+def test_lsp_request_requires_positive_lifetime(tmp_path, capsys):
+    # Requests carry no lifetime; the scenario's lsp_lifetime is checked once.
+    text = (resources.files("bamsim") / "scenarios" / "exp1_mam.scn").read_text()
+    assert text.count("lsp_lifetime 300") == 1
+    for lifetime in ("0", "-5"):
+        bad = text.replace("lsp_lifetime 300", "lsp_lifetime " + lifetime)
+        with pytest.raises(ValidationError, match="out of range"):
+            parse_text(bad)
+        path = tmp_path / "bad.scn"
+        path.write_text(bad)
+        with pytest.raises(SystemExit) as exit:
+            cli.main(["validate", str(path)])
+        assert exit.value.code == cli.EXIT_BAD_INPUT
+        assert "run parameters out of range" in capsys.readouterr().err
 
 
 class TestHandleRequest:
@@ -114,12 +126,15 @@ class TestHandleRequest:
     def test_deny_records_drop_and_installs_nothing(self):
         ctl = mk_controller(Model.MAM, (5000, 150000, 100000))
         ctl.handle_request(request(ctl, 1, "HS1", 30001, 1.0))
-        outcome = ctl.handle_request(request(ctl, 2, "HS2", 30002, 2.0))
+        denied = request(ctl, 2, "HS2", 30002, 2.0)
+        outcome = ctl.handle_request(denied)
         assert not outcome.established
         assert outcome.lsp.state is LspState.BLOCKED
         assert ctl.state.counters.blocked[0] == 1
         assert ctl.fabric.rule_count() == 3  # only the first request's rules
-        assert len(ctl.fabric.drops) == 1
+        assert ctl.fabric.drops == [denied]
+        assert ctl.fabric.drops[0] is denied  # the request itself, no key string
+        assert not any(isinstance(d, str) for d in ctl.fabric.drops)
         assert kinds(ctl) == ["request", "admit", "request", "block"]
 
     def test_grant_with_preemption_evicts_victims_first(self):

@@ -7,6 +7,7 @@ from bamsim import (
     FlowMatch,
     FlowRule,
     Lsp,
+    LspRequest,
     RuleConflict,
     Topology,
     UnknownSwitch,
@@ -45,6 +46,17 @@ def test_rule_action_strings():
     assert drop.action == "drop"
     with pytest.raises(ValueError):
         FlowRule("S1", MATCH, 2, 5000, owner=None)  # forward needs an owner
+
+
+@pytest.mark.parametrize("record,attr,value", [
+    (MATCH, "dst_port", 1),
+    (MATCH, "extra", 1),
+    (FlowRule("S1", MATCH, 2, 5000, owner=1), "owner", 2),
+    (FlowRule("S1", MATCH, 2, 5000, owner=1), "extra", 2),
+], ids=["match_field", "match_new", "rule_field", "rule_new"])
+def test_match_and_rule_are_immutable(record, attr, value):
+    with pytest.raises(AttributeError):
+        setattr(record, attr, value)
 
 
 class TestInstallLookup:
@@ -118,9 +130,10 @@ class TestInstallPath:
 
 def test_drops_are_ephemeral():
     fabric = Fabric(line_topology())
-    fabric.record_drop(42, MATCH, now=3.5)
+    request = LspRequest(42, 3.5, "10.0.0.1", "10.0.0.4", 20001, 30001)
+    fabric.record_drop(request)
     assert fabric.rule_count() == 0
-    assert fabric.drops == [(3.5, MATCH.key(), 42)]
+    assert fabric.drops == [request] and fabric.drops[0] is request
 
 
 def test_dump_is_stable_and_tab_separated():

@@ -5,6 +5,7 @@ import pytest
 from bamsim import Model, ParseError, ScenarioError, ValidationError, simulate
 from bamsim import scenario
 from bamsim.checks import check_all
+from bamsim.controller import Controller
 from bamsim.metrics import summarize
 
 MINI = """
@@ -258,6 +259,11 @@ class TestBuild:
         assert events[1].at_time == 150.0
 
 
+def class_of(scn, req):
+    """The class whose port range holds the request's destination port."""
+    return next(c.index for c in scn.classes if c.port_lo <= req.dst_port <= c.port_hi)
+
+
 class TestSchedule:
     def test_counts_split_evenly_with_remainder_up_front(self):
         scn = parse()
@@ -266,21 +272,22 @@ class TestSchedule:
         per_cycle = {0: [0, 0, 0], 1: [0, 0, 0]}
         for req in schedule:
             cycle = int(req.time // scn.run.cycle_length)
-            per_cycle[req.class_index][cycle] += 1
+            per_cycle[class_of(scn, req)][cycle] += 1
         assert per_cycle[0] == [4, 4, 4]   # 12 over cycles 0..2
         assert per_cycle[1] == [0, 3, 3]   # 6 over cycles 1..2
         # uneven split: 7 requests over 3 cycles lands 3, 2, 2
         text = MINI.replace("count 12", "count 7").replace("stop 18", "stop 13")
-        lop = scenario.generate_schedule(parse(text))
+        lop_scn = parse(text)
+        lop = scenario.generate_schedule(lop_scn)
         sided = [0, 0, 0]
         for req in lop:
-            if req.class_index == 0:
+            if class_of(lop_scn, req) == 0:
                 sided[int(req.time // 100.0)] += 1
         assert sided == [3, 2, 2]
 
     def test_stream_ids_are_one_based_and_time_ordered(self):
         schedule = scenario.generate_schedule(parse())
-        assert [r.lsp_id for r in schedule] == list(range(1, 19))
+        assert [r.id for r in schedule] == list(range(1, 19))
         times = [r.time for r in schedule]
         assert times == sorted(times)
         for req in schedule:
@@ -288,10 +295,21 @@ class TestSchedule:
             assert cycle * 100.0 <= req.time < (cycle + 1) * 100.0
 
     def test_ports_derive_from_stream_position(self):
-        for req in scenario.generate_schedule(parse()):
-            assert req.src_port == 20000 + req.lsp_id
-            lo, hi = (30000, 30999) if req.class_index == 0 else (31000, 31999)
-            assert req.dst_port == lo + req.lsp_id % (hi - lo + 1)
+        scn = parse()
+        for req in scenario.generate_schedule(scn):
+            assert req.src_port == 20000 + req.id
+            lo, hi = (30000, 30999) if class_of(scn, req) == 0 else (31000, 31999)
+            assert req.dst_port == lo + req.id % (hi - lo + 1)
+
+    def test_endpoints_are_the_ips_build_gives_the_hosts(self):
+        text = MINI.replace("node A host", "node C host\nnode A host").replace(
+            "flows A B class 1", "flows B A class 1")
+        scn = parse(text)
+        state, _fabric, _events = scenario.build(scn)
+        hosts = state.topology.hosts
+        pairs = {(req.src_ip, req.dst_ip) for req in scenario.generate_schedule(scn)}
+        assert pairs == {(hosts["A"], hosts["B"]), (hosts["B"], hosts["A"])}
+        assert hosts["A"] == "10.0.0.2"  # numbered in file order, C first
 
     def test_same_seed_same_schedule_different_seed_differs(self):
         a = scenario.generate_schedule(parse())
@@ -322,6 +340,19 @@ class TestSimulate:
         assert set(admits) == set(expires)
         for lsp_id, t0 in admits.items():
             assert math.isclose(expires[lsp_id] - t0, 80.0)
+
+    def test_schedule_records_reach_the_controller_as_they_are(self, monkeypatch):
+        seen = []
+        handle = Controller.handle_request
+
+        def spy(controller, req):
+            seen.append(req)
+            return handle(controller, req)
+
+        monkeypatch.setattr(Controller, "handle_request", spy)
+        result = simulate(parse())
+        assert len(seen) == len(result.schedule) == 18
+        assert all(got is sent for got, sent in zip(seen, result.schedule))
 
     def test_stop_short_circuits_but_still_drains(self):
         scn = parse()
