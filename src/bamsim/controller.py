@@ -25,6 +25,7 @@ from .core import (
     release,
 )
 from .fabric import Fabric, FlowMatch
+from .metrics import Journal
 
 
 class ClassificationFailure(Exception):
@@ -94,7 +95,7 @@ class Classifier:
         return class_index, path, src_host, dst_host
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestOutcome:
     lsp: Lsp
     verdict: bam.Verdict
@@ -110,7 +111,7 @@ class Controller:
         self.state = state
         self.fabric = fabric
         self.classifier = classifier
-        self.journal: List[Dict] = []
+        self.journal = Journal()
 
     def handle_request(self, req: LspRequest) -> RequestOutcome:
         """Admit, admit-with-preemption, or block one request."""
@@ -121,33 +122,25 @@ class Controller:
         demand = state.classes[class_index].max_lsp_kbps
         lsp = Lsp(lsp_id, class_index, demand, path, src_host, dst_host)
         state.counters.requested[class_index] += 1
-        journal.append({
-            "kind": "request", "time": now, "lsp": lsp_id, "ct": class_index,
-            "demand_mbps": mbps(demand), "src": src_host, "dst": dst_host,
-        })
+        journal.append(("request", now, lsp_id, class_index, mbps(demand), src_host, dst_host))
         decision = bam.decide(state, path, class_index, demand)
         if decision.verdict is bam.Verdict.DENY:
             state.counters.blocked[class_index] += 1
             lsp.state = LspState.BLOCKED
             self.fabric.record_drop(req)
-            journal.append({"kind": "block", "time": now, "lsp": lsp_id, "ct": class_index})
+            journal.append(("block", now, lsp_id, class_index))
             return RequestOutcome(lsp, decision.verdict)
         preempted: List[Lsp] = []
         for victim_id in decision.victims:
             victim = release(state, victim_id, LspState.PREEMPTED, now=now)
             self.fabric.remove_by_owner(victim_id)
-            journal.append({
-                "kind": "preempt", "time": now, "lsp": victim_id, "ct": victim.class_index,
-                "by": lsp_id,
-            })
+            journal.append(("preempt", now, victim_id, victim.class_index, lsp_id))
             preempted.append(victim)
         lsp.admit_time = now
         commit(state, lsp)
         match = FlowMatch(req.src_ip, req.dst_ip, req.src_port, req.dst_port)
         self.fabric.install_path(lsp, match)
-        journal.append({
-            "kind": "admit", "time": now, "lsp": lsp_id, "ct": class_index, "path": list(path),
-        })
+        journal.append(("admit", now, lsp_id, class_index, path))
         if preempted and bam.promote_pending_if_clear(state):
             self._log_promote(now)
         return RequestOutcome(lsp, decision.verdict, preempted)
@@ -158,7 +151,7 @@ class Controller:
             raise UnknownLsp(str(lsp_id))
         lsp = release(self.state, lsp_id, LspState.COMPLETED, now=now)
         self.fabric.remove_by_owner(lsp_id)
-        self.journal.append({"kind": "expire", "time": now, "lsp": lsp_id, "ct": lsp.class_index})
+        self.journal.append(("expire", now, lsp_id, lsp.class_index))
         if bam.promote_pending_if_clear(self.state):
             self._log_promote(now)
         return lsp
@@ -169,19 +162,16 @@ class Controller:
         journal = self.journal
         for victim in preempted:
             self.fabric.remove_by_owner(victim.id)
-            journal.append({
-                "kind": "preempt", "time": now, "lsp": victim.id, "ct": victim.class_index,
-                "by": None,
-            })
-        journal.append({
-            "kind": "reconfig", "time": now, "mode": event.mode.value,
-            "bc_mbps": [mbps(v) for v in event.config.values_kbps or ()],
-            "preempted": [v.id for v in preempted],
-        })
+            journal.append(("preempt", now, victim.id, victim.class_index, None))
+        journal.append((
+            "reconfig", now, event.mode.value,
+            tuple(mbps(v) for v in event.config.values_kbps or ()),
+            tuple(v.id for v in preempted),
+        ))
         if event.mode is bam.ReconfigMode.SOFT and self.state.pending_soft_bc is None:
             self._log_promote(now)
         return preempted
 
     def _log_promote(self, now: float) -> None:
         bc = self.state.bc_config.values_kbps or ()
-        self.journal.append({"kind": "promote", "time": now, "bc_mbps": [mbps(v) for v in bc]})
+        self.journal.append(("promote", now, tuple(mbps(v) for v in bc)))

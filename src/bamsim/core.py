@@ -167,7 +167,7 @@ class Link:
         return sum(self.alloc)
 
 
-@dataclass
+@dataclass(slots=True)
 class Lsp:
     """A label-switched path instance and its lifecycle bookkeeping."""
 

@@ -9,10 +9,10 @@ event stream (JSON lines) from which every figure can be recounted.
 from __future__ import annotations
 
 import json
+from collections import abc
 from json.encoder import encode_basestring_ascii
-from math import isfinite
-from operator import itemgetter
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from math import inf
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 
 class RateUndefined(Exception):
@@ -97,81 +97,114 @@ def preemption_rate(admitted: Sequence[int], preempted: Sequence[int], class_ind
     return preempted[class_index] / admitted[class_index]
 
 
-def _template(keys: Sequence[str], types: Tuple[type, ...]) -> Optional[Tuple]:
-    """(format, positions of str, float and list values) for values given in
-    ``keys`` order, or None for a value type the format cannot spell as json
-    does.  Strings are encoded as json encodes them; ints and floats go
-    through ``%r``, which is json's spelling of an int and a finite float."""
-    items, strs, floats, lists = [], [], [], []
-    for i, (key, t) in enumerate(zip(keys, types)):
-        if t is str:
-            strs.append(i)
-        elif t is float:
-            floats.append(i)
-        elif t is list:
-            lists.append(i)
-        elif t is not int:
-            return None
-        spec = "%s" if t is str or t is list else "%r"
-        items.append(encode_basestring_ascii(key).replace("%", "%%") + ": " + spec)
-    return "{" + ", ".join(items) + "}\n", tuple(strs), tuple(floats), tuple(lists)
+# The journal schema: each event kind's fields, in the order its record holds
+# them after the kind.  "lsp", "ct" and "by" are ints ("by" is None for a
+# victim of a reconfiguration), "src", "dst" and "mode" are strings, "time"
+# and "demand_mbps" are numbers.  "path", "bc_mbps" and "preempted" are
+# tuples in a record and lists in an event.
+FIELDS: Dict[str, Tuple[str, ...]] = {
+    "request": ("time", "lsp", "ct", "demand_mbps", "src", "dst"),
+    "block": ("time", "lsp", "ct"),
+    "admit": ("time", "lsp", "ct", "path"),
+    "preempt": ("time", "lsp", "ct", "by"),
+    "expire": ("time", "lsp", "ct"),
+    "reconfig": ("time", "mode", "bc_mbps", "preempted"),
+    "promote": ("time", "bc_mbps"),
+}
 
 
-def _line(shapes: Dict[Tuple, Optional[Tuple]], event: Dict) -> Optional[str]:
-    """The event's journal line from its template, or None where only json
-    can write it: an event that is not a dict, keys other than strings, a
-    value of another type, a NaN or infinite float, a list holding anything
-    but strings.  ``shapes`` maps a key tuple to its sorted keys, their
-    getter and a template per tuple of value types, or to None."""
-    if type(event) is not dict:
-        return None
-    keys = tuple(event)
-    try:
-        shape = shapes[keys]
-    except KeyError:
-        ordered = sorted(keys) if all(type(k) is str for k in keys) else ()
-        # An itemgetter of one key returns the value, not a tuple.
-        shape = shapes[keys] = (ordered, itemgetter(*ordered), {}) if len(ordered) > 1 else None
-    if shape is None:
-        return None
-    ordered, get, templates = shape
-    values = get(event)
-    types = tuple(map(type, values))
-    try:
-        template = templates[types]
-    except KeyError:
-        template = templates[types] = _template(ordered, types)
-    if template is None:
-        return None
-    fmt, strs, floats, lists = template
-    args = list(values)
-    for i in floats:
-        if not isfinite(args[i]):
-            return None
-    for i in strs:
-        args[i] = encode_basestring_ascii(args[i])
-    for i in lists:
-        if not all(type(v) is str for v in args[i]):
-            return None
-        args[i] = "[" + ", ".join(map(encode_basestring_ascii, args[i])) + "]"
-    return fmt % tuple(args)
+# Where a record holds its class, by kind.
+_CT = {kind: 1 + fields.index("ct") for kind, fields in FIELDS.items() if "ct" in fields}
+
+
+def _event(record: Tuple) -> Dict:
+    names = ("kind",) + FIELDS[record[0]]
+    return {k: list(v) if type(v) is tuple else v for k, v in zip(names, record)}
+
+
+class Journal(abc.Sequence):
+    """The controller's ordered record of events, one tuple per event,
+    ``(kind, *fields)`` as laid out in ``FIELDS``.  Read as a sequence, it
+    yields event dicts built afresh from the records."""
+
+    def __init__(self) -> None:
+        self.records: List[Tuple] = []
+        self.append = self.records.append
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [_event(r) for r in self.records[index]]
+        return _event(self.records[index])
+
+    def __iter__(self) -> Iterator[Dict]:
+        return map(_event, self.records)
+
+
+def _template(kind: str) -> str:
+    """The kind's line with its keys sorted and a %s for every field."""
+    items = [json.dumps(k) + ": " + (json.dumps(kind) if k == "kind" else "%s")
+             for k in sorted(("kind",) + FIELDS[kind])]
+    return "{" + ", ".join(items) + "}\n"
+
+
+class _Encoded(dict):
+    """Strings and tuples of strings as json spells them, each encoded once."""
+
+    def __missing__(self, value):
+        text = self[value] = (encode_basestring_ascii(value) if type(value) is str else
+                              "[" + ", ".join(map(encode_basestring_ascii, value)) + "]")
+        return text
+
+
+def _render(records: List[Tuple], write: Callable[[str], object], encode: Callable) -> None:
+    """The frequent kinds through their templates, arguments in key order:
+    str() spells an int, and a finite float, as json does.  The rare kinds,
+    a non-finite time or demand, and a preemption with no preemptor go
+    through the encoder."""
+    request, admit, block, preempt, expire = map(
+        _template, ("request", "admit", "block", "preempt", "expire"))
+    text = _Encoded()
+    for record in records:
+        kind = record[0]
+        if kind == "request":
+            _, time, lsp, ct, demand, src, dst = record
+            if -inf < time < inf and -inf < demand < inf:
+                write(request % (ct, demand, text[dst], lsp, text[src], time))
+                continue
+        elif kind == "block" or kind == "expire":
+            _, time, lsp, ct = record
+            if -inf < time < inf:
+                write((block if kind == "block" else expire) % (ct, lsp, time))
+                continue
+        elif kind == "admit":
+            _, time, lsp, ct, path = record
+            if -inf < time < inf:
+                write(admit % (ct, lsp, text[path], time))
+                continue
+        elif kind == "preempt":
+            _, time, lsp, ct, by = record
+            if by is not None and -inf < time < inf:
+                write(preempt % (by, ct, lsp, time))
+                continue
+        write(encode(_event(record)) + "\n")
 
 
 def write_journal(events: Iterable[Dict], path: str) -> None:
     """One line per event, exactly ``json.dumps(event, sort_keys=True)``.
 
-    The controller emits a few event shapes, each with a fixed key order and
-    value types, so each shape gets a %-template on first sight.  What no
-    template covers goes through the one sorted-key encoder.  Lines go
-    through the file's buffer, not one string: that would hold the whole
-    journal a second time."""
+    A ``Journal`` is rendered from its records, any other iterable of events
+    through the one sorted-key encoder.  Lines go through the file's buffer,
+    not one string: that would hold the whole journal a second time."""
     encode = json.JSONEncoder(sort_keys=True).encode
-    shapes: Dict[Tuple, Optional[Tuple]] = {}
     with open(path, "w") as fh:
-        write = fh.write
-        for event in events:
-            line = _line(shapes, event)
-            write(line if line is not None else encode(event) + "\n")
+        if isinstance(events, Journal):
+            _render(events.records, fh.write, encode)
+        else:
+            for event in events:
+                fh.write(encode(event) + "\n")
 
 
 def read_journal(path: str) -> List[Dict]:
@@ -199,14 +232,8 @@ def outcomes_from_journal(journal: Sequence[Dict]) -> List[Tuple[int, bool]]:
 
 
 def summarize(journal: Sequence[Dict]) -> Dict[str, List[int]]:
-    """Recount per-class lifecycle totals from an event journal."""
-    n = 0
-    for event in journal:
-        if "ct" in event:
-            n = max(n, event["ct"] + 1)
-    stats = {
-        key: [0] * n for key in ("requested", "admitted", "blocked", "preempted", "completed")
-    }
+    """Recount per-class lifecycle totals from an event journal.  A
+    ``Journal`` is read from its records, without building its dicts."""
     kind_to_key = {
         "request": "requested",
         "admit": "admitted",
@@ -214,10 +241,16 @@ def summarize(journal: Sequence[Dict]) -> Dict[str, List[int]]:
         "preempt": "preempted",
         "expire": "completed",
     }
-    for event in journal:
-        key = kind_to_key.get(event["kind"])
+    if isinstance(journal, Journal):
+        classed = [(r[0], r[_CT[r[0]]]) for r in journal.records if r[0] in _CT]
+    else:
+        classed = [(e["kind"], e["ct"]) for e in journal if "ct" in e or e["kind"] in kind_to_key]
+    n = max((ct + 1 for _, ct in classed), default=0)
+    stats = {key: [0] * n for key in kind_to_key.values()}
+    for kind, ct in classed:
+        key = kind_to_key.get(kind)
         if key is not None:
-            stats[key][event["ct"]] += 1
+            stats[key][ct] += 1
     return stats
 
 

@@ -20,6 +20,7 @@ import os
 import random
 from dataclasses import dataclass, field
 from importlib import resources
+from math import inf, isfinite
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import bam
@@ -37,7 +38,7 @@ from .core import (
     kbps,
 )
 from .fabric import Fabric
-from .metrics import MetricsLog, MetricsRecord
+from .metrics import Journal, MetricsLog, MetricsRecord
 
 
 class ScenarioError(Exception):
@@ -107,6 +108,22 @@ class Scenario:
         return len(self.classes)
 
 
+# Bandwidths are held as integral kbps and reported in Mbps as floats: up to
+# 2**53 kbps both are exact.
+_MAX_MBPS = 2 ** 53 / 1000
+
+
+def _number(token: str, limit: float = inf) -> float:
+    """A finite figure no larger than ``limit``: the journal cannot spell NaN
+    or the infinities, and the schedule cannot order them."""
+    value = float(token)
+    if not isfinite(value):
+        raise ScenarioError("%s is not a finite number" % token)
+    if abs(value) > limit:
+        raise ScenarioError("%s is beyond %r" % (token, limit))
+    return value
+
+
 def parse_file(path: str) -> Scenario:
     with open(path) as fh:
         return parse_text(fh.read(), source=path)
@@ -115,6 +132,7 @@ def parse_file(path: str) -> Scenario:
 def parse_text(text: str, source: str = "<string>") -> Scenario:
     scn = Scenario(source=source)
     section = None
+    horizon_line = 0  # the last line setting cycles, cycle_length or lsp_lifetime
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -126,10 +144,13 @@ def parse_text(text: str, source: str = "<string>") -> Scenario:
             continue
         if section is None:
             raise ParseError("%s:%d: content before any section" % (source, lineno))
+        tok = line.split()
         try:
-            _parse_line(scn, section, line.split())
+            _parse_line(scn, section, tok)
         except (ScenarioError, ValueError, IndexError) as exc:
             raise ParseError("%s:%d: %s" % (source, lineno, exc)) from None
+        if section == "run" and tok[0] in ("cycles", "cycle_length", "lsp_lifetime"):
+            horizon_line = lineno
         if section == "classes":
             new = scn.classes[-1]
             for old in scn.classes[:-1]:
@@ -140,6 +161,15 @@ def parse_text(text: str, source: str = "<string>") -> Scenario:
                         "%s:%d: class %d ports %d-%d overlap class %d ports %d-%d"
                         % (source, lineno, new.index, new.port_lo, new.port_hi,
                            old.index, old.port_lo, old.port_hi))
+    run = scn.run
+    try:
+        horizon = run.cycles * run.cycle_length + run.lsp_lifetime
+    except OverflowError:  # cycles beyond the float range
+        horizon = inf
+    if not isfinite(horizon):
+        raise ValidationError(
+            "%s:%d: the run outlasts the float range: cycles %d x cycle_length %r + lsp_lifetime %r"
+            % (source, horizon_line, run.cycles, run.cycle_length, run.lsp_lifetime))
     _validate(scn)
     return scn
 
@@ -152,7 +182,7 @@ def _parse_line(scn: Scenario, section: str, tok: List[str]) -> None:
                 raise ScenarioError("node kind must be host or switch")
             scn.nodes.append((tok[1], tok[2]))
         elif key == "link":
-            scn.links.append((tok[1], tok[2], tok[3], float(tok[4])))
+            scn.links.append((tok[1], tok[2], tok[3], _number(tok[4], _MAX_MBPS)))
         elif key == "bottleneck":
             scn.bottleneck = tok[1]
         else:
@@ -163,15 +193,16 @@ def _parse_line(scn: Scenario, section: str, tok: List[str]) -> None:
         if tok[2] != "rate" or tok[4] != "ports":
             raise ScenarioError("expected: class <i> rate <mbps> ports <lo>-<hi>")
         lo, hi = tok[5].split("-", 1)
-        scn.classes.append(ClassSpec(int(tok[1]), float(tok[3]), int(lo), int(hi)))
+        scn.classes.append(ClassSpec(int(tok[1]), _number(tok[3], _MAX_MBPS), int(lo), int(hi)))
     elif section == "bc":
         if key == "model":
             if tok[1] not in ("MAM", "RDM"):
                 raise ScenarioError("model must be MAM or RDM")
             scn.model = tok[1]
         elif key in ("bc", "bc%"):
-            scn.bc_mbps = [float(v) for v in tok[1:]]
             scn.bc_percent = key == "bc%"
+            limit = inf if scn.bc_percent else _MAX_MBPS
+            scn.bc_mbps = [_number(v, limit) for v in tok[1:]]
         elif key == "links":
             scn.bc_links = tok[1:]
         else:
@@ -188,11 +219,12 @@ def _parse_line(scn: Scenario, section: str, tok: List[str]) -> None:
                 spec.after_request = int(tok[i + 1])
                 i += 2
             elif tok[i] == "at_time":
-                spec.at_time = float(tok[i + 1])
+                spec.at_time = _number(tok[i + 1])
                 i += 2
             elif tok[i] in ("bc", "bc%"):
-                spec.bc_mbps = [float(v) for v in tok[i + 1 :]]
                 spec.percent = tok[i] == "bc%"
+                limit = inf if spec.percent else _MAX_MBPS
+                spec.bc_mbps = [_number(v, limit) for v in tok[i + 1 :]]
                 i = len(tok)
             else:
                 raise ScenarioError("unknown reconfig token %r" % tok[i])
@@ -216,9 +248,9 @@ def _parse_line(scn: Scenario, section: str, tok: List[str]) -> None:
         if key == "cycles":
             scn.run.cycles = int(tok[1])
         elif key == "cycle_length":
-            scn.run.cycle_length = float(tok[1])
+            scn.run.cycle_length = _number(tok[1])
         elif key == "lsp_lifetime":
-            scn.run.lsp_lifetime = float(tok[1])
+            scn.run.lsp_lifetime = _number(tok[1])
         elif key == "seed":
             scn.run.seed = int(tok[1])
         elif key == "stop":
@@ -391,7 +423,7 @@ class RunResult:
     metrics: MetricsLog
 
     @property
-    def journal(self) -> List[Dict]:
+    def journal(self) -> Journal:
         return self.controller.journal
 
 
@@ -419,6 +451,7 @@ def simulate(
     alloc = state.topology.links[watched].alloc
     counters = state.counters
     lifetime, stop = scn.run.lsp_lifetime, scn.run.stop
+    record = MetricsRecord._make  # without the NamedTuple's Python-level __new__
 
     by_count: Dict[int, List[bam.ReconfigEvent]] = {}
     # Entries are unique and totally ordered, so heapify pops them in the
@@ -455,7 +488,7 @@ def simulate(
             if outcome.lsp.state is LspState.ACTIVE:
                 heapq.heappush(heap, (now + lifetime, _EXPIRY, seq))
             metrics.append(
-                MetricsRecord(seq, now, tuple(alloc), tuple(counters.blocked), tuple(counters.preempted))
+                record((seq, now, tuple(alloc), tuple(counters.blocked), tuple(counters.preempted)))
             )
             notify("request")
             handled += 1

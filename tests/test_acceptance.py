@@ -471,20 +471,28 @@ class TestBruteForceEquivalence:
 
 class TestDeterminism:
     def test_rerunning_a_scenario_reproduces_identical_csv_bytes(self, tmp_path):
-        outs = []
-        for d in ("first", "second"):
-            out = tmp_path / d
-            code = cli.main(["run", "exp1_rdm", "--quiet", "--out", str(out)])
-            assert code == 0
-            outs.append(out)
-        a, b = outs
-        csv_a = (a / "metrics.csv").read_bytes()
-        assert csv_a == (b / "metrics.csv").read_bytes()
-        assert (a / "journal.jsonl").read_bytes() == (b / "journal.jsonl").read_bytes()
-        # and the library path emits the same bytes as the CLI path
-        result, _ = run("exp1_rdm")
-        assert csv_a == result.metrics.to_csv().encode()
-        journal_text = "".join(
-            json.dumps(e, sort_keys=True) + "\n" for e in result.journal
-        )
-        assert (a / "journal.jsonl").read_text() == journal_text
+        # Every bundled scenario, so that reconfig, promote and preempt-by-null
+        # lines are byte-checked along with the frequent kinds.
+        kinds = set()
+        for name in scenario.bundled_names():
+            outs = []
+            for d in ("first", "second"):
+                out = tmp_path / name / d
+                code = cli.main(["run", name, "--quiet", "--out", str(out)])
+                assert code == 0
+                outs.append(out)
+            a, b = outs
+            csv_a = (a / "metrics.csv").read_bytes()
+            assert csv_a == (b / "metrics.csv").read_bytes()
+            assert (a / "journal.jsonl").read_bytes() == (b / "journal.jsonl").read_bytes()
+            # and the library path emits the same bytes as the CLI path
+            result, _ = run(name)
+            assert csv_a == result.metrics.to_csv().encode()
+            journal_text = "".join(
+                json.dumps(e, sort_keys=True) + "\n" for e in result.journal
+            )
+            assert (a / "journal.jsonl").read_text() == journal_text
+            kinds.update("preempt by null" if e.get("by", 0) is None else e["kind"]
+                         for e in result.journal)
+        assert kinds == {"request", "admit", "block", "preempt", "preempt by null",
+                         "expire", "reconfig", "promote"}

@@ -230,6 +230,40 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "error: %s:10: class 1 ports 30000-30999 overlap class 0" % bad in err
 
+    # (line replaced, its replacement, message, line the message cites if
+    # not the replacement's own).  Non-finite numbers once validated and then
+    # ran to "Infinity" in the journal, exited 3 mid-run, or crashed validate.
+    @pytest.mark.parametrize("old,new,needle,cited", [
+        ("lsp_lifetime 40", "lsp_lifetime inf", "inf is not a finite number", None),
+        ("cycle_length 50", "cycle_length 1e308",
+         "the run outlasts the float range: cycles 2 x cycle_length 1e+308 + lsp_lifetime 40.0",
+         "lsp_lifetime 40"),
+        ("cycle_length 50", "cycle_length nan", "nan is not a finite number", None),
+        ("[demand]", "[reconfig]\nevent hard at_time nan bc 40 40\n[demand]",
+         "nan is not a finite number", "event hard at_time nan bc 40 40"),
+        ("class 0 rate 5 ports 30000-30999", "class 0 rate nan ports 30000-30999",
+         "nan is not a finite number", None),
+        ("class 0 rate 5 ports 30000-30999", "class 0 rate inf ports 30000-30999",
+         "inf is not a finite number", None),
+        ("link L1 A B 100", "link L1 A B nan", "nan is not a finite number", None),
+        ("link L1 A B 100", "link L1 A B 1e400", "1e400 is not a finite number", None),
+        ("bc 40 40", "bc nan 40", "nan is not a finite number", None),
+        ("bc 40 40", "bc 40 -inf", "-inf is not a finite number", None),
+        ("bc 40 40", "bc% 40 nan", "nan is not a finite number", None),
+        ("bc 40 40", "bc 1e306 40", "1e306 is beyond 9007199254740.992", None),
+    ], ids=["lifetime_inf", "cycle_length_overflows", "cycle_length_nan", "at_time_nan",
+            "rate_nan", "rate_inf", "capacity_nan", "capacity_overflows", "bc_nan",
+            "bc_minus_inf", "bc_percent_nan", "bc_beyond_exact_kbps"])
+    def test_non_finite_or_overflowing_number_is_bad_input(
+        self, tmp_path, capsys, old, new, needle, cited
+    ):
+        text = MINI.replace(old, new)
+        bad = tmp_path / "bad.scn"
+        bad.write_text(text)
+        assert run_cli(["validate", str(bad)]) == cli.EXIT_BAD_INPUT
+        lineno = text.splitlines().index(cited or new) + 1
+        assert "error: %s:%d: %s" % (bad, lineno, needle) in capsys.readouterr().err
+
     @pytest.mark.parametrize("links,needle", [
         ("link L1 A B 100\nlink L1 B A 50", "duplicate link id L1"),
         ("link L1 A B 100\nlink L2 A Z 50", "link L2 references unknown node 'Z'"),

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bamsim.metrics import (
+    Journal,
     MetricsLog,
     MetricsRecord,
     RateUndefined,
@@ -234,6 +235,62 @@ def _written(write, *args) -> str:
 def test_journal_lines_are_exactly_json_dumps_with_sorted_keys(events):
     expected = "".join(json.dumps(e, sort_keys=True) + "\n" for e in events)
     assert _written(write_journal, events) == expected
+
+
+# Each kind's record fields after the kind, written out here and not read
+# from the package, so that the oracle shares no table with the renderer.
+RECORD_FIELDS = {
+    "request": ("time", "lsp", "ct", "demand_mbps", "src", "dst"),
+    "block": ("time", "lsp", "ct"),
+    "admit": ("time", "lsp", "ct", "path"),
+    "preempt": ("time", "lsp", "ct", "by"),
+    "expire": ("time", "lsp", "ct"),
+    "reconfig": ("time", "mode", "bc_mbps", "preempted"),
+    "promote": ("time", "bc_mbps"),
+}
+# Repeats are likely among these, so the renderer's memo is hit as well.
+names = st.one_of(texts, st.sampled_from(ODD_CHARS + ["h1", "L%d"]))
+big_ints = st.one_of(ints, st.integers(-2**256, 2**256))
+record_values = {
+    "time": floats, "demand_mbps": floats, "lsp": big_ints, "ct": big_ints,
+    "by": st.one_of(big_ints, st.none()), "src": names, "dst": names, "mode": names,
+    "path": st.lists(names, max_size=4).map(tuple),
+    "bc_mbps": st.lists(floats, max_size=3).map(tuple),
+    "preempted": st.lists(big_ints, max_size=3).map(tuple),
+}
+journal_records = st.one_of(*[
+    st.tuples(st.just(kind), *[record_values[f] for f in fields])
+    for kind, fields in RECORD_FIELDS.items()
+])
+
+
+def oracle_event(record):
+    event = dict(zip(("kind",) + RECORD_FIELDS[record[0]], record))
+    return {k: list(v) if type(v) is tuple else v for k, v in event.items()}
+
+
+@PROPERTY
+@given(st.lists(journal_records, max_size=12))
+def test_journal_records_render_exactly_as_json_dumps_of_their_events(records):
+    journal = Journal()
+    for record in records:
+        journal.append(record)
+    lines = [json.dumps(oracle_event(r), sort_keys=True) + "\n" for r in records]
+    assert _written(write_journal, journal) == "".join(lines)
+    assert len(journal) == len(records)
+    assert [json.dumps(e, sort_keys=True) + "\n" for e in journal] == lines
+
+
+def test_journal_reads_as_a_sequence_of_event_dicts():
+    journal = Journal()
+    journal.append(("request", 0.5, 1, 0, 5.0, "A", "B"))
+    journal.append(("admit", 0.5, 1, 0, ("L1", "L2")))
+    journal.append(("preempt", 2.0, 1, 0, None))
+    assert journal[1] == {"kind": "admit", "time": 0.5, "lsp": 1, "ct": 0, "path": ["L1", "L2"]}
+    assert journal[-1] == {"kind": "preempt", "time": 2.0, "lsp": 1, "ct": 0, "by": None}
+    assert journal[:2] == [journal[0], journal[1]] == list(journal)[:2]
+    journal[1]["path"].append("L9")  # a view, not the record
+    assert journal.records[1] == ("admit", 0.5, 1, 0, ("L1", "L2"))
 
 
 @st.composite
