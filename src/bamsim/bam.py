@@ -6,27 +6,27 @@ nests the partitions, constraint b capping the combined allocation of classes
 b and above, so a high-class request that does not fit may still be granted
 by evicting lower-class LSPs that are borrowing from its slice.
 
-Decisions are pure: ``decide`` and ``select_victims`` never touch the
-allocation ledger.  Both models go through one kernel, ``_admission_rows``,
-which turns a request into the deficit rows it would leave on its path.
-``reconfigure`` is the one mutating entry point and applies a new constraint
-vector either immediately (hard, evicting whatever no longer fits) or lazily
-(soft, draining by attrition).
+Both models are data here: rows of ``core.constraint_table``, which one
+kernel, ``_deficit_rows``, turns into the deficit rows a request or a new
+config leaves.  Decisions are pure: ``decide`` and ``select_victims`` never
+touch the allocation ledger.  ``reconfigure`` is the one mutating entry
+point and applies a new constraint vector either immediately (hard,
+evicting whatever no longer fits) or lazily (soft, draining by attrition).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .core import (
     BcConfig,
     InvalidBc,
     Lsp,
     LspState,
-    Model,
     NetworkState,
+    Table,
     release,
 )
 
@@ -74,74 +74,26 @@ class ReconfigEvent:
 Row = Tuple[str, int, int, int]
 
 
-def _admission_rows(
-    state: NetworkState, path: Tuple[str, ...], class_index: int, demand_kbps: int
+def _deficit_rows(
+    state: NetworkState, table: Table, path: Iterable[str], demand_kbps: int, below: int
 ) -> List[Row]:
-    """Deficits a request would leave on its path under the admission caps,
-    found in one pass.  Victims must be strictly lower classes, hence
-    hi = class_index.  The pass stops at the first row no victim can serve
-    (lo >= hi, as every MAM row is), so such a row is always the last one.
-    Under RDM a link's capacity row follows its constraint rows; the victim
-    walk does not depend on row order."""
+    """A deficit row for each row of ``table`` the ledger breaches with
+    ``demand_kbps`` added on every link of ``path``; its victims are the
+    row's classes below ``below``.  The pass stops at the first row no
+    victim can serve, so such a row is always the last; the victim walk
+    does not depend on the order of the others.  Reconfiguration and
+    promotion pass no demand and let any class go."""
     rows: List[Row] = []
     links = state.topology.links
-    caps = state.admission_caps()
-    mam = state.bc_config.model is Model.MAM
     for link_id in path:
-        link = links[link_id]
-        alloc = link.alloc
-        bc = caps[link_id]
-        if mam:
-            if sum(alloc) + demand_kbps > link.capacity_kbps or (
-                bc is not None and alloc[class_index] + demand_kbps > bc[class_index]
-            ):
-                # MAM never preempts: a row no victim set can serve.
-                return [(link_id, class_index, class_index, 1)]
-            continue
-        # Constraint b caps classes b..n-1 combined; only b <= class is
-        # affected by this request.  The suffix sum at b = 0 is the link total.
-        if bc is None:
-            suffix = sum(alloc)
-        else:
-            suffix = 0
-            for b in range(len(bc) - 1, -1, -1):
-                suffix += alloc[b]
-                if b <= class_index:
-                    deficit = suffix + demand_kbps - bc[b]
-                    if deficit > 0:
-                        rows.append((link_id, b, class_index, deficit))
-                        if b == class_index:
-                            return rows
-        over_cap = suffix + demand_kbps - link.capacity_kbps
-        # A constraint 0 within capacity makes the b = 0 row cover this one.
-        if over_cap > 0 and (bc is None or bc[0] > link.capacity_kbps):
-            rows.append((link_id, 0, class_index, over_cap))
-            if class_index == 0:
-                return rows
-    return rows
-
-
-def _reconfig_rows(state: NetworkState, config: BcConfig) -> List[Row]:
-    """Deficits of the current ledger against a candidate constraint vector.
-    Only classes over their new entitlement are eligible for eviction."""
-    rows: List[Row] = []
-    n = state.n_classes
-    for link in state.topology.links.values():
-        bc = config.bc_for(link)
-        if bc is None:
-            continue
-        if config.model is Model.MAM:
-            for c in range(n):
-                deficit = link.alloc[c] - bc[c]
-                if deficit > 0:
-                    rows.append((link.id, c, c + 1, deficit))
-        else:
-            suffix = 0
-            for b in range(n - 1, -1, -1):
-                suffix += link.alloc[b]
-                deficit = suffix - bc[b]
-                if deficit > 0:
-                    rows.append((link.id, b, n, deficit))
+        alloc = links[link_id].alloc
+        for held, lo, hi, cap, _name in table[link_id]:
+            deficit = held(alloc) + demand_kbps - cap
+            if deficit > 0:
+                top = max(lo, min(hi, below))
+                rows.append((link_id, lo, top, deficit))
+                if top == lo:
+                    return rows
     return rows
 
 
@@ -162,9 +114,12 @@ def _choose_victims(state: NetworkState, rows: List[Row]) -> List[Lsp]:
         raise Infeasible("deficit with no eligible class")
     remaining = [list(r) for r in rows]
 
-    def serves(lsp: Lsp, row: List) -> bool:
+    def serves(lsp: Lsp, row) -> bool:
         lid, lo, hi = row[0], row[1], row[2]
         return lo <= lsp.class_index < hi and lid in lsp.path
+
+    def clears(lsps: List[Lsp]) -> bool:
+        return all(sum(l.demand_kbps for l in lsps if serves(l, row)) >= row[3] for row in rows)
 
     chosen: List[Lsp] = []
     for c in range(min(r[1] for r in rows), max(r[2] for r in rows)):
@@ -186,13 +141,7 @@ def _choose_victims(state: NetworkState, rows: List[Row]) -> List[Lsp]:
     # Prune in reverse pick order: later picks may have made earlier ones
     # redundant when rows overlap.
     for i in range(len(chosen) - 1, -1, -1):
-        trial = chosen[:i] + chosen[i + 1 :]
-        deficits = [list(r) for r in rows]
-        for lsp in trial:
-            for row in deficits:
-                if serves(lsp, row):
-                    row[3] -= lsp.demand_kbps
-        if all(row[3] <= 0 for row in deficits):
+        if clears(chosen[:i] + chosen[i + 1 :]):
             del chosen[i]
     return chosen
 
@@ -212,12 +161,13 @@ def decide(
 ) -> AdmissionDecision:
     """Verdict for a request across its whole path.  Pure.
 
-    No deficit row: Grant.  A row no lower class can serve, as every MAM row
-    is: Deny.  Otherwise, under RDM, lower classes borrow headroom this class
-    is entitled to: GrantWithPreemption with a minimal victim set, or Deny
-    when no eligible set clears the rows.
+    No deficit row: Grant.  A row no lower class can serve, as is every row
+    where admission evicts nothing (MAM): Deny.  Otherwise lower classes
+    borrow headroom this class is entitled to: GrantWithPreemption with a
+    minimal victim set, or Deny when no eligible set clears the rows.
     """
-    rows = _admission_rows(state, path, class_index, demand_kbps)
+    table, below = state.tables().admission[class_index]
+    rows = _deficit_rows(state, table, path, demand_kbps, below)
     if not rows:
         return _GRANT
     _link_id, lo, hi, _deficit = rows[-1]
@@ -259,7 +209,7 @@ def reconfigure(
         return []
     state.bc_config = new_config
     state.pending_soft_bc = None
-    rows = _reconfig_rows(state, new_config)
+    rows = _deficit_rows(state, state.tables().current, state.topology.links, 0, state.n_classes)
     victims = _choose_victims(state, rows)
     out: List[Lsp] = []
     for lsp in victims:
@@ -272,7 +222,7 @@ def promote_pending_if_clear(state: NetworkState) -> bool:
     pending = state.pending_soft_bc
     if pending is None:
         return False
-    if _reconfig_rows(state, pending):
+    if _deficit_rows(state, state.tables().pending, state.topology.links, 0, state.n_classes):
         return False
     state.bc_config = pending
     state.pending_soft_bc = None

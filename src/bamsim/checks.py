@@ -6,12 +6,13 @@ active registry, one over the links and one over the class lists.
 ``check_fabric`` makes one pass over the owner index, looking each slot up in
 the rule table, and one over the active registry; it walks each distinct
 route's path once per call to count its switches, not once per LSP.
-The ledger must satisfy the current constraint config alone.  A pending soft
-config may sit below the ledger while attrition drains it.  The current
-config still holds: admission under a pending config takes the tighter of
-the two values, releases only lower the ledger, a hard reconfiguration
-evicts down to its config, and a soft one is promoted only once the ledger
-satisfies it.
+The ledger must breach no row of the current config's constraint table, the
+table admission and reconfiguration read.  A pending soft config may sit
+below the ledger while attrition drains it.  The current config still holds:
+admission under a pending config takes the tighter of the two rows,
+releases only lower the ledger, a hard reconfiguration evicts down to its
+table, and a soft one is promoted only once the ledger breaches none of its
+rows.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
-from .core import Model, NetworkState
+from .core import NetworkState
 from .fabric import Fabric
 
 
@@ -36,6 +37,7 @@ def check_state(state: NetworkState) -> None:
     n = state.n_classes
     recount: Dict[str, List[int]] = {lid: [0] * n for lid in state.topology.links}
     active_per_class = [0] * n
+    table = state.tables().current
     for lsp in state.active_lsps.values():
         active_per_class[lsp.class_index] += 1
         for lid in lsp.path:
@@ -47,19 +49,9 @@ def check_state(state: NetworkState) -> None:
             _fail("link %s has a negative allocation" % lid)
         if link.total_alloc > link.capacity_kbps:
             _fail("link %s over capacity: %d > %d" % (lid, link.total_alloc, link.capacity_kbps))
-        cap = state.bc_config.bc_for(link)
-        if cap is None:
-            continue
-        if state.bc_config.model is Model.MAM:
-            for c in range(n):
-                if link.alloc[c] > cap[c]:
-                    _fail("link %s class %d over constraint: %d > %d" % (lid, c, link.alloc[c], cap[c]))
-        else:
-            suffix = 0
-            for b in range(n - 1, -1, -1):
-                suffix += link.alloc[b]
-                if suffix > cap[b]:
-                    _fail("link %s nested sum from %d over constraint: %d > %d" % (lid, b, suffix, cap[b]))
+        for held, _lo, _hi, cap, name in table[lid]:
+            if held(link.alloc) > cap:
+                _fail("link %s %s over constraint: %d > %d" % (lid, name, held(link.alloc), cap))
     _check_class_lists(state)
     counters = state.counters
     for c in range(n):

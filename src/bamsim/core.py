@@ -1,5 +1,6 @@
 """Domain model for an emulated MPLS network: traffic classes, links, LSPs,
-and the per-link per-class bandwidth ledger.
+the per-link per-class bandwidth ledger, and the constraint tables that
+admission, reconfiguration and the checks read it against.
 
 Bandwidth is tracked internally as integral kilobits per second so that the
 allocation arithmetic stays exact; user-facing figures are in Mbps.  Paths are
@@ -13,7 +14,8 @@ from __future__ import annotations
 import bisect
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 
 def kbps(mbps: float) -> int:
@@ -323,6 +325,64 @@ def age_key(lsp: Lsp) -> Tuple[float, int]:
 AgeEntry = Tuple[float, int, Lsp]
 
 
+# A row of a link's constraint table, (held, lo, hi, cap, name): classes
+# lo..hi-1 together hold at most cap kbps.  held(alloc) is what they hold on
+# a link whose ledger is alloc, and name says which constraint a check
+# reports as breached.  A plain tuple: admission unpacks one per row and
+# path link, and a NamedTuple misses the interpreter's fast path for that.
+Constraint = Tuple[Callable[[List[int]], int], int, int, int, str]
+
+# A constraint table: its rows by link id.
+Table = Dict[str, Tuple[Constraint, ...]]
+
+
+def _held(lo: int, hi: int, n: int) -> Callable[[List[int]], int]:
+    """Classes lo..hi-1 summed from a link's ledger: one C call for a single
+    class or for every class, which most rows are."""
+    if hi - lo == 1:
+        return itemgetter(lo)
+    if hi - lo == n:
+        return sum
+    return lambda alloc: sum(alloc[lo:hi])
+
+
+def constraint_table(topology: Topology, n: int, *configs: BcConfig) -> Tuple[Table, bool]:
+    """The rows the configs impose on each link, and whether admission may
+    evict in their service: the one place the allocation models differ.
+
+    Every link has the capacity row (0, n).  MAM caps each class alone, a
+    row (c, c + 1) per class; its partitions are private, so admission
+    evicts nothing.  RDM caps classes b..n-1 together, a row (b, n) per
+    constraint index; lower classes borrow unused headroom, so admission of
+    class c may evict classes below c.  Where rows cover the same classes
+    the smallest cap holds, so a pending soft config tightens the current
+    one.  Rows come narrowest first, then by lo: a check names the
+    narrowest breach, and RDM admission meets (c, n), which no victim can
+    serve, first.
+    """
+    table = {}
+    for link_id, link in topology.links.items():
+        rows = [(0, n, link.capacity_kbps, "capacity")]
+        for config in configs:
+            nested = config.model is Model.RDM
+            for lo, cap in enumerate(config.bc_for(link) or ()):
+                rows.append((lo, n, cap, "nested sum from %d" % lo) if nested
+                            else (lo, lo + 1, cap, "class %d" % lo))
+        tightest: Dict[Tuple[int, int], Constraint] = {}
+        for lo, hi, cap, name in sorted(rows, key=lambda row: (row[1] - row[0], row[0], row[2])):
+            tightest.setdefault((lo, hi), (_held(lo, hi, n), lo, hi, cap, name))
+        table[link_id] = tuple(tightest.values())
+    return table, all(config.model is Model.RDM for config in configs)
+
+
+class Tables(NamedTuple):
+    current: Table
+    pending: Optional[Table]
+    # Per class c: the rows of both configs that hold class c, and the class
+    # below which admission may evict.
+    admission: List[Tuple[Table, int]]
+
+
 @dataclass
 class NetworkState:
     """The controller's authoritative view: topology, allocation ledger,
@@ -340,14 +400,14 @@ class NetworkState:
     active_lsps: Dict[int, Lsp] = field(default_factory=dict)
     counters: Counters = None  # type: ignore[assignment]
     active_by_class: List[List[AgeEntry]] = field(init=False, repr=False)
-    # (bc_config, pending_soft_bc, admission vector by link id): see admission_caps.
-    _caps: Tuple = field(init=False, repr=False, compare=False)
+    # (bc_config, pending_soft_bc, Tables): see tables().
+    _tables: Tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.counters is None:
             self.counters = Counters.zero(len(self.classes))
         self.active_by_class = [[] for _ in self.classes]
-        self._caps = (None, None, {})
+        self._tables = (None, None, None)
         if self.bc_config.n_classes != len(self.classes):
             raise InvalidBc("constraint vector length must match class count")
 
@@ -355,33 +415,29 @@ class NetworkState:
     def n_classes(self) -> int:
         return len(self.classes)
 
-    def admission_bc(self, link: Link) -> Optional[Tuple[int, ...]]:
-        """Constraint vector used for admission on one link.
-
-        While a soft reconfiguration is pending, each constraint is the
-        tighter of the current and the pending value: cuts start denying new
-        requests at once (never preempting), raises wait until attrition
-        clears every violation and the pending config is promoted.
-        """
-        return self.admission_caps()[link.id]
-
-    def admission_caps(self) -> Dict[str, Optional[Tuple[int, ...]]]:
-        """``admission_bc`` by link id, resolved once per pair of current and
-        pending config.  Both are frozen, so a reconfiguration, a promotion or
-        a direct assignment puts another object in place and the identity
-        test sees it without a hook.  Link capacities are fixed once the
-        topology is frozen."""
-        current, pending, caps = self._caps
-        if current is not self.bc_config or pending is not self.pending_soft_bc:
-            current, pending, caps = self.bc_config, self.pending_soft_bc, {}
-            for link_id, link in self.topology.links.items():
-                bc = current.bc_for(link)
-                soft = pending.bc_for(link) if pending is not None else None
-                if bc is not None and soft is not None:
-                    bc = tuple(map(min, bc, soft))
-                caps[link_id] = soft if bc is None else bc
-            self._caps = (current, pending, caps)
-        return caps
+    def tables(self) -> Tables:
+        """The constraint tables of the current and the pending config, and
+        the admission view, built once per pair of the two.  Both configs
+        are frozen, so a reconfiguration, a promotion or a direct assignment
+        puts another object in place and the identity test sees it without
+        a hook.  Link capacities are fixed once the topology is frozen."""
+        current, pending, tables = self._tables
+        if current is self.bc_config and pending is self.pending_soft_bc:
+            return tables
+        current, pending, n = self.bc_config, self.pending_soft_bc, self.n_classes
+        now, borrows = constraint_table(self.topology, n, current)
+        soon, merged = None, now
+        if pending is not None:
+            soon = constraint_table(self.topology, n, pending)[0]
+            merged, borrows = constraint_table(self.topology, n, current, pending)
+        admission = [
+            ({lid: tuple(r for r in rows if r[1] <= c < r[2]) for lid, rows in merged.items()},
+             c if borrows else 0)
+            for c in range(n)
+        ]
+        tables = Tables(now, soon, admission)
+        self._tables = (current, pending, tables)
+        return tables
 
 
 def commit(state: NetworkState, lsp: Lsp) -> None:

@@ -60,15 +60,20 @@ class MetricsLog:
             raise ValueError("request_index must be strictly increasing")
         self.records.append(record)
 
+    def _lines(self) -> Iterator[str]:
+        row = self._row + "\n"
+        yield csv_header(self.n_classes) + "\n"
+        for record in self.records:
+            yield row % _cells(record)
+
     def to_csv(self) -> str:
-        row = self._row
-        lines = [csv_header(self.n_classes)]
-        lines += [row % _cells(r) for r in self.records]
-        return "\n".join(lines) + "\n"
+        return "".join(self._lines())
 
     def write_csv(self, path: str) -> None:
+        """Line by line through the file's buffer, as ``write_journal`` does:
+        one string would hold the whole file a second time."""
         with open(path, "w") as fh:
-            fh.write(self.to_csv())
+            fh.writelines(self._lines())
 
 
 def windowed_blocking(

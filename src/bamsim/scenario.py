@@ -396,7 +396,9 @@ def generate_schedule(scn: Scenario) -> List[LspRequest]:
         entry_fields = (ips[entry.src], ips[entry.dst], *ports[entry.class_index])
         n_cycles = scn.run.cycles - entry.start_cycle
         base, rem = divmod(entry.count, n_cycles)
-        for cycle in range(entry.start_cycle, scn.run.cycles):
+        # A cycle past the first `count` gets no request (base is then 0),
+        # so the loop's cost follows the request count, not `cycles`.
+        for cycle in range(entry.start_cycle, min(scn.run.cycles, entry.start_cycle + entry.count)):
             per_cycle = base + (1 if cycle - entry.start_cycle < rem else 0)
             start = cycle * cycle_length
             # rng.uniform(0.0, cycle_length), bit for bit, without its call.

@@ -89,6 +89,63 @@ def rdm_fits_direct(alloc: Sequence[int], bc: Sequence[int], cap: int, c: int, d
     return True
 
 
+def vector_on(config: Optional[BcConfig], link) -> Optional[Tuple[int, ...]]:
+    """A config's constraint vector on one link in kbps, or None outside its
+    scope: absolute values as given, percentages of the link's capacity
+    rounded to the nearest kbps."""
+    if config is None or (config.applies_to is not None and link.id not in config.applies_to):
+        return None
+    if config.values_kbps is not None:
+        return tuple(config.values_kbps)
+    return tuple(int(round(link.capacity_kbps * p / 100.0)) for p in config.percents)
+
+
+def admission_vector(state: NetworkState, link) -> Optional[Tuple[int, ...]]:
+    """The vector admission holds a link to: while a soft config is pending,
+    each value is the smaller of the current and the pending one; a link
+    only one of them governs takes that one's vector."""
+    current = vector_on(state.bc_config, link)
+    pending = vector_on(state.pending_soft_bc, link)
+    if current is None or pending is None:
+        return pending if current is None else current
+    return tuple(min(a, b) for a, b in zip(current, pending))
+
+
+def mam_admission_caps(state: NetworkState, link_id: str = "L1") -> Tuple[int, ...]:
+    """Each class's own cap, the row (c, c + 1), in the admission view of a
+    MAM state on one link."""
+    return tuple(
+        next(cap for _held, lo, hi, cap, _name in state.tables().admission[c][0][link_id]
+             if (lo, hi) == (c, c + 1))
+        for c in range(state.n_classes)
+    )
+
+
+def oracle_constraint_verdict(state: NetworkState, config: BcConfig) -> str:
+    """The constraint part of ``check_state`` written from the inequalities:
+    "pass", or the message of the first breach.  Links go in topology
+    order; on each, the capacity first, then MAM's classes in order, or
+    RDM's nested sums from the highest constraint index down."""
+    n = state.n_classes
+    for lid, link in state.topology.links.items():
+        alloc = link.alloc
+        if sum(alloc) > link.capacity_kbps:
+            return "link %s over capacity: %d > %d" % (lid, sum(alloc), link.capacity_kbps)
+        bc = vector_on(config, link)
+        if bc is None:
+            continue
+        if config.model is Model.MAM:
+            for c in range(n):
+                if alloc[c] > bc[c]:
+                    return "link %s class %d over constraint: %d > %d" % (lid, c, alloc[c], bc[c])
+        else:
+            for b in range(n - 1, -1, -1):
+                if sum(alloc[b:]) > bc[b]:
+                    return "link %s nested sum from %d over constraint: %d > %d" % (
+                        lid, b, sum(alloc[b:]), bc[b])
+    return "pass"
+
+
 def _alloc_of(state: NetworkState, link_id: str = "L1") -> List[int]:
     return list(state.topology.links[link_id].alloc)
 
@@ -126,7 +183,7 @@ def oracle_rdm_verdict(
     and the count scan stops at the first feasible total.
     """
     link = state.topology.links[link_id]
-    bc = state.admission_bc(link)
+    bc = admission_vector(state, link)
     cap = link.capacity_kbps
     alloc = _alloc_of(state, link_id)
     assert bc is not None
@@ -153,7 +210,7 @@ def eviction_clears(state: NetworkState, victim_ids: Sequence[int], c: int, d: i
     """Would removing exactly these LSPs let the request fit?  Re-evaluates
     the constraints directly on a scratch allocation vector."""
     link = state.topology.links[link_id]
-    bc = state.admission_bc(link)
+    bc = admission_vector(state, link)
     trial = _alloc_of(state, link_id)
     for vid in victim_ids:
         lsp = state.active_lsps[vid]

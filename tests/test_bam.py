@@ -20,22 +20,38 @@ from bamsim import (
     release,
     select_victims,
 )
-from bamsim.bam import Infeasible, _admission_rows, _choose_victims, _reconfig_rows
-from bamsim.checks import InvariantViolation, _check_class_lists, check_fabric
+from bamsim.bam import Infeasible, _choose_victims, _deficit_rows
+from bamsim.checks import InvariantViolation, _check_class_lists, check_fabric, check_state
 from bamsim.controller import Classifier, Controller, LspRequest
-from bamsim.core import age_key
+from bamsim.core import age_key, constraint_table
 from bamsim.fabric import Fabric, FlowRule
 
 from helpers import (
+    admission_vector,
     admit,
     eviction_clears,
     fill,
+    mam_admission_caps,
+    oracle_constraint_verdict,
     oracle_rdm_verdict,
     rdm_fits_direct,
     single_link_state,
 )
 
 PATH = ("L1",)
+
+
+def admission_rows(state, path, class_index, demand_kbps):
+    """The deficit rows ``decide`` reads for a request."""
+    table, below = state.tables().admission[class_index]
+    return _deficit_rows(state, table, path, demand_kbps, below)
+
+
+def reconfig_rows(state, config):
+    """The deficit rows a hard reconfiguration to config evicts for."""
+    n = state.n_classes
+    table, _borrows = constraint_table(state.topology, n, config)
+    return _deficit_rows(state, table, state.topology.links, 0, n)
 
 
 class TestCheckMam:
@@ -375,8 +391,8 @@ def test_reconfig_event_needs_exactly_one_trigger():
 def test_admission_rows_report_mam_denials_as_unsatisfiable():
     state = single_link_state(Model.MAM, [250, 150, 100], 500, [5, 10, 20])
     fill(state, 0, 50, first_id=1)
-    rows = _admission_rows(state, PATH, 0, 5)
-    assert rows == [("L1", 0, 0, 1)]
+    rows = admission_rows(state, PATH, 0, 5)
+    assert rows == [("L1", 0, 0, 5)]  # 250 + 5 against a 250 cap
     with pytest.raises(Infeasible):
         select_victims(state, rows)
 
@@ -501,8 +517,8 @@ class TestVictimOrderMatchesTheSort:
                     release(state, gone, LspState.COMPLETED, now=float(step))
                 elif action < 0.8:
                     c = rng.randrange(3)
-                    rows = _admission_rows(state, rng.choice(paths), c,
-                                           state.classes[c].max_lsp_kbps)
+                    rows = admission_rows(state, rng.choice(paths), c,
+                                          state.classes[c].max_lsp_kbps)
                     compare(state, rows, (trial, step))
                 elif action < 0.93:
                     rows = []
@@ -514,7 +530,7 @@ class TestVictimOrderMatchesTheSort:
                 else:
                     config = random_rdm(rng, min(
                         link.capacity_kbps for link in state.topology.links.values()))
-                    rows = _reconfig_rows(state, config)
+                    rows = reconfig_rows(state, config)
                     expected = self.outcome(choose_victims_by_sort, state, rows)
                     out = reconfigure(state, config, ReconfigMode.HARD, now=float(step))
                     assert tuple(l.id for l in out) == expected, (trial, step)
@@ -531,16 +547,6 @@ class TestVictimOrderMatchesTheSort:
 # resolved caps: each path link's vector resolved on every call, the fit
 # tests and the rows written per model, and the verdict taken from the victim
 # walk.  Kept here as the reference ``decide`` must reproduce.
-
-def admission_bc_before(state, link):
-    current = state.bc_config.bc_for(link)
-    if state.pending_soft_bc is None:
-        return current
-    pending = state.pending_soft_bc.bc_for(link)
-    if current is None or pending is None:
-        return pending if current is None else current
-    return tuple(min(a, b) for a, b in zip(current, pending))
-
 
 def mam_fits_before(link, bc, class_index, demand_kbps):
     if link.total_alloc + demand_kbps > link.capacity_kbps:
@@ -568,10 +574,16 @@ def admission_rows_before(state, path, class_index, demand_kbps):
     model = state.bc_config.model
     for link_id in path:
         link = state.topology.links[link_id]
-        bc = admission_bc_before(state, link)
+        bc = admission_vector(state, link)
         if model is Model.MAM:
-            if not mam_fits_before(link, bc, class_index, demand_kbps):
-                rows.append((link_id, class_index, class_index, 1))
+            # Nothing is evicted under MAM, so each breach is a row with an
+            # empty class range, reported with its real deficit.
+            over_cap = link.total_alloc + demand_kbps - link.capacity_kbps
+            if over_cap > 0:
+                rows.append((link_id, 0, 0, over_cap))
+            over_bc = 0 if bc is None else link.alloc[class_index] + demand_kbps - bc[class_index]
+            if over_bc > 0:
+                rows.append((link_id, class_index, class_index, over_bc))
             continue
         over_cap = link.total_alloc + demand_kbps - link.capacity_kbps
         if over_cap > 0 and (bc is None or bc[0] > link.capacity_kbps):
@@ -589,15 +601,37 @@ def admission_rows_before(state, path, class_index, demand_kbps):
     return rows
 
 
+def admission_view_before(state, link, class_index):
+    """(lo, hi, cap) of each constraint admission holds a class to on one
+    link, from the vector: the capacity, and the rows of the vector that
+    hold the class, the smaller cap where two cover the same classes."""
+    n = state.n_classes
+    spans = {(0, n): link.capacity_kbps}
+    for i, value in enumerate(admission_vector(state, link) or ()):
+        span = (i, n) if state.bc_config.model is Model.RDM else (i, i + 1)
+        spans[span] = min(value, spans.get(span, value))
+    return sorted((lo, hi, cap) for (lo, hi), cap in spans.items() if lo <= class_index < hi)
+
+
+def undominated(rows):
+    """Per link and class range, the row with the largest deficit: where the
+    vector gives a constraint 0 above capacity, the table holds the
+    capacity row alone, so the constraint's smaller row is not reported."""
+    worst = {}
+    for lid, lo, hi, deficit in rows:
+        worst[(lid, lo, hi)] = max(deficit, worst.get((lid, lo, hi), deficit))
+    return [key + (deficit,) for key, deficit in worst.items()]
+
+
 def decide_before(state, path, class_index, demand_kbps):
     links = state.topology.links
     if state.bc_config.model is Model.MAM:
         for link_id in path:
             link = links[link_id]
-            if not mam_fits_before(link, admission_bc_before(state, link), class_index, demand_kbps):
+            if not mam_fits_before(link, admission_vector(state, link), class_index, demand_kbps):
                 return "Deny", ()
         return "Grant", ()
-    if all(rdm_fits_before(links[lid], admission_bc_before(state, links[lid]), class_index,
+    if all(rdm_fits_before(links[lid], admission_vector(state, links[lid]), class_index,
                            demand_kbps) for lid in path):
         return "Grant", ()
     rows = admission_rows_before(state, path, class_index, demand_kbps)
@@ -676,15 +710,17 @@ class TestDecideMatchesTheFitChecks:
                     decision = decide(state, path, c, d)
                     assert (decision.verdict.value, decision.victims) == expected, where
                     seen[expected[0]] += 1
+                    view = state.tables().admission[c][0]
                     for lid in path:
                         link = links[lid]
-                        bc = admission_bc_before(state, link)
-                        assert state.admission_bc(link) == bc, where
+                        bc = admission_vector(state, link)
+                        assert sorted(r[1:4] for r in view[lid]) == admission_view_before(
+                            state, link, c), where
                         if (model is Model.RDM and link.total_alloc + d > link.capacity_kbps
                                 and (bc is None or bc[0] > link.capacity_kbps)):
                             seen["capacity rows"] += 1
                     old = admission_rows_before(state, path, c, d)
-                    rows = _admission_rows(state, path, c, d)
+                    rows = admission_rows(state, path, c, d)
                     assert not Counter(rows) - Counter(old), where
                     if any(lo >= hi for _lid, lo, hi, _d in old):
                         # The kernel stops at the first row no victim can serve.
@@ -692,12 +728,93 @@ class TestDecideMatchesTheFitChecks:
                         assert all(r[1] < r[2] for r in rows[:-1]), where
                         seen["blocked"] += 1
                     else:
-                        assert sorted(rows) == sorted(old), where
+                        # The one difference the table may make: a row
+                        # dominated by a larger one of the same link and class
+                        # range, a constraint 0 above capacity, is dropped.
+                        assert sorted(rows) == sorted(undominated(old)), where
+                        seen["dominated rows"] += len(old) - len(rows)
                         if rows:
                             seen["walk " + expected[0]] += 1
         # Every verdict, and rows of every kind, must have come up.
         assert min(seen["Grant"], seen["GrantWithPreemption"], seen["blocked"]) > 200, seen
         assert seen["walk Deny"] > 20 and seen["capacity rows"] > 500, seen
+        assert seen["dominated rows"] > 5, seen
+
+
+class TestConstraintVerdictsMatchTheInequalities:
+    """``check_state`` passes or raises, with the same message, exactly where
+    ``oracle_constraint_verdict`` (written from the inequalities) says, and
+    ``promote_pending_if_clear`` promotes exactly when the oracle accepts
+    the ledger under the pending config.  Ledgers are forced past their
+    constraints on six links, under MAM and RDM, absolute and percent
+    vectors, partial scopes and constraints above capacity."""
+
+    @staticmethod
+    def verdict(state):
+        try:
+            check_state(state)
+        except InvariantViolation as exc:
+            return str(exc)
+        return "pass"
+
+    @staticmethod
+    def inflate(state, rng):
+        """Grow one LSP's demand and its ledger entries together, so the
+        registry recount still holds while a link may pass its capacity."""
+        lsp = state.active_lsps[rng.choice(sorted(state.active_lsps))]
+        extra = rng.randint(1, 30)
+        lsp.demand_kbps += extra
+        for lid in lsp.path:
+            state.topology.links[lid].alloc[lsp.class_index] += extra
+
+    def test_same_verdicts_messages_and_promotions(self):
+        from bamsim import CapacityViolation, Lsp
+
+        rng = random.Random(4124)
+        seen = Counter()
+        for trial in range(150):
+            state, paths = six_link_rdm_state(rng)
+            links = state.topology.links
+            model = rng.choice([Model.MAM, Model.RDM])
+            state.bc_config = random_admission_config(rng, model, links)
+            next_id = 1
+            for step in range(40):
+                action = rng.random()
+                if action < 0.5:
+                    # Committed past admission control: only capacity holds.
+                    c = rng.randrange(3)
+                    lsp = Lsp(id=next_id, class_index=c,
+                              demand_kbps=state.classes[c].max_lsp_kbps,
+                              path=rng.choice(paths), src_host="A", dst_host="B",
+                              admit_time=float(step))
+                    next_id += 1
+                    try:
+                        commit(state, lsp)
+                    except CapacityViolation:
+                        continue
+                    state.counters.requested[c] += 1
+                elif action < 0.65 and state.active_lsps:
+                    release(state, rng.choice(sorted(state.active_lsps)), LspState.COMPLETED)
+                elif action < 0.7 and state.active_lsps:
+                    self.inflate(state, rng)
+                elif action < 0.8:
+                    state.bc_config = random_admission_config(rng, model, links)
+                else:
+                    pending = random_admission_config(rng, model, links)
+                    state.pending_soft_bc = pending
+                    clear = oracle_constraint_verdict(state, pending) == "pass"
+                    assert promote_pending_if_clear(state) is clear, (trial, step)
+                    assert state.bc_config is pending if clear else state.pending_soft_bc is pending
+                    seen["promoted" if clear else "held"] += 1
+                expected = oracle_constraint_verdict(state, state.bc_config)
+                assert self.verdict(state) == expected, (trial, step)
+                form = next((f for f in ("over capacity", "class", "nested") if f in expected),
+                            expected)
+                seen[form] += 1
+        # Every verdict must have come up, and both promotion outcomes.
+        assert min(seen["pass"], seen["class"], seen["nested"]) > 200, seen
+        assert seen["over capacity"] > 20, seen
+        assert min(seen["promoted"], seen["held"]) > 100, seen
 
 
 def test_unservable_row_denies_without_the_victim_walk(monkeypatch):
@@ -722,34 +839,33 @@ def test_unservable_row_denies_without_the_victim_walk(monkeypatch):
 
 
 def test_admission_caps_follow_every_config_change():
-    """The resolved caps are keyed on the identity of the current and the
-    pending config, so each way of changing either one is seen."""
+    """The tables are keyed on the identity of the current and the pending
+    config, so each way of changing either one is seen."""
     state = single_link_state(Model.MAM, [250, 150, 100], 500, [5, 10, 20])
-    link = state.topology.links["L1"]
     fill(state, 0, 50, first_id=1)  # 250
     class_1 = fill(state, 1, 10, first_id=100)  # 100
-    assert state.admission_bc(link) == (250, 150, 100)
+    assert mam_admission_caps(state) == (250, 150, 100)
     assert decide(state, PATH, 0, 5).verdict is Verdict.DENY
     # Direct assignment.
     state.bc_config = BcConfig(Model.MAM, values_kbps=(300, 150, 100))
-    assert state.admission_bc(link) == (300, 150, 100)
+    assert mam_admission_caps(state) == (300, 150, 100)
     assert decide(state, PATH, 0, 5).verdict is Verdict.GRANT
     # Hard reconfiguration: ten class 0 LSPs go, the cut applies at once.
     assert len(reconfigure(state, BcConfig(Model.MAM, values_kbps=(200, 150, 100)),
                            ReconfigMode.HARD)) == 10
-    assert state.admission_bc(link) == (200, 150, 100)
+    assert mam_admission_caps(state) == (200, 150, 100)
     assert decide(state, PATH, 0, 5).verdict is Verdict.DENY
     assert decide(state, PATH, 1, 10).verdict is Verdict.GRANT
     # Pending soft reconfiguration: class 1 holds 100 > 90, so it drains.
     reconfigure(state, BcConfig(Model.MAM, values_kbps=(300, 90, 100)), ReconfigMode.SOFT)
     assert state.pending_soft_bc is not None
-    assert state.admission_bc(link) == (200, 90, 100)
+    assert mam_admission_caps(state) == (200, 90, 100)
     assert decide(state, PATH, 1, 10).verdict is Verdict.DENY
     assert decide(state, PATH, 0, 5).verdict is Verdict.DENY
     # Promotion once one class 1 LSP leaves: the raise is live.
     release(state, class_1[0].id, LspState.COMPLETED)
     assert promote_pending_if_clear(state)
-    assert state.admission_bc(link) == (300, 90, 100)
+    assert mam_admission_caps(state) == (300, 90, 100)
     assert decide(state, PATH, 0, 5).verdict is Verdict.GRANT
     assert decide(state, PATH, 1, 10).verdict is Verdict.DENY
     # Clearing the pending config by assignment.

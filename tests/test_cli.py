@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from importlib import resources
+
 import pytest
 
+import bamsim
 from bamsim import cli
 
 MINI = """
@@ -203,6 +209,20 @@ class TestValidate:
     def test_ok_scenario(self, mini, capsys):
         assert run_cli(["validate", mini]) == cli.EXIT_OK
         assert "ok (30 requests over 2 cycles)" in capsys.readouterr().out
+
+    def test_cost_follows_the_request_count_not_the_cycle_count(self, tmp_path):
+        # A billion cycles, 770 requests: the schedule must not visit every
+        # cycle.  In a subprocess, so that a regression times out instead of
+        # hanging the suite.
+        text = (resources.files("bamsim") / "scenarios" / "exp2_soft.scn").read_text()
+        assert "cycles 10\n" in text
+        path = tmp_path / "long.scn"
+        path.write_text(text.replace("cycles 10\n", "cycles 1000000000\n"))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bamsim.__file__)))
+        done = subprocess.run([sys.executable, "-m", "bamsim.cli", "validate", str(path)],
+                              env=env, capture_output=True, text=True, timeout=20)
+        assert done.returncode == cli.EXIT_OK, done.stderr
+        assert "ok (770 requests over 1000000000 cycles)" in done.stdout
 
     def test_parse_error_is_bad_input(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"

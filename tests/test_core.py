@@ -22,7 +22,7 @@ from bamsim import (
 )
 from bamsim.checks import check_state
 
-from helpers import admit, oracle_route, single_link_state
+from helpers import admit, mam_admission_caps, oracle_route, single_link_state
 
 
 def test_unit_conversion_round_trip():
@@ -329,9 +329,8 @@ def test_state_rejects_mismatched_vector_length():
 
 def test_admission_bc_is_min_of_current_and_pending():
     state = single_link_state(Model.MAM, [350, 50, 100], 500, [5, 10, 20])
-    link = state.topology.links["L1"]
-    assert state.admission_bc(link) == (350, 50, 100)
+    assert mam_admission_caps(state) == (350, 50, 100)
     state.pending_soft_bc = BcConfig(Model.MAM, values_kbps=(250, 150, 100))
-    assert state.admission_bc(link) == (250, 50, 100)
+    assert mam_admission_caps(state) == (250, 50, 100)
     state.pending_soft_bc = None
-    assert state.admission_bc(link) == (350, 50, 100)
+    assert mam_admission_caps(state) == (350, 50, 100)
