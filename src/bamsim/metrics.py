@@ -12,7 +12,7 @@ import json
 from collections import abc
 from json.encoder import encode_basestring_ascii
 from math import inf
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 
 class RateUndefined(Exception):
@@ -27,7 +27,7 @@ class MetricsRecord(NamedTuple):
     preempted: Tuple[int, ...]       # cumulative per class
 
     def csv_row(self) -> str:
-        return _row_format(len(self.util_kbps)) % _cells(self)
+        return next(_csv_chunks(len(self.util_kbps), [self]))[:-1]
 
 
 def csv_header(n_classes: int) -> str:
@@ -38,42 +38,53 @@ def csv_header(n_classes: int) -> str:
     return ",".join(cols)
 
 
-def _row_format(n_classes: int) -> str:
-    """The one CSV row format: index, time, then per class the utilisation in
-    Mbps, the blocked count and the preempted count."""
-    return "%d,%g" + ",%g" * n_classes + ",%d" * (2 * n_classes)
+# Lines per chunk: the writers hand the file buffer joined chunks, not lines.
+_CHUNK = 4096
 
 
-def _cells(record: MetricsRecord) -> Tuple:
-    index, time, util, blocked, preempted = record
-    return (index, time, *[v / 1000.0 for v in util], *blocked, *preempted)
+def _csv_chunks(n_classes: int, records: Sequence[MetricsRecord]) -> Iterator[str]:
+    """The rows of ``records``: index, time, then per class the utilisation
+    in Mbps, the blocked count and the preempted count.  The utilisation and
+    preempted cells are rendered once for consecutive records that hold the
+    same tuple object, as ``simulate``'s records do while they are equal."""
+    util_cells, count_cells = ",%g" * n_classes, ",%d" * n_classes
+    util = preempted = object()  # matches no record's tuple
+    for start in range(0, len(records), _CHUNK):
+        lines = []
+        add = lines.append
+        for index, time, record_util, blocked, record_preempted in records[start:start + _CHUNK]:
+            if record_util is not util:
+                util = record_util
+                util_text = util_cells % tuple([v / 1000.0 for v in util])
+            if record_preempted is not preempted:
+                preempted = record_preempted
+                preempted_text = count_cells % preempted
+            add("%d,%g%s%s%s\n" % (index, time, util_text, count_cells % blocked, preempted_text))
+        yield "".join(lines)
 
 
 class MetricsLog:
     def __init__(self, n_classes: int) -> None:
         self.n_classes = n_classes
         self.records: List[MetricsRecord] = []
-        self._row = _row_format(n_classes)
 
     def append(self, record: MetricsRecord) -> None:
         if self.records and record.request_index <= self.records[-1].request_index:
             raise ValueError("request_index must be strictly increasing")
         self.records.append(record)
 
-    def _lines(self) -> Iterator[str]:
-        row = self._row + "\n"
+    def _chunks(self) -> Iterator[str]:
         yield csv_header(self.n_classes) + "\n"
-        for record in self.records:
-            yield row % _cells(record)
+        yield from _csv_chunks(self.n_classes, self.records)
 
     def to_csv(self) -> str:
-        return "".join(self._lines())
+        return "".join(self._chunks())
 
     def write_csv(self, path: str) -> None:
-        """Line by line through the file's buffer, as ``write_journal`` does:
-        one string would hold the whole file a second time."""
+        """Chunk by chunk through the file's buffer, as ``write_journal``
+        does: one string would hold the whole file a second time."""
         with open(path, "w") as fh:
-            fh.writelines(self._lines())
+            fh.writelines(self._chunks())
 
 
 def windowed_blocking(
@@ -164,61 +175,99 @@ class _Encoded(dict):
         return text
 
 
-def _render(records: List[Tuple], write: Callable[[str], object], encode: Callable) -> None:
-    """The frequent kinds through their templates, arguments in key order:
-    str() spells an int, and a finite float, as json does.  The rare kinds,
-    a non-finite time or demand, and a preemption with no preemptor go
-    through the encoder."""
+def _render(records: Sequence[Tuple], encode: Callable) -> Iterator[str]:
+    """The journal's lines in chunks of ``_CHUNK``.  The frequent kinds go
+    through their templates, arguments in key order: str() spells an int,
+    and a finite float, as json does.  A time is spelled once for
+    consecutive records that hold the same object, as a request and its
+    block, admit and preempt records do.  The rare kinds, a time that is not
+    a finite float, a non-finite demand and a preemption with no preemptor
+    go through the encoder."""
     request, admit, block, preempt, expire = map(
         _template, ("request", "admit", "block", "preempt", "expire"))
     text = _Encoded()
-    for record in records:
-        kind = record[0]
-        if kind == "request":
-            _, time, lsp, ct, demand, src, dst = record
-            if -inf < time < inf and -inf < demand < inf:
-                write(request % (ct, demand, text[dst], lsp, text[src], time))
-                continue
-        elif kind == "block" or kind == "expire":
-            _, time, lsp, ct = record
-            if -inf < time < inf:
-                write((block if kind == "block" else expire) % (ct, lsp, time))
-                continue
-        elif kind == "admit":
-            _, time, lsp, ct, path = record
-            if -inf < time < inf:
-                write(admit % (ct, lsp, text[path], time))
-                continue
-        elif kind == "preempt":
-            _, time, lsp, ct, by = record
-            if by is not None and -inf < time < inf:
-                write(preempt % (by, ct, lsp, time))
-                continue
-        write(encode(_event(record)) + "\n")
+    last = object()  # is no record's time
+    for start in range(0, len(records), _CHUNK):
+        lines = []
+        add = lines.append
+        for record in records[start:start + _CHUNK]:
+            kind, time = record[0], record[1]
+            if time is not last:
+                last = time
+                stamp = str(time) if type(time) is float and -inf < time < inf else None
+            if stamp is not None:
+                if kind == "request":
+                    _, _, lsp, ct, demand, src, dst = record
+                    if -inf < demand < inf:
+                        add(request % (ct, demand, text[dst], lsp, text[src], stamp))
+                        continue
+                elif kind == "block" or kind == "expire":
+                    _, _, lsp, ct = record
+                    add((block if kind == "block" else expire) % (ct, lsp, stamp))
+                    continue
+                elif kind == "admit":
+                    _, _, lsp, ct, path = record
+                    add(admit % (ct, lsp, text[path], stamp))
+                    continue
+                elif kind == "preempt":
+                    _, _, lsp, ct, by = record
+                    if by is not None:
+                        add(preempt % (by, ct, lsp, stamp))
+                        continue
+            add(encode(_event(record)) + "\n")
+        yield "".join(lines)
 
 
 def write_journal(events: Iterable[Dict], path: str) -> None:
     """One line per event, exactly ``json.dumps(event, sort_keys=True)``.
 
     A ``Journal`` is rendered from its records, any other iterable of events
-    through the one sorted-key encoder.  Lines go through the file's buffer,
-    not one string: that would hold the whole journal a second time."""
+    through the one sorted-key encoder.  Lines go through the file's buffer
+    in chunks, not as one string: that would hold the whole journal a second
+    time."""
     encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w") as fh:
         if isinstance(events, Journal):
-            _render(events.records, fh.write, encode)
+            fh.writelines(_render(events.records, encode))
         else:
             for event in events:
                 fh.write(encode(event) + "\n")
 
 
+def _not_an_event(event) -> Optional[str]:
+    """Why a parsed journal line is no event ``summarize`` can count, or
+    None: an event is an object with a string kind, and a class index
+    ``ct`` >= 0 if it has one or is of a kind that is counted per class."""
+    if type(event) is not dict:
+        return "not a JSON object"
+    kind = event.get("kind")
+    if type(kind) is not str:
+        return "event has no kind string"
+    if "ct" in event or kind in _COUNTERS:
+        if "ct" not in event:
+            return "%s event has no ct" % kind
+        if type(event["ct"]) is not int or event["ct"] < 0:
+            return "%s event: ct must be an integer >= 0, got %s" % (kind, json.dumps(event["ct"]))
+    return None
+
+
 def read_journal(path: str) -> List[Dict]:
+    """The events of a journal file.  A line that is not JSON, or not an
+    event, raises ValueError with the path and the line number."""
     events = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                events.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                event = json.loads(line)
+            except ValueError as exc:
+                raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
+            problem = _not_an_event(event)
+            if problem is not None:
+                raise ValueError("%s:%d: %s" % (path, lineno, problem))
+            events.append(event)
     return events
 
 
@@ -236,24 +285,29 @@ def outcomes_from_journal(journal: Sequence[Dict]) -> List[Tuple[int, bool]]:
     return [(ct, verdicts[lsp_id]) for lsp_id, ct in order]
 
 
-def summarize(journal: Sequence[Dict]) -> Dict[str, List[int]]:
+# The per-class counter of each kind that has one.
+_COUNTERS = {
+    "request": "requested",
+    "admit": "admitted",
+    "block": "blocked",
+    "preempt": "preempted",
+    "expire": "completed",
+}
+
+
+def summarize(journal: Sequence[Dict], n_classes: int = 0) -> Dict[str, List[int]]:
     """Recount per-class lifecycle totals from an event journal.  A
-    ``Journal`` is read from its records, without building its dicts."""
-    kind_to_key = {
-        "request": "requested",
-        "admit": "admitted",
-        "block": "blocked",
-        "preempt": "preempted",
-        "expire": "completed",
-    }
+    ``Journal`` is read from its records, without building its dicts.  The
+    totals cover ``n_classes`` classes, or more if the journal names a
+    higher class: without the count, a class with no events is left out."""
     if isinstance(journal, Journal):
         classed = [(r[0], r[_CT[r[0]]]) for r in journal.records if r[0] in _CT]
     else:
-        classed = [(e["kind"], e["ct"]) for e in journal if "ct" in e or e["kind"] in kind_to_key]
-    n = max((ct + 1 for _, ct in classed), default=0)
-    stats = {key: [0] * n for key in kind_to_key.values()}
+        classed = [(e["kind"], e["ct"]) for e in journal if "ct" in e or e["kind"] in _COUNTERS]
+    n = max(n_classes, max((ct + 1 for _, ct in classed), default=0))
+    stats = {key: [0] * n for key in _COUNTERS.values()}
     for kind, ct in classed:
-        key = kind_to_key.get(kind)
+        key = _COUNTERS.get(kind)
         if key is not None:
             stats[key][ct] += 1
     return stats

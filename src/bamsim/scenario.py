@@ -8,9 +8,11 @@ cycle are drawn from a seeded RNG, so a scenario plus a seed is fully
 deterministic.  Each schedule entry is a ``controller.LspRequest``, and the
 loop hands the controller that same record.
 
-The simulation itself is a plain discrete-event loop over a heap.  Ties at
-one timestamp resolve as departures first, then timed reconfigurations, then
-new requests; equal-time departures go in LSP id order.
+The simulation is a discrete-event loop.  Arrivals are read from the
+schedule in its (time, id) order; a heap holds only the timers, expiries and
+timed reconfigurations.  Ties at one timestamp resolve as departures first,
+then timed reconfigurations, then new requests; equal-time departures go in
+LSP id order.
 """
 
 from __future__ import annotations
@@ -406,11 +408,12 @@ def generate_schedule(scn: Scenario) -> List[LspRequest]:
             fields += [entry_fields] * per_cycle
     # By time, then generation order: the sort is stable.
     order = sorted(range(len(times)), key=times.__getitem__)
+    make = LspRequest._make  # without the NamedTuple's Python-level __new__
     schedule: List[LspRequest] = []
     for position, i in enumerate(order, start=1):
         src_ip, dst_ip, lo, span = fields[i]
         schedule.append(
-            LspRequest(position, times[i], src_ip, dst_ip, 20000 + position, lo + position % span)
+            make((position, times[i], src_ip, dst_ip, 20000 + position, lo + position % span))
         )
     return schedule
 
@@ -429,8 +432,9 @@ class RunResult:
         return self.controller.journal
 
 
-# Heap event kinds; lower sorts first at one timestamp.
-_EXPIRY, _TIMED_RECONFIG, _REQUEST = 0, 1, 2
+# Timer kinds; lower sorts first at one timestamp, and both before an
+# arrival at that timestamp.
+_EXPIRY, _TIMED_RECONFIG = 0, 1
 
 
 def simulate(
@@ -456,11 +460,10 @@ def simulate(
     record = MetricsRecord._make  # without the NamedTuple's Python-level __new__
 
     by_count: Dict[int, List[bam.ReconfigEvent]] = {}
-    # Entries are unique and totally ordered, so heapify pops them in the
-    # same order as pushing them one by one would.
-    heap: List[Tuple[float, int, int]] = [
-        (request.time, _REQUEST, request.id) for request in schedule
-    ]
+    # (time, kind, seq) timers: an expiry's seq is its LSP id, a timed
+    # reconfiguration's its index in ``events``.  Entries are unique, so the
+    # heap pops them in one total order.
+    heap: List[Tuple[float, int, int]] = []
     for idx, event in enumerate(events):
         if event.at_time is not None:
             heap.append((event.at_time, _TIMED_RECONFIG, idx))
@@ -472,31 +475,43 @@ def simulate(
         if on_event is not None:
             on_event(kind, state, fabric)
 
-    handled = 0
-    while heap:
-        now, kind, seq = heapq.heappop(heap)
-        if kind == _EXPIRY:
-            # Timers of preempted LSPs are left in the heap; skip them here.
-            if seq in state.active_lsps:
-                controller.handle_expiry(seq, now)
-                notify("expire")
-        elif kind == _TIMED_RECONFIG:
-            controller.apply_reconfig(events[seq], now)
-            notify("reconfig")
-        else:
-            if stop is not None and handled >= stop:
-                continue  # stop criterion reached; drain departures only
-            outcome = controller.handle_request(schedule[seq - 1])
-            if outcome.lsp.state is LspState.ACTIVE:
-                heapq.heappush(heap, (now + lifetime, _EXPIRY, seq))
-            metrics.append(
-                record((seq, now, tuple(alloc), tuple(counters.blocked), tuple(counters.preempted)))
-            )
-            notify("request")
-            handled += 1
-            for event in by_count.get(handled, ()):
-                controller.apply_reconfig(event, now)
+    def run_timers(until: float) -> None:
+        """Handle, in heap order, every timer due at or before ``until``."""
+        while heap and heap[0][0] <= until:
+            now, kind, seq = heapq.heappop(heap)
+            if kind == _EXPIRY:
+                # Timers of preempted LSPs are left in the heap; skip them here.
+                if seq in state.active_lsps:
+                    controller.handle_expiry(seq, now)
+                    notify("expire")
+            else:
+                controller.apply_reconfig(events[seq], now)
                 notify("reconfig")
+
+    # Past the stop count no request is handled; the timers still run out.
+    arrivals = schedule if stop is None else schedule[:max(stop, 0)]
+    # A record reuses the previous record's tuple when the new one is equal,
+    # so the CSV writer renders each run of equal cells once.
+    util = preempted = None
+    for handled, request in enumerate(arrivals, start=1):
+        now = request.time
+        if heap and heap[0][0] <= now:
+            run_timers(now)
+        outcome = controller.handle_request(request)
+        if outcome.lsp.state is LspState.ACTIVE:
+            heapq.heappush(heap, (now + lifetime, _EXPIRY, request.id))
+        fresh = tuple(alloc)
+        if fresh != util:
+            util = fresh
+        fresh = tuple(counters.preempted)
+        if fresh != preempted:
+            preempted = fresh
+        metrics.append(record((request.id, now, util, tuple(counters.blocked), preempted)))
+        notify("request")
+        for event in by_count.get(handled, ()):
+            controller.apply_reconfig(event, now)
+            notify("reconfig")
+    run_timers(inf)
     return RunResult(scn, state, fabric, controller, schedule, metrics)
 
 

@@ -7,6 +7,7 @@ compare two implementations that share nothing but the data model.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from bamsim import (
@@ -18,7 +19,10 @@ from bamsim import (
     Topology,
     TrafficClass,
     commit,
+    scenario,
 )
+from bamsim.controller import Classifier, Controller
+from bamsim.metrics import MetricsLog, MetricsRecord
 
 
 def single_link_state(
@@ -277,3 +281,49 @@ def csv_oracle(n_classes: int, records: Sequence[Tuple]) -> str:
         cells += [str(v) for v in preempted]
         lines.append(",".join(cells))
     return "".join(line + "\n" for line in lines)
+
+
+# ---------------------------------------------------------------------------
+# Event-loop oracle.
+
+
+def heap_loop_run(scn):
+    """``scenario.simulate``'s event loop as one heap of every event, arrivals
+    included, popped in (time, kind, seq) order: expiries (kind 0), then
+    timed reconfigurations (1), then arrivals (2) at one time.  Past the stop
+    count arrivals are popped and skipped while the rest drains.  Returns
+    (controller, metrics log), with fresh record tuples for every request."""
+    state, fabric, events = scenario.build(scn)
+    classifier = Classifier.for_state(
+        state, [(c.port_lo, c.port_hi, c.index) for c in scn.classes])
+    controller = Controller(state, fabric, classifier)
+    schedule = scenario.generate_schedule(scn)
+    log = MetricsLog(scn.n_classes)
+    alloc = state.topology.links[scn.bottleneck or min(state.topology.links)].alloc
+    counters = state.counters
+    heap = [(r.time, 2, r.id) for r in schedule]
+    after = {}
+    for idx, event in enumerate(events):
+        if event.at_time is not None:
+            heap.append((event.at_time, 1, idx))
+        else:
+            after.setdefault(event.after_request, []).append(event)
+    heapq.heapify(heap)
+    handled = 0
+    while heap:
+        now, kind, seq = heapq.heappop(heap)
+        if kind == 0:
+            if seq in state.active_lsps:
+                controller.handle_expiry(seq, now)
+        elif kind == 1:
+            controller.apply_reconfig(events[seq], now)
+        elif scn.run.stop is None or handled < scn.run.stop:
+            outcome = controller.handle_request(schedule[seq - 1])
+            if outcome.lsp.state is LspState.ACTIVE:
+                heapq.heappush(heap, (now + scn.run.lsp_lifetime, 0, seq))
+            log.append(MetricsRecord(
+                seq, now, tuple(alloc), tuple(counters.blocked), tuple(counters.preempted)))
+            handled += 1
+            for event in after.get(handled, ()):
+                controller.apply_reconfig(event, now)
+    return controller, log

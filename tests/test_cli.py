@@ -310,3 +310,44 @@ class TestSummary:
         code = run_cli(["summary", str(tmp_path / "nope.jsonl")])
         assert code == cli.EXIT_BAD_INPUT
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, needle", [
+        ('[1,2]', "not a JSON object"),
+        ('"request"', "not a JSON object"),
+        ('{"ct": 0}', "no kind"),
+        ('{"kind": ["request"], "ct": 0}', "no kind"),
+        ('{"kind":"request"}', "ct"),
+        ('{"kind": "request", "ct": -1}', "ct"),
+        ('{"kind": "request", "ct": "x"}', "ct"),
+        ('{"kind": "admit", "ct": 1.0}', "ct"),
+        ('{"kind": "block", "ct": true}', "ct"),
+        ('{"kind": "future", "ct": null}', "ct"),
+        ('{"kind": "request", "ct": 0', "Expecting"),
+    ])
+    def test_a_line_that_is_not_an_event_is_bad_input_at_its_line(
+            self, tmp_path, capsys, line, needle):
+        path = tmp_path / "j.jsonl"
+        path.write_text('{"kind": "request", "ct": 0}\n\n%s\n{"kind": "promote"}\n' % line)
+        assert run_cli(["summary", str(path)]) == cli.EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: %s:3: " % path)
+        assert needle in captured.err
+
+    def test_events_without_a_class_are_not_counted(self, tmp_path, capsys):
+        path = tmp_path / "j.jsonl"
+        path.write_text('{"kind": "reconfig"}\n{"kind": "request", "ct": 1}\n')
+        assert run_cli(["summary", str(path)]) == cli.EXIT_OK
+        assert capsys.readouterr().out.splitlines()[:2] == ["requested_ct0=0", "requested_ct1=1"]
+
+
+def test_run_reports_a_class_with_no_events(tmp_path, capsys):
+    text = resources.files(bamsim).joinpath("scenarios/exp1_rdm.scn").read_text()
+    without_ct2 = [line for line in text.splitlines() if "class 2 count" not in line]
+    total = sum(int(line.split()[6]) for line in without_ct2 if line.startswith("flows"))
+    path = tmp_path / "no_ct2.scn"
+    path.write_text("\n".join(without_ct2).replace("stop 1125", "stop %d" % total))
+    assert run_cli(["run", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert "requested_ct2=0" in lines and "completed_ct2=0" in lines
+    assert len(lines) == 5 * 3

@@ -3,11 +3,13 @@ import math
 import os
 import random
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bamsim import metrics
 from bamsim.metrics import (
     Journal,
     MetricsLog,
@@ -269,6 +271,30 @@ def oracle_event(record):
     return {k: list(v) if type(v) is tuple else v for k, v in event.items()}
 
 
+# Lines per write: one line, a few lines, and the size the writers use.
+chunk_sizes = st.sampled_from([1, 2, 3, metrics._CHUNK])
+# Equal values of unequal spelling, non-finite values, and whole numbers
+# that are ints, not floats: a time is rendered once per object, so none of
+# these may take another's text.
+shared_times = st.lists(
+    st.one_of(floats, st.integers(-2, 2),
+              st.sampled_from([-0.0, 0.0, 1, 1.0, math.nan, math.inf, -math.inf])),
+    min_size=1, max_size=4)
+
+
+@st.composite
+def shared_time_journals(draw):
+    """Records of every kind whose times come from a small pool, so that one
+    time object recurs within and across kinds, in runs and apart."""
+    pool = draw(shared_times)
+    records = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(sorted(RECORD_FIELDS)))
+        time = pool[draw(st.integers(0, len(pool) - 1))]
+        records.append((kind, time, *[draw(record_values[f]) for f in RECORD_FIELDS[kind][1:]]))
+    return records
+
+
 @PROPERTY
 @given(st.lists(journal_records, max_size=12))
 def test_journal_records_render_exactly_as_json_dumps_of_their_events(records):
@@ -279,6 +305,28 @@ def test_journal_records_render_exactly_as_json_dumps_of_their_events(records):
     assert _written(write_journal, journal) == "".join(lines)
     assert len(journal) == len(records)
     assert [json.dumps(e, sort_keys=True) + "\n" for e in journal] == lines
+
+
+@PROPERTY
+@given(shared_time_journals(), chunk_sizes)
+def test_records_sharing_a_time_object_render_exactly_as_json_dumps(records, chunk):
+    journal = Journal()
+    for record in records:
+        journal.append(record)
+    with mock.patch.object(metrics, "_CHUNK", chunk):
+        written = _written(write_journal, journal)
+    assert written == "".join(json.dumps(oracle_event(r), sort_keys=True) + "\n" for r in records)
+
+
+def test_a_shared_zero_and_a_shared_non_finite_time_keep_their_spelling():
+    zero, negative_zero, infinite = 0.0, -0.0, math.inf
+    journal = Journal()
+    for time in (negative_zero, zero, infinite, 1, 1.0):
+        journal.append(("request", time, 1, 0, 5.0, "A", "B"))
+        journal.append(("admit", time, 1, 0, ("L1",)))
+        journal.append(("expire", time, 1, 0))
+    times = [line.rsplit(": ", 1)[1] for line in _written(write_journal, journal).splitlines()]
+    assert times == [t for t in ("-0.0}", "0.0}", "Infinity}", "1}", "1.0}") for _ in range(3)]
 
 
 def test_journal_reads_as_a_sequence_of_event_dicts():
@@ -315,3 +363,37 @@ def test_csv_is_exactly_the_cell_by_cell_rendering(log_spec):
     expected = csv_oracle(n, records)
     assert log.to_csv() == expected
     assert [r.csv_row() for r in records] == expected.splitlines()[1:]
+
+
+@st.composite
+def shared_tuple_logs(draw):
+    """Records whose tuples come from small pools, so that one tuple object
+    recurs in runs and apart, mixed with equal but distinct copies.  A
+    utilisation may hold 0 or -0.0, equal values that %g spells apart."""
+    n = draw(st.integers(1, 3))
+    util = st.one_of(st.integers(0, 10**6), st.sampled_from([0, -0.0, 0.0]))
+    util_pool = draw(st.lists(st.tuples(*[util] * n), min_size=1, max_size=3))
+    count_pool = draw(st.lists(st.tuples(*[st.integers(0, 10**6)] * n), min_size=1, max_size=3))
+
+    def pick(pool):
+        shared = pool[draw(st.integers(0, len(pool) - 1))]
+        return tuple(list(shared)) if draw(st.booleans()) else shared
+
+    records, index = [], 0
+    for _ in range(draw(st.integers(0, 12))):
+        index += draw(st.integers(1, 5))
+        records.append(MetricsRecord(
+            index, draw(floats), pick(util_pool), pick(count_pool), pick(count_pool)))
+    return n, records
+
+
+@PROPERTY
+@given(shared_tuple_logs(), chunk_sizes)
+def test_csv_of_records_sharing_tuples_is_the_cell_by_cell_rendering(log_spec, chunk):
+    n, records = log_spec
+    log = MetricsLog(n)
+    for record in records:
+        log.append(record)
+    with mock.patch.object(metrics, "_CHUNK", chunk):
+        assert _written(MetricsLog.write_csv, log) == csv_oracle(n, records)
+        assert log.to_csv() == csv_oracle(n, records)

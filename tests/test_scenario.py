@@ -1,12 +1,19 @@
 import math
+import os
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bamsim import Model, ParseError, ScenarioError, ValidationError, simulate
 from bamsim import scenario
 from bamsim.checks import check_all
 from bamsim.controller import Controller
-from bamsim.metrics import summarize
+from bamsim.metrics import summarize, write_journal
+
+from helpers import heap_loop_run
 
 MINI = """
 # two hosts, one switch, tiny demand
@@ -430,3 +437,133 @@ class TestSimulate:
         p.write_text(MINI)
         scn = scenario.load(str(p))
         assert scn.source == str(p)
+
+
+def artifacts(journal, log):
+    """(metrics.csv, journal.jsonl) as the writers put them on disk."""
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path, journal_path = os.path.join(tmp, "m.csv"), os.path.join(tmp, "j.jsonl")
+        log.write_csv(csv_path)
+        write_journal(journal, journal_path)
+        with open(csv_path, "rb") as csv_file, open(journal_path, "rb") as journal_file:
+            return csv_file.read(), journal_file.read()
+
+
+def assert_same_bytes_as_the_heap_loop(scn):
+    result = simulate(scn)
+    controller, log = heap_loop_run(scn)
+    assert len(result.metrics.records) == len(log.records)
+    assert artifacts(result.journal, result.metrics) == artifacts(controller.journal, log)
+    return result
+
+
+# Requests from two sources into one bottleneck of room for four class-0
+# LSPs; ``tie_runs`` fills in the model, reconfigs, counts and lifetime.
+TIES = """
+[topology]
+node A host
+node B host
+node C host
+node S switch
+link L1 A S 100
+link L2 B S 100
+link L3 S C 40
+bottleneck L3
+
+[classes]
+class 0 rate 10 ports 30000-30999
+class 1 rate 20 ports 31000-31999
+
+[bc]
+model %s
+bc 40 20
+%s
+[demand]
+flows A C class 0 count %d
+flows B C class 1 count %d
+
+[run]
+cycles 1
+cycle_length 100
+lsp_lifetime %d
+seed 1
+"""
+
+
+@st.composite
+def tie_runs(draw):
+    """A TIES scenario whose arrivals sit on whole seconds and whose
+    lifetime is a whole number, so that expiries, timed reconfigurations and
+    arrivals meet at one time again and again."""
+    n0, n1 = draw(st.integers(1, 8)), draw(st.integers(0, 6))
+    total = n0 + n1
+    lines = []
+    for _ in range(draw(st.integers(0, 3))):
+        mode = draw(st.sampled_from(["hard", "soft"]))
+        trigger = draw(st.one_of(
+            st.builds("at_time {}".format, st.integers(0, 14)),
+            st.builds("after_request {}".format, st.integers(1, total)),
+        ))
+        bc = draw(st.sampled_from(["40 20", "30 10", "20 20"]))
+        lines.append("event %s %s bc %s" % (mode, trigger, bc))
+    model = draw(st.sampled_from(["MAM", "RDM"]))
+    reconfig = "[reconfig]\n" + "\n".join(lines) + "\n" if lines else ""
+    text = TIES % (model, reconfig, n0, n1, draw(st.integers(1, 5)))
+    times = sorted(draw(st.lists(st.integers(0, 10), min_size=total, max_size=total)))
+    stop = draw(st.one_of(st.none(), st.integers(0, total)))
+    return text, [float(t) for t in times], stop
+
+
+class TestLoopMatchesTheHeapLoop:
+    """``simulate`` reads arrivals from the schedule and keeps only timers in
+    its heap; ``helpers.heap_loop_run`` pushes every arrival into one heap.
+    Both must write the same bytes."""
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("name", scenario.bundled_names())
+    def test_bundled_scenarios(self, name, seed):
+        scn = scenario.load(name)
+        scn.run.seed = seed
+        assert_same_bytes_as_the_heap_loop(scn)
+
+    @pytest.mark.parametrize("name", scenario.bundled_names())
+    def test_bundled_scenarios_with_stop_cut_short(self, name):
+        scn = scenario.load(name)
+        scn.run.stop //= 3
+        result = assert_same_bytes_as_the_heap_loop(scn)
+        assert len(result.metrics.records) == scn.run.stop
+        assert result.state.active_lsps == {}
+
+    def test_timed_reconfig_at_exactly_an_arrival_time(self):
+        arrival = scenario.generate_schedule(parse())[9]
+        scn = parse(MINI.replace(
+            "[demand]", "[reconfig]\nevent hard at_time %r bc 10 10\n\n[demand]" % arrival.time))
+        result = assert_same_bytes_as_the_heap_loop(scn)
+        kinds = [(e["kind"], e.get("lsp")) for e in result.journal]
+        # The reconfig goes between the 9th and the 10th request.
+        assert kinds.index(("request", 9)) < kinds.index(("reconfig", None)) < kinds.index(("request", 10))
+
+    def test_expiry_exactly_on_an_arrival(self):
+        scn = parse(TIE)
+        first, second = scenario.generate_schedule(scn)
+        forced = [first, second._replace(time=first.time + 50.0)]
+        with mock.patch.object(scenario, "generate_schedule", lambda _scn: forced):
+            result = assert_same_bytes_as_the_heap_loop(scn)
+        assert [e["kind"] for e in result.journal][2:4] == ["expire", "request"]
+
+    def test_after_request_reconfig_on_the_last_request(self):
+        scn = parse(CUT.replace("after_request 5", "after_request 10"))
+        result = assert_same_bytes_as_the_heap_loop(scn)
+        kinds = [e["kind"] for e in result.journal]
+        assert kinds.index("reconfig") > max(i for i, k in enumerate(kinds) if k == "request")
+        assert result.state.counters.preempted == [9]
+
+    @settings(derandomize=True, max_examples=120, deadline=None, database=None)
+    @given(tie_runs())
+    def test_generated_runs_with_ties_everywhere(self, run):
+        text, times, stop = run
+        scn = parse(text)
+        scn.run.stop = stop
+        schedule = [r._replace(time=t) for r, t in zip(scenario.generate_schedule(scn), times)]
+        with mock.patch.object(scenario, "generate_schedule", lambda _scn: schedule):
+            assert_same_bytes_as_the_heap_loop(scn)
