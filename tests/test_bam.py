@@ -1133,3 +1133,130 @@ class TestChecksMatchTheRebuild:
             raised["lists"] += expected != "pass"
         # Both checks must have seen real violations, and passes too.
         assert 50 < raised["fabric"] < 250 and 50 < raised["lists"] < 250, raised
+
+
+BUNDLED = ("exp1_mam", "exp1_rdm", "exp2_hard", "exp2_soft")
+
+
+class _Corrupted(Exception):
+    """Ends a run once its state has been corrupted and checked."""
+
+
+class TestShadowInTheLoop:
+    """The checks keep a shadow of what they last verified and apply only
+    the LSPs added and removed since.  Inside bundled runs checked after
+    every event, corrupt the state after event k: the next ``check_fabric``
+    and ``check_state`` (and ``_check_class_lists``) must give the verdicts
+    and messages of the rebuild-and-compare oracles.  Over each scenario's
+    two seeds the trials walk through every entry of ``CORRUPTIONS``."""
+
+    TRIALS = 5
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_verdicts_after_a_corruption_inside_the_loop(self, name):
+        from bamsim import scenario
+        from bamsim.checks import check_all
+
+        verdict = TestChecksMatchTheRebuild.verdict
+        outcomes = Counter()
+        for trial in range(2 * self.TRIALS):
+            seed = (3, 11)[trial % 2]
+            rng = random.Random("%s/%d" % (name, trial))
+            # Two scenarios take the first half of the list, two the second.
+            corrupt = CORRUPTIONS[(BUNDLED.index(name) * 2 * self.TRIALS + trial) % len(CORRUPTIONS)]
+            k = rng.randint(1, 600)
+            seen = []
+
+            def hook(kind, state, fabric):
+                check_all(state, fabric)
+                seen.append(kind)
+                if len(seen) < k:
+                    return
+                if corrupt is not None:
+                    corrupt(state, fabric, rng)
+                where = (name, seed, k, corrupt and corrupt.__name__)
+                fabric_expected = verdict(check_fabric_by_rebuild, state, fabric)
+                assert verdict(check_fabric, state, fabric) == fabric_expected, where
+                expected = verdict(check_class_lists_by_sort, state)
+                assert verdict(check_state, state) == expected, where
+                assert verdict(_check_class_lists, state) == expected, where
+                outcomes["pass" if expected == fabric_expected == "pass" else "raised"] += 1
+                raise _Corrupted
+
+            scn = scenario.load(name)
+            scn.run.seed = seed
+            with pytest.raises(_Corrupted):
+                scenario.simulate(scn, on_event=hook)
+        # Real violations must have come up, and passes too.
+        assert min(outcomes["pass"], outcomes["raised"]) > 0, outcomes
+
+
+class TestShadowAfterALegalStep:
+    """As ``TestChecksMatchTheRebuild``, but the checks pass once on the
+    random run, the controller takes one more legal step (a request, an
+    expiry or a reconfiguration), and only then does the corruption land,
+    so that the shadows have a delta to apply along with it."""
+
+    def test_same_verdicts_and_messages_as_the_rebuild(self):
+        base = TestChecksMatchTheRebuild()
+        rng = random.Random(4127)
+        raised = {"fabric": 0, "lists": 0}
+        ports = [(30000 + 1000 * c, 30999 + 1000 * c, c) for c in range(3)]
+        for trial in range(300):
+            steps = rng.randint(5, 40)
+            state, fabric = base.random_run(rng, steps)
+            check_state(state)
+            check_fabric(state, fabric)
+            controller = Controller(state, fabric, Classifier.for_state(state, ports))
+            now = float(steps)
+            action = rng.random()
+            if action < 0.5:
+                lsp_id = steps + 1
+                src, dst = rng.sample("ABCD", 2)
+                ips = state.topology.hosts
+                controller.handle_request(LspRequest(
+                    lsp_id, now, ips[src], ips[dst], 20000 + lsp_id, 30000 + 1000 * rng.randrange(3) + lsp_id))
+            elif action < 0.8 and state.active_lsps:
+                controller.handle_expiry(rng.choice(sorted(state.active_lsps)), now)
+            else:
+                cap = min(link.capacity_kbps for link in state.topology.links.values())
+                config = base.random_config(rng, state.bc_config.model, cap)
+                mode = rng.choice([ReconfigMode.HARD, ReconfigMode.SOFT])
+                controller.apply_reconfig(ReconfigEvent(mode, config, at_time=now), now)
+            corrupt = rng.choice(CORRUPTIONS)
+            if corrupt is not None:
+                corrupt(state, fabric, rng)
+            where = (trial, corrupt and corrupt.__name__)
+            expected = base.verdict(check_fabric_by_rebuild, state, fabric)
+            assert base.verdict(check_fabric, state, fabric) == expected, where
+            raised["fabric"] += expected != "pass"
+            expected = base.verdict(check_class_lists_by_sort, state)
+            assert base.verdict(check_state, state) == expected, where
+            raised["lists"] += expected != "pass"
+        assert 50 < raised["fabric"] < 250 and 50 < raised["lists"] < 250, raised
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_clean_runs_enter_the_full_checks_only_on_the_first_call(name, monkeypatch):
+    """A disagreement between a shadow and a clean state is a shadow bug
+    that would otherwise show only as lost speed."""
+    from bamsim import checks, scenario
+
+    entered = Counter()
+    for full in ("_check_state_in_full", "_check_fabric_in_full"):
+        real = getattr(checks, full)
+        monkeypatch.setattr(checks, full, lambda *args, real=real, full=full: (
+            entered.update([full]), real(*args))[1])
+    for seed in (3, 11):
+        entered.clear()
+        events = Counter()
+        scn = scenario.load(name)
+        scn.run.seed = seed
+
+        def hook(kind, state, fabric):
+            events[kind] += 1
+            checks.check_all(state, fabric)
+
+        scenario.simulate(scn, on_event=hook)
+        assert events["request"] > 500 and events["expire"] > 50, events
+        assert entered == {"_check_state_in_full": 1, "_check_fabric_in_full": 1}, (seed, entered)

@@ -250,3 +250,95 @@ class TestFabricChecks:
         state, fabric = controller_pair()
         fabric.remove_by_owner(1)
         check_all(state)
+
+
+def verdict(check, *args):
+    try:
+        check(*args)
+    except Exception as exc:  # a route the topology cannot walk raises ValueError
+        return "%s: %s" % (type(exc).__name__, exc)
+    return "pass"
+
+
+def healthy_alone():
+    return healthy(), None
+
+
+def rdm_alone():
+    state = single_link_state(
+        Model.RDM, bc=(50000, 20000), capacity=50000, demands=(5000, 10000)
+    )
+    admit(state, 1, 1, when=1.0)
+    return state, None
+
+
+def _ledger_plus_one(state, _fabric):
+    state.topology.links["L1"].alloc[0] += 1
+
+
+def _drain_into_negative(state, _fabric):
+    state.topology.links["L1"].alloc[0] -= 6000
+    state.active_lsps[1].demand_kbps = -1000
+
+
+def _breach_capacity(state, _fabric):
+    state.active_lsps[2].demand_kbps = 96000
+    state.topology.links["L1"].alloc[1] = 96000
+    state.bc_config = BcConfig(Model.MAM, values_kbps=(101000, 101000))
+
+
+def _unrequested(state, _fabric):
+    state.counters.requested[0] += 1
+
+
+def _uncompleted(state, _fabric):
+    state.counters.completed[1] += 1
+
+
+def _negative_counter(state, _fabric):
+    state.counters.blocked[0] -= 1
+    state.counters.requested[0] -= 1
+
+
+def _more_demand(state, _fabric):
+    state.active_lsps[1].demand_kbps += 1
+
+
+# (build, corrupt): the hand corruptions above, and LSPs changed in place.
+SHADOWED = {
+    "ledger_plus_one": (healthy_alone, _ledger_plus_one),
+    "negative_allocation": (healthy_alone, _drain_into_negative),
+    "capacity_breach": (healthy_alone, _breach_capacity),
+    "tighter_mam": (healthy_alone, lambda s, f: setattr(
+        s, "bc_config", BcConfig(Model.MAM, values_kbps=(4000, 40000)))),
+    "tighter_rdm": (rdm_alone, lambda s, f: setattr(
+        s, "bc_config", BcConfig(Model.RDM, values_kbps=(50000, 9000)))),
+    "requested_identity": (healthy_alone, _unrequested),
+    "admitted_identity": (healthy_alone, _uncompleted),
+    "negative_counter": (healthy_alone, _negative_counter),
+    "slot_missing": (controller_pair, lambda s, f: f._by_owner[1].pop()),
+    "slot_twice": (controller_pair, lambda s, f: f._by_owner[1].append(f._by_owner[1][0])),
+    "wrong_owner": (controller_pair, lambda s, f: f._by_owner.__setitem__(2, f._by_owner.pop(1))),
+    "rule_gone": (controller_pair, lambda s, f: f._rules.pop(f._by_owner[1][0])),
+    "missing_rule": (controller_pair, lambda s, f: f.remove_by_owner(1)),
+    "demand_in_place": (healthy_alone, _more_demand),
+    "path_in_place": (controller_pair, lambda s, f: setattr(s.active_lsps[1], "path", ("L1",))),
+    "src_host_in_place": (controller_pair, lambda s, f: setattr(s.active_lsps[1], "src_host", "B")),
+    "class_in_place": (healthy_alone, lambda s, f: setattr(s.active_lsps[2], "class_index", 0)),
+    "admit_time_in_place": (healthy_alone, lambda s, f: setattr(s.active_lsps[1], "admit_time", 3.0)),
+}
+
+
+@pytest.mark.parametrize("build, corrupt", SHADOWED.values(), ids=list(SHADOWED))
+def test_a_corruption_after_a_passing_call_raises_as_on_a_fresh_state(build, corrupt):
+    """The first call on a state runs the full check; a later call meets the
+    corruption through the shadow of the passing call, and must raise the
+    same exception with the same message."""
+    state, fabric = build()
+    corrupt(state, fabric)
+    expected = verdict(check_all, state, fabric)
+    assert expected != "pass"
+    state, fabric = build()
+    check_all(state, fabric)
+    corrupt(state, fabric)
+    assert verdict(check_all, state, fabric) == expected

@@ -351,3 +351,29 @@ def test_run_reports_a_class_with_no_events(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "requested_ct2=0" in lines and "completed_ct2=0" in lines
     assert len(lines) == 5 * 3
+
+
+CHECKED_RUN = """
+from bamsim import checks, scenario
+scenario.simulate(scenario.load("exp1_mam"),
+                  on_event=lambda kind, state, fabric: checks.check_all(state, fabric))
+"""
+
+
+def test_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
+    """Set iteration order changes with PYTHONHASHSEED; the artifacts and
+    the checks' verdicts must not.  Fresh processes, one per setting."""
+    src = os.path.dirname(os.path.dirname(bamsim.__file__))
+    outputs = []
+    for hash_seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        out = tmp_path / hash_seed
+        done = subprocess.run(
+            [sys.executable, "-m", "bamsim.cli", "run", "exp2_soft", "--out", str(out), "--quiet"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == cli.EXIT_OK, done.stderr
+        outputs.append([(out / name).read_bytes() for name in ("metrics.csv", "journal.jsonl")])
+        done = subprocess.run([sys.executable, "-c", CHECKED_RUN],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+    assert outputs[0] == outputs[1]
