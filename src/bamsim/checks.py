@@ -97,14 +97,14 @@ def _check_links(state: NetworkState, recount: Dict[str, List[int]]) -> None:
 
 
 def _check_counters(state: NetworkState, active_per_class: Iterable[int]) -> None:
-    counters = state.counters
-    rows = counters.snapshot()
+    rows = state.counters.snapshot()
+    requested, admitted, blocked, preempted, completed = rows
     negative = min(chain.from_iterable(rows), default=0) < 0
     for c, active in enumerate(active_per_class):
-        if counters.requested[c] != counters.admitted[c] + counters.blocked[c]:
+        if requested[c] != admitted[c] + blocked[c]:
             _fail("class %d: requested != admitted + blocked" % c)
-        retired = counters.completed[c] + counters.preempted[c]
-        if counters.admitted[c] != active + retired:
+        retired = completed[c] + preempted[c]
+        if admitted[c] != active + retired:
             _fail("class %d: admitted != active + completed + preempted" % c)
         if negative and any(row[c] < 0 for row in rows):
             _fail("class %d: negative counter" % c)
@@ -202,10 +202,6 @@ class _Shadow:
         self.keys: List[int] = []
         self.rows: List[tuple] = []
 
-    @staticmethod
-    def fields(lsps: Iterable[Lsp]) -> List[tuple]:
-        raise NotImplementedError
-
     def delta(self, active: Dict[int, Lsp]) -> Optional[Tuple[List[tuple], List[tuple]]]:
         """Move to the live registry.  Returns the rows recorded for the
         removed LSPs and read for the added ones, or None on a mismatch.
@@ -230,6 +226,10 @@ class _Shadow:
             return None
         self.keys, self.rows = keys, rows
         return removed, added
+
+
+# What the class-list walk compares the first entry of a class with.
+_FIRST = (float("-inf"), 0)
 
 
 class _StateShadow(_Shadow):
@@ -274,16 +274,13 @@ class _StateShadow(_Shadow):
             entries = lists[c]
             i = bisect_left(entries, key)
             below = entries[i - 1][:2] if i else _FIRST
+            # A NaN time equals nothing, itself included, and fails the walk.
             if key[0] != key[0] or not below < key or (i < len(entries) and not key < entries[i][:2]):
                 return False
             entries.insert(i, key + (lsp,))
             for lid in path:
                 ledger[lid][c] += demand
         return True
-
-
-# What the class-list walk compares the first entry of a class with.
-_FIRST = (float("-inf"), 0)
 
 
 class _FabricShadow(_Shadow):
