@@ -3,8 +3,8 @@
 They run after every simulation event in tests, so each check keeps a
 *shadow* on the object it checks (``_check_shadow`` on the state, and on the
 fabric): what the structures must look like, given the active registry.  A
-call takes the LSPs added to and removed from the registry since the last
-call, from two differences of its keys, and applies only those to the
+call finds the LSPs added to and removed from the registry since the last
+call by comparing its keys with the shadow's, and applies only those to the
 shadow.  It then compares every structure with the shadow whole, at C speed:
 
 - the registry itself, LSP by LSP: the same objects (or equal ones) with the

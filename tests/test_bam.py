@@ -1147,8 +1147,9 @@ class TestShadowInTheLoop:
     the LSPs added and removed since.  Inside bundled runs checked after
     every event, corrupt the state after event k: the next ``check_fabric``
     and ``check_state`` (and ``_check_class_lists``) must give the verdicts
-    and messages of the rebuild-and-compare oracles.  Over each scenario's
-    two seeds the trials walk through every entry of ``CORRUPTIONS``."""
+    and messages of the rebuild-and-compare oracles.  Each scenario runs
+    five trials at each of two seeds, and the four scenarios together apply
+    every entry of ``CORRUPTIONS`` twice."""
 
     TRIALS = 5
 
@@ -1162,7 +1163,6 @@ class TestShadowInTheLoop:
         for trial in range(2 * self.TRIALS):
             seed = (3, 11)[trial % 2]
             rng = random.Random("%s/%d" % (name, trial))
-            # Two scenarios take the first half of the list, two the second.
             corrupt = CORRUPTIONS[(BUNDLED.index(name) * 2 * self.TRIALS + trial) % len(CORRUPTIONS)]
             k = rng.randint(1, 600)
             seen = []
