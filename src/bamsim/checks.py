@@ -2,10 +2,14 @@
 
 They run after every simulation event in tests, so each check keeps a
 *shadow* on the object it checks (``_check_shadow`` on the state, and on the
-fabric): what the structures must look like, given the active registry.  A
-call finds the LSPs added to and removed from the registry since the last
-call by comparing its keys with the shadow's, and applies only those to the
-shadow.  It then compares every structure with the shadow whole, at C speed:
+fabric): what the structures must look like, given the active registry.
+``check_all`` reads the registry once, a row per LSP with every field either
+check reads, and both checks take their delta from that one read: the LSPs
+added to and removed from the registry since the shadow's last call, found
+by comparing the registry's keys with the shadow's.  The read lives only for
+that ``check_all``; a lone ``check_state`` or ``check_fabric`` reads the
+registry itself.  Each shadow applies only the delta, then every structure
+is compared with the shadow whole, at C speed:
 
 - the registry itself, LSP by LSP: the same objects (or equal ones) with the
   same checked fields, so an LSP changed in place is seen;
@@ -97,8 +101,10 @@ def _check_links(state: NetworkState, recount: Dict[str, List[int]]) -> None:
 
 
 def _check_counters(state: NetworkState, active_per_class: Iterable[int]) -> None:
-    rows = state.counters.snapshot()
-    requested, admitted, blocked, preempted, completed = rows
+    counters = state.counters
+    # The live rows, not a snapshot: nothing changes them during the check.
+    rows = requested, admitted, blocked, preempted, completed = (
+        counters.requested, counters.admitted, counters.blocked, counters.preempted, counters.completed)
     negative = min(chain.from_iterable(rows), default=0) < 0
     for c, active in enumerate(active_per_class):
         if requested[c] != admitted[c] + blocked[c]:
@@ -188,35 +194,56 @@ def _check_fabric_in_full(state: NetworkState, fabric: Fabric) -> None:
 
 
 def check_all(state: NetworkState, fabric: Optional[Fabric] = None) -> None:
-    check_state(state)
-    if fabric is not None:
-        check_fabric(state, fabric)
+    # One read of the registry serves both checks.  It never outlives this
+    # call, so a later lone check reads a registry that may have changed.
+    state._check_read = _Read(state.active_lsps)
+    try:
+        check_state(state)
+        if fabric is not None:
+            check_fabric(state, fabric)
+    finally:
+        state._check_read = None
 
 
-class _Shadow:
-    """The active registry as the last call saw it: the keys in order and,
-    aligned with them, the row of each LSP's checked fields that ``fields``
-    reads, which starts with its id."""
+def _rows(active: Dict[int, Lsp]) -> List[tuple]:
+    # The object itself too: the class lists hold the registry's objects.
+    return [(l.id, l, l.class_index, l.demand_kbps, l.path, l.admit_time, l.src_host) for l in active.values()]
 
-    def __init__(self) -> None:
-        self.keys: List[int] = []
-        self.rows: List[tuple] = []
 
-    def delta(self, active: Dict[int, Lsp]) -> Optional[Tuple[List[tuple], List[tuple]]]:
-        """Move to the live registry.  Returns the rows recorded for the
-        removed LSPs and read for the added ones, or None on a mismatch.
+class _Read:
+    """The active registry read once: its keys in order and, aligned with
+    them, each LSP's row, which starts with its id.  ``base`` and ``delta``
+    record the last move to it, so a second shadow that stands where the
+    first one stood takes the first one's delta as it is."""
 
-        Commit appends to the registry and release deletes from it, so the
+    def __init__(self, active: Dict[int, Lsp]) -> None:
+        self.active, self.keys, self.rows = active, list(active), _rows(active)
+        self.base: Optional[List[tuple]] = None
+        self.delta: Optional[Tuple[List[tuple], List[tuple]]] = None
+
+    def move(self, shadow: "_Shadow") -> Optional[Tuple[List[tuple], List[tuple]]]:
+        """Move a shadow to this read.  Returns the rows recorded for the
+        removed LSPs and read for the added ones, or None on a mismatch."""
+        if shadow.rows is not self.base:
+            self.base, self.delta = shadow.rows, self._delta(shadow.keys, shadow.rows)
+        if self.delta is not None:
+            shadow.keys, shadow.rows = self.keys, self.rows
+        return self.delta
+
+    def _delta(self, old_keys: List[int], old_rows: List[tuple]) -> Optional[Tuple[List[tuple], List[tuple]]]:
+        """Commit appends to the registry and release deletes from it, so the
         live keys are the recorded ones less the removed, then the added.
         Each kept LSP's row must be as recorded, and each added LSP must be
-        filed under its id."""
-        keys = list(active)
-        rows = self.fields(active.values())
-        old_keys, old_rows = self.keys, self.rows
+        filed under its id.  Both shadows may hold the recorded lists, so
+        they are never changed in place."""
+        keys, rows = self.keys, self.rows
         if keys == old_keys:
             return ([], []) if rows == old_rows else None
+        gone = set(old_keys).difference(self.active)
+        if gone:
+            old_keys, old_rows = old_keys[:], old_rows[:]
         removed = []
-        for key in set(old_keys).difference(active):
+        for key in gone:
             i = old_keys.index(key)
             del old_keys[i]
             removed.append(old_rows.pop(i))
@@ -224,8 +251,20 @@ class _Shadow:
         added = rows[kept:]
         if keys[:kept] != old_keys or rows[:kept] != old_rows or keys[kept:] != [row[0] for row in added]:
             return None
-        self.keys, self.rows = keys, rows
         return removed, added
+
+
+class _Shadow:
+    """The active registry as the last call saw it: the keys and rows of
+    the last ``_Read`` it moved to."""
+
+    def __init__(self) -> None:
+        self.keys: List[int] = []
+        self.rows: List[tuple] = []
+
+    def delta(self, state: NetworkState) -> Optional[Tuple[List[tuple], List[tuple]]]:
+        # Inside check_all the read is the one both checks share.
+        return (getattr(state, "_check_read", None) or _Read(state.active_lsps)).move(self)
 
 
 # What the class-list walk compares the first entry of a class with.
@@ -248,23 +287,18 @@ class _StateShadow(_Shadow):
         self.ledger: Dict[str, List[int]] = {lid: [0] * n for lid in state.topology.links}
         self.lists: List[list] = [[] for _ in range(n)]
 
-    @staticmethod
-    def fields(lsps: Iterable[Lsp]) -> List[tuple]:
-        # The object itself too: the class lists hold the registry's objects.
-        return [(l.id, l, l.class_index, l.demand_kbps, l.path, l.admit_time) for l in lsps]
-
     def advance(self, state: NetworkState) -> bool:
-        delta = self.delta(state.active_lsps)
+        delta = self.delta(state)
         if delta is None:
             return False
         removed, added = delta
         ledger, lists = self.ledger, self.lists
-        for lsp_id, _lsp, c, demand, path, admit_time in removed:
+        for lsp_id, _lsp, c, demand, path, admit_time, _src in removed:
             for lid in path:
                 ledger[lid][c] -= demand
             entries = lists[c]
             del entries[bisect_left(entries, (admit_time or 0.0, lsp_id))]
-        for lsp_id, lsp, c, demand, path, admit_time in added:
+        for lsp_id, lsp, c, demand, path, admit_time, _src in added:
             if (
                 type(c) is not int or not 0 <= c < len(lists) or type(demand) is not int
                 or type(path) is not tuple or not all(map(ledger.__contains__, path))
@@ -298,12 +332,8 @@ class _FabricShadow(_Shadow):
         # Interior-switch count per route; the topology is fixed.
         self.switches: Dict[Tuple[Tuple[str, ...], str], int] = {}
 
-    @staticmethod
-    def fields(lsps: Iterable[Lsp]) -> List[tuple]:
-        return [(l.id, l.path, l.src_host) for l in lsps]
-
     def holds(self, fabric: Fabric) -> bool:
-        delta = self.delta(self.state.active_lsps)
+        delta = self.delta(self.state)
         if delta is None:
             return False
         removed, added = delta
@@ -312,7 +342,7 @@ class _FabricShadow(_Shadow):
             for slot in by_owner.pop(row[0], ()):
                 del rules[slot]
         live_rules, live_index = fabric._rules, fabric._by_owner
-        for owner, path, src_host in added:
+        for owner, _lsp, _c, _demand, path, _admit_time, src_host in added:
             if type(path) is not tuple:
                 return False
             route = (path, src_host)

@@ -1,5 +1,6 @@
 import bisect
 import copy
+import itertools
 import random
 from collections import Counter
 
@@ -21,7 +22,15 @@ from bamsim import (
     select_victims,
 )
 from bamsim.bam import Infeasible, _choose_victims, _deficit_rows
-from bamsim.checks import InvariantViolation, _check_class_lists, check_fabric, check_state
+from bamsim.checks import (
+    InvariantViolation,
+    _check_class_lists,
+    _check_fabric_in_full,
+    _check_state_in_full,
+    check_all,
+    check_fabric,
+    check_state,
+)
 from bamsim.controller import Classifier, Controller, LspRequest
 from bamsim.core import age_key, constraint_table
 from bamsim.fabric import Fabric, FlowRule
@@ -1142,25 +1151,36 @@ class _Corrupted(Exception):
     """Ends a run once its state has been corrupted and checked."""
 
 
+def check_all_in_full(state, fabric):
+    """What ``check_all`` must say: the full state check, then the full
+    fabric check.  Both are pure, so they may run before it on the same
+    objects."""
+    verdict = TestChecksMatchTheRebuild.verdict
+    expected = verdict(_check_state_in_full, state)
+    return expected if expected != "pass" else verdict(_check_fabric_in_full, state, fabric)
+
+
 class TestShadowInTheLoop:
     """The checks keep a shadow of what they last verified and apply only
     the LSPs added and removed since.  Inside bundled runs checked after
     every event, corrupt the state after event k: the next ``check_fabric``
     and ``check_state`` (and ``_check_class_lists``) must give the verdicts
-    and messages of the rebuild-and-compare oracles.  Each scenario runs
-    five trials at each of two seeds, and the four scenarios together apply
-    every entry of ``CORRUPTIONS`` twice."""
+    and messages of the rebuild-and-compare oracles.  Each trial runs twice:
+    once with the lone checks meeting the corruption, and once with
+    ``check_all`` meeting it first, through the one registry read both its
+    checks share, and giving the verdict of the full checks.  Each scenario
+    runs five trials at each of two seeds, and the four scenarios together
+    apply every entry of ``CORRUPTIONS`` twice."""
 
     TRIALS = 5
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_verdicts_after_a_corruption_inside_the_loop(self, name):
         from bamsim import scenario
-        from bamsim.checks import check_all
 
         verdict = TestChecksMatchTheRebuild.verdict
         outcomes = Counter()
-        for trial in range(2 * self.TRIALS):
+        for trial, all_first in itertools.product(range(2 * self.TRIALS), (False, True)):
             seed = (3, 11)[trial % 2]
             rng = random.Random("%s/%d" % (name, trial))
             corrupt = CORRUPTIONS[(BUNDLED.index(name) * 2 * self.TRIALS + trial) % len(CORRUPTIONS)]
@@ -1174,7 +1194,9 @@ class TestShadowInTheLoop:
                     return
                 if corrupt is not None:
                     corrupt(state, fabric, rng)
-                where = (name, seed, k, corrupt and corrupt.__name__)
+                where = (name, seed, k, corrupt and corrupt.__name__, all_first)
+                if all_first:
+                    assert verdict(check_all, state, fabric) == check_all_in_full(state, fabric), where
                 fabric_expected = verdict(check_fabric_by_rebuild, state, fabric)
                 assert verdict(check_fabric, state, fabric) == fabric_expected, where
                 expected = verdict(check_class_lists_by_sort, state)
@@ -1195,45 +1217,110 @@ class TestShadowAfterALegalStep:
     """As ``TestChecksMatchTheRebuild``, but the checks pass once on the
     random run, the controller takes one more legal step (a request, an
     expiry or a reconfiguration), and only then does the corruption land,
-    so that the shadows have a delta to apply along with it."""
+    so that the shadows have a delta to apply along with it.  Each trial
+    runs twice from one random state: once checked by the lone checks, and
+    once by ``check_all``, before the step and first after the corruption,
+    which must give the verdict of the full checks."""
+
+    @staticmethod
+    def legal_step(rng, state, fabric, steps):
+        ports = [(30000 + 1000 * c, 30999 + 1000 * c, c) for c in range(3)]
+        controller = Controller(state, fabric, Classifier.for_state(state, ports))
+        now = float(steps)
+        action = rng.random()
+        if action < 0.5:
+            lsp_id = steps + 1
+            src, dst = rng.sample("ABCD", 2)
+            ips = state.topology.hosts
+            controller.handle_request(LspRequest(
+                lsp_id, now, ips[src], ips[dst], 20000 + lsp_id, 30000 + 1000 * rng.randrange(3) + lsp_id))
+        elif action < 0.8 and state.active_lsps:
+            controller.handle_expiry(rng.choice(sorted(state.active_lsps)), now)
+        else:
+            cap = min(link.capacity_kbps for link in state.topology.links.values())
+            config = TestChecksMatchTheRebuild.random_config(rng, state.bc_config.model, cap)
+            mode = rng.choice([ReconfigMode.HARD, ReconfigMode.SOFT])
+            controller.apply_reconfig(ReconfigEvent(mode, config, at_time=now), now)
 
     def test_same_verdicts_and_messages_as_the_rebuild(self):
         base = TestChecksMatchTheRebuild()
         rng = random.Random(4127)
         raised = {"fabric": 0, "lists": 0}
-        ports = [(30000 + 1000 * c, 30999 + 1000 * c, c) for c in range(3)]
         for trial in range(300):
+            start = rng.getstate()
+            for all_first in (True, False):
+                rng.setstate(start)
+                steps = rng.randint(5, 40)
+                state, fabric = base.random_run(rng, steps)
+                if all_first:
+                    check_all(state, fabric)
+                else:
+                    check_state(state)
+                    check_fabric(state, fabric)
+                self.legal_step(rng, state, fabric, steps)
+                corrupt = rng.choice(CORRUPTIONS)
+                if corrupt is not None:
+                    corrupt(state, fabric, rng)
+                where = (trial, corrupt and corrupt.__name__, all_first)
+                if all_first:
+                    assert base.verdict(check_all, state, fabric) == check_all_in_full(state, fabric), where
+                expected = base.verdict(check_fabric_by_rebuild, state, fabric)
+                assert base.verdict(check_fabric, state, fabric) == expected, where
+                raised["fabric"] += expected != "pass" and not all_first
+                expected = base.verdict(check_class_lists_by_sort, state)
+                assert base.verdict(check_state, state) == expected, where
+                raised["lists"] += expected != "pass" and not all_first
+        assert 50 < raised["fabric"] < 250 and 50 < raised["lists"] < 250, raised
+
+
+class TestNoDeltaOutlivesCheckAll:
+    """Lone checks interleaved with a legal step, on random runs first
+    checked by ``check_all``: a lone ``check_state``, one legal controller
+    step, then a lone ``check_fabric``, and the same with the two checks
+    swapped.  The registry the second lone check reads has moved on from
+    the one ``check_all`` read, so a read kept past that call would hand it
+    a stale delta.  Every lone check gives the rebuild oracles' verdict and
+    message, and on these clean states it applies the step's delta without
+    entering its full check.  A corruption then lands, and ``check_all``,
+    whose two shadows now stand at different reads, gives the verdict of the
+    full checks."""
+
+    def test_lone_checks_around_a_legal_step(self, monkeypatch):
+        from bamsim import checks
+
+        entered = Counter()
+        for full in ("_check_state_in_full", "_check_fabric_in_full"):
+            real = getattr(checks, full)
+            monkeypatch.setattr(checks, full, lambda *args, real=real, full=full: (
+                entered.update([full]), real(*args))[1])
+        base = TestChecksMatchTheRebuild()
+        rng = random.Random(4128)
+        # Each lone check, and its oracle, called on (state, fabric).
+        lone = {
+            "state": (lambda state, _fabric: check_state(state),
+                      lambda state, _fabric: check_class_lists_by_sort(state)),
+            "fabric": (check_fabric, check_fabric_by_rebuild),
+        }
+        raised = 0
+        for trial in range(200):
+            order = ("state", "fabric") if trial % 2 else ("fabric", "state")
             steps = rng.randint(5, 40)
             state, fabric = base.random_run(rng, steps)
-            check_state(state)
-            check_fabric(state, fabric)
-            controller = Controller(state, fabric, Classifier.for_state(state, ports))
-            now = float(steps)
-            action = rng.random()
-            if action < 0.5:
-                lsp_id = steps + 1
-                src, dst = rng.sample("ABCD", 2)
-                ips = state.topology.hosts
-                controller.handle_request(LspRequest(
-                    lsp_id, now, ips[src], ips[dst], 20000 + lsp_id, 30000 + 1000 * rng.randrange(3) + lsp_id))
-            elif action < 0.8 and state.active_lsps:
-                controller.handle_expiry(rng.choice(sorted(state.active_lsps)), now)
-            else:
-                cap = min(link.capacity_kbps for link in state.topology.links.values())
-                config = base.random_config(rng, state.bc_config.model, cap)
-                mode = rng.choice([ReconfigMode.HARD, ReconfigMode.SOFT])
-                controller.apply_reconfig(ReconfigEvent(mode, config, at_time=now), now)
+            check_all(state, fabric)
+            entered.clear()
+            for i, which in enumerate(order):
+                if i:
+                    TestShadowAfterALegalStep.legal_step(rng, state, fabric, steps)
+                check, oracle = lone[which]
+                assert base.verdict(check, state, fabric) == base.verdict(oracle, state, fabric), (trial, which)
+            assert not entered, (trial, order, entered)
             corrupt = rng.choice(CORRUPTIONS)
             if corrupt is not None:
                 corrupt(state, fabric, rng)
-            where = (trial, corrupt and corrupt.__name__)
-            expected = base.verdict(check_fabric_by_rebuild, state, fabric)
-            assert base.verdict(check_fabric, state, fabric) == expected, where
-            raised["fabric"] += expected != "pass"
-            expected = base.verdict(check_class_lists_by_sort, state)
-            assert base.verdict(check_state, state) == expected, where
-            raised["lists"] += expected != "pass"
-        assert 50 < raised["fabric"] < 250 and 50 < raised["lists"] < 250, raised
+            expected = check_all_in_full(state, fabric)
+            assert base.verdict(check_all, state, fabric) == expected, (trial, corrupt and corrupt.__name__)
+            raised += expected != "pass"
+        assert 50 < raised < 180, raised
 
 
 @pytest.mark.parametrize("name", BUNDLED)
@@ -1260,3 +1347,27 @@ def test_clean_runs_enter_the_full_checks_only_on_the_first_call(name, monkeypat
         scenario.simulate(scn, on_event=hook)
         assert events["request"] > 500 and events["expire"] > 50, events
         assert entered == {"_check_state_in_full": 1, "_check_fabric_in_full": 1}, (seed, entered)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_check_all_reads_the_registry_once(name, monkeypatch):
+    """Both checks of a ``check_all`` take their delta from one read of the
+    registry's rows, the first call's included: its full checks walk the
+    registry themselves, and both new shadows move from that one read."""
+    from bamsim import checks, scenario
+
+    reads = Counter()
+    real = checks._rows
+    monkeypatch.setattr(checks, "_rows", lambda active: (reads.update(["rows"]), real(active))[1])
+    for seed in (3, 11):
+        reads.clear()
+        calls = Counter()
+        scn = scenario.load(name)
+        scn.run.seed = seed
+
+        def hook(kind, state, fabric):
+            calls["check_all"] += 1
+            checks.check_all(state, fabric)
+
+        scenario.simulate(scn, on_event=hook)
+        assert calls["check_all"] > 500 and reads["rows"] == calls["check_all"], (seed, reads, calls)
