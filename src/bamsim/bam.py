@@ -6,19 +6,20 @@ nests the partitions, constraint b capping the combined allocation of classes
 b and above, so a high-class request that does not fit may still be granted
 by evicting lower-class LSPs that are borrowing from its slice.
 
-Both models are data here: rows of ``core.constraint_table``, which one
-kernel, ``_deficit_rows``, turns into the deficit rows a request or a new
-config leaves.  Decisions are pure: ``decide`` and ``select_victims`` never
-touch the allocation ledger.  ``reconfigure`` is the one mutating entry
-point and applies a new constraint vector either immediately (hard,
-evicting whatever no longer fits) or lazily (soft, draining by attrition).
+Both models are data here: rows of ``core.constraint_table``, laid out per
+path as cached plans (``core.Plans``) that one kernel, ``_deficit_rows``,
+turns into the deficit rows a request or a new config leaves.  Decisions
+are pure: ``decide`` and ``select_victims`` never touch the allocation
+ledger.  ``reconfigure`` is the one mutating entry point and applies a new
+constraint vector either immediately (hard, evicting whatever no longer
+fits) or lazily (soft, draining by attrition).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .core import (
     BcConfig,
@@ -26,7 +27,7 @@ from .core import (
     Lsp,
     LspState,
     NetworkState,
-    Table,
+    Plan,
     release,
 )
 
@@ -74,26 +75,19 @@ class ReconfigEvent:
 Row = Tuple[str, int, int, int]
 
 
-def _deficit_rows(
-    state: NetworkState, table: Table, path: Iterable[str], demand_kbps: int, below: int
-) -> List[Row]:
-    """A deficit row for each row of ``table`` the ledger breaches with
-    ``demand_kbps`` added on every link of ``path``; its victims are the
-    row's classes below ``below``.  The pass stops at the first row no
-    victim can serve, so such a row is always the last; the victim walk
-    does not depend on the order of the others.  Reconfiguration and
-    promotion pass no demand and let any class go."""
+def _deficit_rows(plan: Plan, demand_kbps: int) -> List[Row]:
+    """A deficit row for each row of ``plan`` the ledger breaches with
+    ``demand_kbps`` added.  The pass stops at the first row no victim can
+    serve, so such a row is always the last; the victim walk does not
+    depend on the order of the others.  Reconfiguration and promotion pass
+    no demand."""
     rows: List[Row] = []
-    links = state.topology.links
-    for link_id in path:
-        alloc = links[link_id].alloc
-        for held, lo, hi, cap, _name in table[link_id]:
-            deficit = held(alloc) + demand_kbps - cap
-            if deficit > 0:
-                top = max(lo, min(hi, below))
-                rows.append((link_id, lo, top, deficit))
-                if top == lo:
-                    return rows
+    for link_id, alloc, held, lo, top, cap in plan:
+        deficit = held(alloc) + demand_kbps - cap
+        if deficit > 0:
+            rows.append((link_id, lo, top, deficit))
+            if top == lo:
+                return rows
     return rows
 
 
@@ -166,8 +160,7 @@ def decide(
     borrow headroom this class is entitled to: GrantWithPreemption with a
     minimal victim set, or Deny when no eligible set clears the rows.
     """
-    table, below = state.tables().admission[class_index]
-    rows = _deficit_rows(state, table, path, demand_kbps, below)
+    rows = _deficit_rows(state.tables().admission[class_index][path], demand_kbps)
     if not rows:
         return _GRANT
     _link_id, lo, hi, _deficit = rows[-1]
@@ -209,12 +202,8 @@ def reconfigure(
         return []
     state.bc_config = new_config
     state.pending_soft_bc = None
-    rows = _deficit_rows(state, state.tables().current, state.topology.links, 0, state.n_classes)
-    victims = _choose_victims(state, rows)
-    out: List[Lsp] = []
-    for lsp in victims:
-        out.append(release(state, lsp.id, LspState.PREEMPTED, now=now))
-    return out
+    rows = _deficit_rows(state.tables().current[tuple(state.topology.links)], 0)
+    return [release(state, lsp.id, LspState.PREEMPTED, now=now) for lsp in _choose_victims(state, rows)]
 
 
 def promote_pending_if_clear(state: NetworkState) -> bool:
@@ -222,7 +211,7 @@ def promote_pending_if_clear(state: NetworkState) -> bool:
     pending = state.pending_soft_bc
     if pending is None:
         return False
-    if _deficit_rows(state, state.tables().pending, state.topology.links, 0, state.n_classes):
+    if _deficit_rows(state.tables().pending[tuple(state.topology.links)], 0):
         return False
     state.bc_config = pending
     state.pending_soft_bc = None

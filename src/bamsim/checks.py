@@ -85,7 +85,7 @@ def _check_state_in_full(state: NetworkState) -> None:
 
 
 def _check_links(state: NetworkState, recount: Dict[str, List[int]]) -> None:
-    table = state.tables().current
+    table = state.tables().current.table
     for lid, link in state.topology.links.items():
         alloc = link.alloc
         if alloc != recount[lid]:

@@ -10,8 +10,7 @@ so the journal is a single ordered record of everything that happened.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import bam
 from .core import (
@@ -19,7 +18,6 @@ from .core import (
     LspState,
     NetworkState,
     NoRoute,
-    UnknownLsp,
     commit,
     mbps,
     release,
@@ -95,60 +93,47 @@ class Classifier:
         return class_index, path, src_host, dst_host
 
 
-@dataclass(slots=True)
-class RequestOutcome:
-    lsp: Lsp
-    verdict: bam.Verdict
-    preempted: List[Lsp] = field(default_factory=list)
-
-    @property
-    def established(self) -> bool:
-        return self.verdict is not bam.Verdict.DENY
-
-
 class Controller:
     def __init__(self, state: NetworkState, fabric: Fabric, classifier: Classifier) -> None:
         self.state = state
         self.fabric = fabric
         self.classifier = classifier
         self.journal = Journal()
+        # Per class, (demand in kbps, in Mbps): the classes are fixed at load.
+        self._demands = [(c.max_lsp_kbps, mbps(c.max_lsp_kbps)) for c in state.classes]
 
-    def handle_request(self, req: LspRequest) -> RequestOutcome:
-        """Admit, admit-with-preemption, or block one request."""
+    def handle_request(self, req: LspRequest) -> Optional[Lsp]:
+        """Admit, admit-with-preemption, or block one request.  Returns the
+        admitted LSP, or None for a deny, which builds no LSP."""
         state = self.state
         journal = self.journal
         lsp_id, now = req.id, req.time
         class_index, path, src_host, dst_host = self.classifier.classify(req)
-        demand = state.classes[class_index].max_lsp_kbps
-        lsp = Lsp(lsp_id, class_index, demand, path, src_host, dst_host)
+        demand, demand_mbps = self._demands[class_index]
         state.counters.requested[class_index] += 1
-        journal.append(("request", now, lsp_id, class_index, mbps(demand), src_host, dst_host))
+        journal.append(("request", now, lsp_id, class_index, demand_mbps, src_host, dst_host))
         decision = bam.decide(state, path, class_index, demand)
         if decision.verdict is bam.Verdict.DENY:
             state.counters.blocked[class_index] += 1
-            lsp.state = LspState.BLOCKED
             self.fabric.record_drop(req)
             journal.append(("block", now, lsp_id, class_index))
-            return RequestOutcome(lsp, decision.verdict)
-        preempted: List[Lsp] = []
+            return None
         for victim_id in decision.victims:
             victim = release(state, victim_id, LspState.PREEMPTED, now=now)
             self.fabric.remove_by_owner(victim_id)
             journal.append(("preempt", now, victim_id, victim.class_index, lsp_id))
-            preempted.append(victim)
-        lsp.admit_time = now
+        lsp = Lsp(lsp_id, class_index, demand, path, src_host, dst_host, admit_time=now)
         commit(state, lsp)
         match = FlowMatch(req.src_ip, req.dst_ip, req.src_port, req.dst_port)
         self.fabric.install_path(lsp, match)
         journal.append(("admit", now, lsp_id, class_index, path))
-        if preempted and bam.promote_pending_if_clear(state):
+        if decision.victims and bam.promote_pending_if_clear(state):
             self._log_promote(now)
-        return RequestOutcome(lsp, decision.verdict, preempted)
+        return lsp
 
     def handle_expiry(self, lsp_id: int, now: float) -> Lsp:
-        """Natural completion at end of lifetime."""
-        if lsp_id not in self.state.active_lsps:
-            raise UnknownLsp(str(lsp_id))
+        """Natural completion at end of lifetime; ``release`` raises
+        UnknownLsp if the LSP is not active."""
         lsp = release(self.state, lsp_id, LspState.COMPLETED, now=now)
         self.fabric.remove_by_owner(lsp_id)
         self.journal.append(("expire", now, lsp_id, lsp.class_index))

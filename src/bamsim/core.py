@@ -146,16 +146,14 @@ class BcConfig:
 
 @dataclass
 class Link:
-    """An undirected link with one allocation counter per traffic class."""
+    """An undirected link with one allocation counter per traffic class,
+    ``alloc``: bound once by ``Topology.freeze``, as plans read it live."""
 
     id: str
     a: str
     b: str
     capacity_kbps: int
     alloc: List[int] = field(default_factory=list)
-
-    def init_alloc(self, n_classes: int) -> None:
-        self.alloc = [0] * n_classes
 
     def other_end(self, node: str) -> str:
         if node == self.a:
@@ -216,7 +214,7 @@ class Topology:
         """Finalize adjacency, allocation vectors and switch port numbers."""
         self._adjacency = {name: [] for name in list(self.hosts) + self.switches}
         for link in self.links.values():
-            link.init_alloc(n_classes)
+            link.alloc = [0] * n_classes
             self._adjacency[link.a].append((link.id, link.b))
             self._adjacency[link.b].append((link.id, link.a))
         for entries in self._adjacency.values():
@@ -375,12 +373,34 @@ def constraint_table(topology: Topology, n: int, *configs: BcConfig) -> Tuple[Ta
     return table, all(config.model is Model.RDM for config in configs)
 
 
+# A plan: rows (link_id, alloc, held, lo, top, cap), each a constraint row
+# bound to its link's ledger list, whose classes lo..top-1 may be evicted in
+# its service.  They run over a path's links in path order, then row order,
+# so a walk over them looks nothing up.
+Plan = Tuple[Tuple[str, List[int], Callable[[List[int]], int], int, int, int], ...]
+
+
+class Plans(dict):
+    """A constraint table and its plans by path, each built on the path's
+    first use, in which a row's victims are its classes below ``below``.
+    Admission walks the request's path; reconfiguration and promotion walk
+    every link, in topology order, and may evict any class."""
+
+    def __init__(self, topology: Topology, table: Table, below: int) -> None:
+        super().__init__()
+        self.topology, self.table, self.below = topology, table, below
+
+    def __missing__(self, path: Tuple[str, ...]) -> Plan:
+        links, below = self.topology.links, self.below
+        plan = self[path] = tuple((lid, links[lid].alloc, held, lo, max(lo, min(hi, below)), cap)
+                                  for lid in path for held, lo, hi, cap, _name in self.table[lid])
+        return plan
+
+
 class Tables(NamedTuple):
-    current: Table
-    pending: Optional[Table]
-    # Per class c: the rows of both configs that hold class c, and the class
-    # below which admission may evict.
-    admission: List[Tuple[Table, int]]
+    current: Plans
+    pending: Optional[Plans]
+    admission: List[Plans]  # by class: the rows of both configs that hold it
 
 
 @dataclass
@@ -417,25 +437,27 @@ class NetworkState:
 
     def tables(self) -> Tables:
         """The constraint tables of the current and the pending config, and
-        the admission view, built once per pair of the two.  Both configs
-        are frozen, so a reconfiguration, a promotion or a direct assignment
-        puts another object in place and the identity test sees it without
-        a hook.  Link capacities are fixed once the topology is frozen."""
+        per class the admission table, each with its plans, built once per
+        pair of the two configs.  Both are frozen, so a reconfiguration, a
+        promotion or a direct assignment puts another object in place and
+        the identity test sees it without a hook.  Link capacities are fixed
+        once the topology is frozen."""
         current, pending, tables = self._tables
         if current is self.bc_config and pending is self.pending_soft_bc:
             return tables
-        current, pending, n = self.bc_config, self.pending_soft_bc, self.n_classes
-        now, borrows = constraint_table(self.topology, n, current)
-        soon, merged = None, now
+        topology, current, pending, n = self.topology, self.bc_config, self.pending_soft_bc, self.n_classes
+        now, borrows = constraint_table(topology, n, current)
+        merged, soon = now, None
         if pending is not None:
-            soon = constraint_table(self.topology, n, pending)[0]
-            merged, borrows = constraint_table(self.topology, n, current, pending)
+            soon = Plans(topology, constraint_table(topology, n, pending)[0], n)
+            merged, borrows = constraint_table(topology, n, current, pending)
         admission = [
-            ({lid: tuple(r for r in rows if r[1] <= c < r[2]) for lid, rows in merged.items()},
-             c if borrows else 0)
+            Plans(topology,
+                  {lid: tuple(r for r in rows if r[1] <= c < r[2]) for lid, rows in merged.items()},
+                  c if borrows else 0)
             for c in range(n)
         ]
-        tables = Tables(now, soon, admission)
+        tables = Tables(Plans(topology, now, n), soon, admission)
         self._tables = (current, pending, tables)
         return tables
 

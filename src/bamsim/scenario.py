@@ -30,7 +30,6 @@ from .controller import Classifier, Controller, LspRequest
 from .core import (
     BcConfig,
     InvalidBc,
-    LspState,
     Model,
     NetworkState,
     NoRoute,
@@ -126,6 +125,14 @@ def _number(token: str, limit: float = inf) -> float:
     return value
 
 
+def _bandwidth(token: str, what: str) -> float:
+    """A capacity or rate in Mbps that is at least 1 kbps, as the ledger counts."""
+    value = _number(token, _MAX_MBPS)
+    if kbps(value) <= 0:
+        raise ValidationError("%s must be positive: %s Mbps rounds to %d kbps" % (what, token, kbps(value)))
+    return value
+
+
 def parse_file(path: str) -> Scenario:
     with open(path) as fh:
         return parse_text(fh.read(), source=path)
@@ -149,6 +156,8 @@ def parse_text(text: str, source: str = "<string>") -> Scenario:
         tok = line.split()
         try:
             _parse_line(scn, section, tok)
+        except ValidationError as exc:
+            raise ValidationError("%s:%d: %s" % (source, lineno, exc)) from None
         except (ScenarioError, ValueError, IndexError) as exc:
             raise ParseError("%s:%d: %s" % (source, lineno, exc)) from None
         if section == "run" and tok[0] in ("cycles", "cycle_length", "lsp_lifetime"):
@@ -184,7 +193,7 @@ def _parse_line(scn: Scenario, section: str, tok: List[str]) -> None:
                 raise ScenarioError("node kind must be host or switch")
             scn.nodes.append((tok[1], tok[2]))
         elif key == "link":
-            scn.links.append((tok[1], tok[2], tok[3], _number(tok[4], _MAX_MBPS)))
+            scn.links.append((tok[1], tok[2], tok[3], _bandwidth(tok[4], "link %s capacity" % tok[1])))
         elif key == "bottleneck":
             scn.bottleneck = tok[1]
         else:
@@ -195,7 +204,7 @@ def _parse_line(scn: Scenario, section: str, tok: List[str]) -> None:
         if tok[2] != "rate" or tok[4] != "ports":
             raise ScenarioError("expected: class <i> rate <mbps> ports <lo>-<hi>")
         lo, hi = tok[5].split("-", 1)
-        scn.classes.append(ClassSpec(int(tok[1]), _number(tok[3], _MAX_MBPS), int(lo), int(hi)))
+        scn.classes.append(ClassSpec(int(tok[1]), _bandwidth(tok[3], "class %s rate" % tok[1]), int(lo), int(hi)))
     elif section == "bc":
         if key == "model":
             if tok[1] not in ("MAM", "RDM"):
@@ -275,16 +284,12 @@ def _validate(scn: Scenario) -> None:
     if [c.index for c in scn.classes] != list(range(len(scn.classes))):
         raise ValidationError("%s: class indices must be 0..n-1" % src)
     for c in scn.classes:
-        if c.rate_mbps <= 0:
-            raise ValidationError("%s: class %d rate must be positive" % (src, c.index))
         if c.port_lo > c.port_hi:
             raise ValidationError("%s: class %d has an empty port range" % (src, c.index))
     link_ids = set()
-    for lid, _a, _b, cap in scn.links:
+    for lid, _a, _b, _cap in scn.links:
         if lid in link_ids:
             raise ValidationError("%s: duplicate link id %s" % (src, lid))
-        if cap <= 0:
-            raise ValidationError("%s: link %s capacity must be positive" % (src, lid))
         link_ids.add(lid)
     if scn.bottleneck is not None and scn.bottleneck not in link_ids:
         raise ValidationError("%s: bottleneck %s is not a link" % (src, scn.bottleneck))
@@ -497,8 +502,8 @@ def simulate(
         now = request.time
         if heap and heap[0][0] <= now:
             run_timers(now)
-        outcome = controller.handle_request(request)
-        if outcome.lsp.state is LspState.ACTIVE:
+        controller.handle_request(request)
+        if request.id in state.active_lsps:
             heapq.heappush(heap, (now + lifetime, _EXPIRY, request.id))
         fresh = tuple(alloc)
         if fresh != util:

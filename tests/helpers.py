@@ -119,7 +119,7 @@ def mam_admission_caps(state: NetworkState, link_id: str = "L1") -> Tuple[int, .
     """Each class's own cap, the row (c, c + 1), in the admission view of a
     MAM state on one link."""
     return tuple(
-        next(cap for _held, lo, hi, cap, _name in state.tables().admission[c][0][link_id]
+        next(cap for _held, lo, hi, cap, _name in state.tables().admission[c].table[link_id]
              if (lo, hi) == (c, c + 1))
         for c in range(state.n_classes)
     )
@@ -318,8 +318,8 @@ def heap_loop_run(scn):
         elif kind == 1:
             controller.apply_reconfig(events[seq], now)
         elif scn.run.stop is None or handled < scn.run.stop:
-            outcome = controller.handle_request(schedule[seq - 1])
-            if outcome.lsp.state is LspState.ACTIVE:
+            controller.handle_request(schedule[seq - 1])
+            if seq in state.active_lsps:
                 heapq.heappush(heap, (now + scn.run.lsp_lifetime, 0, seq))
             log.append(MetricsRecord(
                 seq, now, tuple(alloc), tuple(counters.blocked), tuple(counters.preempted)))

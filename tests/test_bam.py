@@ -32,7 +32,7 @@ from bamsim.checks import (
     check_state,
 )
 from bamsim.controller import Classifier, Controller, LspRequest
-from bamsim.core import age_key, constraint_table
+from bamsim.core import Plans, age_key, constraint_table
 from bamsim.fabric import Fabric, FlowRule
 
 from helpers import (
@@ -52,15 +52,14 @@ PATH = ("L1",)
 
 def admission_rows(state, path, class_index, demand_kbps):
     """The deficit rows ``decide`` reads for a request."""
-    table, below = state.tables().admission[class_index]
-    return _deficit_rows(state, table, path, demand_kbps, below)
+    return _deficit_rows(state.tables().admission[class_index][path], demand_kbps)
 
 
 def reconfig_rows(state, config):
     """The deficit rows a hard reconfiguration to config evicts for."""
     n = state.n_classes
     table, _borrows = constraint_table(state.topology, n, config)
-    return _deficit_rows(state, table, state.topology.links, 0, n)
+    return _deficit_rows(Plans(state.topology, table, n)[tuple(state.topology.links)], 0)
 
 
 class TestCheckMam:
@@ -674,14 +673,17 @@ class TestDecideMatchesTheFitChecks:
     verdict and the victims that the per-model fit checks and the victim
     walk gave, on multi-link MAM and RDM states built at random: percent and
     partial-scope configs, pending soft configs, configs swapped by direct
-    assignment, and constraints above capacity."""
+    assignment, and constraints above capacity.  Hard and soft
+    reconfigurations and promotions change the tables of the same state
+    object too, so every cached plan is checked after every kind of change;
+    each of those steps must leave the ledger where the inequalities say."""
 
     def test_same_verdicts_victims_and_rows(self):
         from bamsim import CapacityViolation, Lsp
 
         rng = random.Random(4125)
         seen = Counter()
-        for trial in range(150):
+        for trial in range(250):
             state, paths = six_link_rdm_state(rng)
             links = state.topology.links
             model = rng.choice([Model.MAM, Model.RDM, Model.RDM])
@@ -710,6 +712,28 @@ class TestDecideMatchesTheFitChecks:
                         [None, random_admission_config(rng, model, links)])
                 elif action < 0.62:
                     state.bc_config = random_admission_config(rng, model, links)
+                elif action < 0.7:
+                    config = random_admission_config(rng, model, links)
+                    mode = rng.choice([ReconfigMode.HARD, ReconfigMode.SOFT])
+                    try:
+                        preempted = reconfigure(state, config, mode)
+                    except InvalidBc:
+                        continue  # a constraint above some link's capacity
+                    seen[mode.value] += 1
+                    seen["reconfig preemptions"] += len(preempted)
+                    where = (trial, step, mode, config)
+                    if state.pending_soft_bc is None:
+                        assert oracle_constraint_verdict(state, config) == "pass", where
+                    else:
+                        assert oracle_constraint_verdict(state, config) != "pass", where
+                elif action < 0.74:
+                    pending = state.pending_soft_bc
+                    promoted = promote_pending_if_clear(state)
+                    seen["promoted" if promoted else "held"] += pending is not None
+                    if pending is not None:
+                        verdict = oracle_constraint_verdict(state, pending)
+                        assert promoted == (verdict == "pass"), (trial, step, verdict)
+                        assert state.pending_soft_bc is (None if promoted else pending)
                 else:
                     path = rng.choice(paths)
                     c = rng.choice([0, 1, 2, 2])
@@ -719,7 +743,7 @@ class TestDecideMatchesTheFitChecks:
                     decision = decide(state, path, c, d)
                     assert (decision.verdict.value, decision.victims) == expected, where
                     seen[expected[0]] += 1
-                    view = state.tables().admission[c][0]
+                    view = state.tables().admission[c].table
                     for lid in path:
                         link = links[lid]
                         bc = admission_vector(state, link)
@@ -748,6 +772,9 @@ class TestDecideMatchesTheFitChecks:
         assert min(seen["Grant"], seen["GrantWithPreemption"], seen["blocked"]) > 200, seen
         assert seen["walk Deny"] > 20 and seen["capacity rows"] > 500, seen
         assert seen["dominated rows"] > 5, seen
+        # Every way the tables change must have come up.
+        assert min(seen["hard"], seen["soft"], seen["promoted"], seen["held"]) > 50, seen
+        assert seen["reconfig preemptions"] > 50, seen
 
 
 class TestConstraintVerdictsMatchTheInequalities:

@@ -271,9 +271,14 @@ class TestValidate:
         ("bc 40 40", "bc 40 -inf", "-inf is not a finite number", None),
         ("bc 40 40", "bc% 40 nan", "nan is not a finite number", None),
         ("bc 40 40", "bc 1e306 40", "1e306 is beyond 9007199254740.992", None),
+        ("class 0 rate 5 ports 30000-30999", "class 0 rate 0.0004 ports 30000-30999",
+         "class 0 rate must be positive: 0.0004 Mbps rounds to 0 kbps", None),
+        ("link L1 A B 100", "link L1 A B 4e-4",
+         "link L1 capacity must be positive: 4e-4 Mbps rounds to 0 kbps", None),
     ], ids=["lifetime_inf", "cycle_length_overflows", "cycle_length_nan", "at_time_nan",
             "rate_nan", "rate_inf", "capacity_nan", "capacity_overflows", "bc_nan",
-            "bc_minus_inf", "bc_percent_nan", "bc_beyond_exact_kbps"])
+            "bc_minus_inf", "bc_percent_nan", "bc_beyond_exact_kbps",
+            "rate_rounds_to_0_kbps", "capacity_rounds_to_0_kbps"])
     def test_non_finite_or_overflowing_number_is_bad_input(
         self, tmp_path, capsys, old, new, needle, cited
     ):
@@ -283,6 +288,22 @@ class TestValidate:
         assert run_cli(["validate", str(bad)]) == cli.EXIT_BAD_INPUT
         lineno = text.splitlines().index(cited or new) + 1
         assert "error: %s:%d: %s" % (bad, lineno, needle) in capsys.readouterr().err
+
+    # A rate or capacity that rounds to 0 kbps once crashed validate with a
+    # traceback, and made run exit 3 or run a dead link.
+    @pytest.mark.parametrize("old,new", [
+        ("class 1 rate 10 ports 31000-31999", "class 1 rate 0.0004 ports 31000-31999"),
+        ("link L1 A B 100", "link L1 A B 0.0002"),
+    ], ids=["rate", "capacity"])
+    def test_bandwidth_rounding_to_0_kbps_stops_run_as_bad_input(self, tmp_path, capsys, old, new):
+        text = MINI.replace(old, new)
+        bad = tmp_path / "bad.scn"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        assert run_cli(["run", str(bad), "--quiet", "--out", str(out)]) == cli.EXIT_BAD_INPUT
+        lineno = text.splitlines().index(new) + 1
+        assert "error: %s:%d: " % (bad, lineno) in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("links,needle", [
         ("link L1 A B 100\nlink L1 B A 50", "duplicate link id L1"),

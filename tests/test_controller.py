@@ -18,7 +18,6 @@ from bamsim import (
     TrafficClass,
     UnknownLsp,
     ValidationError,
-    Verdict,
     parse_text,
 )
 from bamsim import cli
@@ -112,11 +111,10 @@ def test_lsp_request_requires_positive_lifetime(tmp_path, capsys):
 class TestHandleRequest:
     def test_grant_reserves_programs_and_logs(self):
         ctl = mk_controller(Model.MAM, (250000, 150000, 100000))
-        outcome = ctl.handle_request(request(ctl, 1, "HS1", 30001, 1.0))
-        assert outcome.established
-        assert outcome.verdict is Verdict.GRANT
-        assert outcome.lsp.state is LspState.ACTIVE
-        assert outcome.lsp.admit_time == 1.0
+        lsp = ctl.handle_request(request(ctl, 1, "HS1", 30001, 1.0))
+        assert lsp is ctl.state.active_lsps[1]
+        assert lsp.state is LspState.ACTIVE
+        assert lsp.admit_time == 1.0
         assert ctl.state.topology.links["L6"].alloc == [5000, 0, 0]
         assert ctl.fabric.rule_count() == 3
         assert kinds(ctl) == ["request", "admit"]
@@ -127,9 +125,8 @@ class TestHandleRequest:
         ctl = mk_controller(Model.MAM, (5000, 150000, 100000))
         ctl.handle_request(request(ctl, 1, "HS1", 30001, 1.0))
         denied = request(ctl, 2, "HS2", 30002, 2.0)
-        outcome = ctl.handle_request(denied)
-        assert not outcome.established
-        assert outcome.lsp.state is LspState.BLOCKED
+        assert ctl.handle_request(denied) is None
+        assert list(ctl.state.active_lsps) == [1]
         assert ctl.state.counters.blocked[0] == 1
         assert ctl.fabric.rule_count() == 3  # only the first request's rules
         assert ctl.fabric.drops == [denied]
@@ -140,12 +137,14 @@ class TestHandleRequest:
     def test_grant_with_preemption_evicts_victims_first(self):
         ctl = mk_controller(Model.RDM, (500000, 250000, 100000))
         for i in range(1, 101):  # class 0 fills the whole bottleneck
-            assert ctl.handle_request(request(ctl, i, "HS1", 30000 + i % 1000, float(i))).established
+            assert ctl.handle_request(request(ctl, i, "HS1", 30000 + i % 1000, float(i))) is not None
         assert ctl.state.topology.links["L6"].alloc[0] == 500000
-        outcome = ctl.handle_request(request(ctl, 101, "HS2", 31001, 200.0))
-        assert outcome.verdict is Verdict.GRANT_WITH_PREEMPTION
-        assert sorted(v.id for v in outcome.preempted) == [99, 100]
-        assert all(v.state is LspState.PREEMPTED for v in outcome.preempted)
+        held = dict(ctl.state.active_lsps)
+        lsp = ctl.handle_request(request(ctl, 101, "HS2", 31001, 200.0))
+        assert lsp is ctl.state.active_lsps[101]
+        assert sorted(set(held) - set(ctl.state.active_lsps)) == [99, 100]
+        assert all(held[i].state is LspState.PREEMPTED and held[i].end_time == 200.0
+                   for i in (99, 100))
         assert ctl.state.counters.preempted[0] == 2
         assert 99 not in ctl.state.active_lsps
         assert ctl.fabric.owner_rules(99) == []
