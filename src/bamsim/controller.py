@@ -124,7 +124,7 @@ class Controller:
             journal.append(("preempt", now, victim_id, victim.class_index, lsp_id))
         lsp = Lsp(lsp_id, class_index, demand, path, src_host, dst_host, admit_time=now)
         commit(state, lsp)
-        match = FlowMatch(req.src_ip, req.dst_ip, req.src_port, req.dst_port)
+        match = FlowMatch._make((req.src_ip, req.dst_ip, req.src_port, req.dst_port, "tcp"))
         self.fabric.install_path(lsp, match)
         journal.append(("admit", now, lsp_id, class_index, path))
         if decision.victims and bam.promote_pending_if_clear(state):

@@ -52,6 +52,10 @@ class InvalidBc(Exception):
     """Bandwidth-constraint vector is malformed for the model in use."""
 
 
+class UnknownSwitch(Exception):
+    """Rule operation references a switch the fabric does not have."""
+
+
 class Model(enum.Enum):
     MAM = "MAM"
     RDM = "RDM"
@@ -60,7 +64,6 @@ class Model(enum.Enum):
 class LspState(enum.Enum):
     REQUESTED = "Requested"
     ACTIVE = "Active"
-    BLOCKED = "Blocked"
     PREEMPTED = "Preempted"
     COMPLETED = "Completed"
 
@@ -182,6 +185,19 @@ class Lsp:
     end_time: Optional[float] = None
 
 
+class Memo(dict):
+    """Values by key, each built by ``build(key)`` on the key's first use.
+    A build that raises stores nothing, so the key raises again."""
+
+    def __init__(self, build: Callable) -> None:
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
 class Topology:
     """Nodes, links, deterministic port numbering and min-hop routing."""
 
@@ -211,7 +227,9 @@ class Topology:
         self.links[link_id] = Link(link_id, a, b, capacity_kbps)
 
     def freeze(self, n_classes: int) -> None:
-        """Finalize adjacency, allocation vectors and switch port numbers."""
+        """Finalize adjacency, allocation vectors and switch port numbers, and
+        start the route caches: ``path_links[path]``, the path's links, and
+        ``route_hops[path, src]``, its interior ``(switch, out_port)`` hops."""
         self._adjacency = {name: [] for name in list(self.hosts) + self.switches}
         for link in self.links.values():
             link.alloc = [0] * n_classes
@@ -224,6 +242,16 @@ class Topology:
         for switch in self.switches:
             for port, (link_id, _peer) in enumerate(self._adjacency[switch], start=1):
                 self._ports[(switch, link_id)] = port
+        self.path_links = Memo(lambda path: tuple(map(self.links.__getitem__, path)))
+        self.route_hops = Memo(self._hops)
+
+    def _hops(self, route: Tuple[Tuple[str, ...], str]) -> Tuple[Tuple[str, int], ...]:
+        path, src = route
+        interior = self.nodes_on(path, src)[1:-1]
+        for node in interior:
+            if node not in self.switches:
+                raise UnknownSwitch(node)
+        return tuple(zip(interior, map(self.port_of, interior, path[1:])))
 
     def port_of(self, switch: str, link_id: str) -> int:
         try:
@@ -380,21 +408,18 @@ def constraint_table(topology: Topology, n: int, *configs: BcConfig) -> Tuple[Ta
 Plan = Tuple[Tuple[str, List[int], Callable[[List[int]], int], int, int, int], ...]
 
 
-class Plans(dict):
+class Plans(Memo):
     """A constraint table and its plans by path, each built on the path's
     first use, in which a row's victims are its classes below ``below``.
     Admission walks the request's path; reconfiguration and promotion walk
     every link, in topology order, and may evict any class."""
 
     def __init__(self, topology: Topology, table: Table, below: int) -> None:
-        super().__init__()
-        self.topology, self.table, self.below = topology, table, below
-
-    def __missing__(self, path: Tuple[str, ...]) -> Plan:
-        links, below = self.topology.links, self.below
-        plan = self[path] = tuple((lid, links[lid].alloc, held, lo, max(lo, min(hi, below)), cap)
-                                  for lid in path for held, lo, hi, cap, _name in self.table[lid])
-        return plan
+        links = topology.links
+        super().__init__(lambda path: tuple(
+            (lid, links[lid].alloc, held, lo, max(lo, min(hi, below)), cap)
+            for lid in path for held, lo, hi, cap, _name in table[lid]))
+        self.table = table
 
 
 class Tables(NamedTuple):
@@ -472,19 +497,20 @@ def commit(state: NetworkState, lsp: Lsp) -> None:
         raise NotActive("commit requires a Requested LSP, got %s" % lsp.state.value)
     if lsp.id in state.active_lsps:
         raise ValueError("LSP id %d already active" % lsp.id)
-    links = [state.topology.links[lid] for lid in lsp.path]
+    links = state.topology.path_links[lsp.path]
+    demand, c = lsp.demand_kbps, lsp.class_index
     for link in links:
-        if link.total_alloc + lsp.demand_kbps > link.capacity_kbps:
+        if sum(link.alloc) + demand > link.capacity_kbps:
             raise CapacityViolation(
                 "link %s: %d + %d exceeds capacity %d"
-                % (link.id, link.total_alloc, lsp.demand_kbps, link.capacity_kbps)
+                % (link.id, link.total_alloc, demand, link.capacity_kbps)
             )
     for link in links:
-        link.alloc[lsp.class_index] += lsp.demand_kbps
+        link.alloc[c] += demand
     lsp.state = LspState.ACTIVE
     state.active_lsps[lsp.id] = lsp
-    bisect.insort(state.active_by_class[lsp.class_index], age_key(lsp) + (lsp,))
-    state.counters.admitted[lsp.class_index] += 1
+    bisect.insort(state.active_by_class[c], age_key(lsp) + (lsp,))
+    state.counters.admitted[c] += 1
 
 
 def release(
@@ -501,22 +527,23 @@ def release(
     """
     if reason not in (LspState.COMPLETED, LspState.PREEMPTED):
         raise ValueError("release reason must be Completed or Preempted")
-    if lsp_id not in state.active_lsps:
+    lsp = state.active_lsps.get(lsp_id)
+    if lsp is None:
         raise UnknownLsp(str(lsp_id))
-    lsp = state.active_lsps[lsp_id]
     if lsp.state is not LspState.ACTIVE:
         raise NotActive("LSP %d is %s" % (lsp_id, lsp.state.value))
-    for link_id in lsp.path:
-        link = state.topology.links[link_id]
-        link.alloc[lsp.class_index] -= lsp.demand_kbps
-        assert link.alloc[lsp.class_index] >= 0, "negative allocation on %s" % link_id
+    demand, c = lsp.demand_kbps, lsp.class_index
+    for link in state.topology.path_links[lsp.path]:
+        alloc = link.alloc
+        alloc[c] -= demand
+        assert alloc[c] >= 0, "negative allocation on %s" % link.id
     del state.active_lsps[lsp_id]
-    same_class = state.active_by_class[lsp.class_index]
+    same_class = state.active_by_class[c]
     del same_class[bisect.bisect_left(same_class, age_key(lsp))]
     lsp.state = reason
     lsp.end_time = now
     if reason is LspState.PREEMPTED:
-        state.counters.preempted[lsp.class_index] += 1
+        state.counters.preempted[c] += 1
     else:
-        state.counters.completed[lsp.class_index] += 1
+        state.counters.completed[c] += 1
     return lsp

@@ -13,11 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .core import Lsp, Topology, mbps
-
-
-class UnknownSwitch(Exception):
-    """Rule operation references a switch the fabric does not have."""
+from .core import Lsp, Topology, UnknownSwitch, mbps
 
 
 class RuleConflict(Exception):
@@ -80,9 +76,7 @@ class Fabric:
 
     def install(self, rule: FlowRule) -> None:
         self._check_switch(rule.switch_id)
-        self._put((rule.switch_id, rule.match.key()), rule)
-
-    def _put(self, slot: Slot, rule: FlowRule) -> None:
+        slot = (rule.switch_id, rule.match.key())
         if slot in self._rules:
             raise RuleConflict("%s already has a rule for %s" % slot)
         self._rules[slot] = rule
@@ -104,21 +98,22 @@ class Fabric:
         """One forwarding rule per switch on the LSP's path, all or nothing.
 
         Each switch forwards toward the next link of the path; the out port
-        is the switch's port on that link.  Conflicts are detected before any
-        rule is written.
+        is the switch's port on that link.  The route's hops come from the
+        topology's cache, and every slot is tested before any rule is written.
         """
-        topo = self.topology
-        nodes = topo.nodes_on(lsp.path, lsp.src_host)
-        key = match.key()
-        rules: List[FlowRule] = []
-        for i, node in enumerate(nodes[1:-1], start=1):
-            self._check_switch(node)
-            if (node, key) in self._rules:
-                raise RuleConflict("%s already has a rule for %s" % (node, key))
-            out_port = topo.port_of(node, lsp.path[i])
-            rules.append(FlowRule(node, match, out_port, lsp.demand_kbps, lsp.id))
-        for rule in rules:
-            self._put((rule.switch_id, key), rule)
+        owner, rate = lsp.id, lsp.demand_kbps
+        if owner is None:
+            raise ValueError("forward rules must carry an owner LSP")
+        key, table, new = match.key(), self._rules, tuple.__new__
+        slots, rules = [], []
+        for switch, port in self.topology.route_hops[lsp.path, lsp.src_host]:
+            slot = (switch, key)
+            if slot in table:
+                raise RuleConflict("%s already has a rule for %s" % slot)
+            slots.append(slot)
+            rules.append(new(FlowRule, (switch, match, port, rate, owner)))  # without FlowRule.__new__
+        table.update(zip(slots, rules))
+        self._by_owner.setdefault(owner, []).extend(slots)
         return rules
 
     def remove_by_owner(self, lsp_id: int) -> int:

@@ -276,7 +276,7 @@ class TestCommitRelease:
         state = single_link_state(Model.MAM, [250, 150, 100], 500, [5, 10, 20])
         admit(state, 1, 0, 0.0)
         with pytest.raises(ValueError):
-            release(state, 1, LspState.BLOCKED)
+            release(state, 1, LspState.ACTIVE)
         with pytest.raises(UnknownLsp):
             release(state, 99, LspState.COMPLETED)
         release(state, 1, LspState.COMPLETED)

@@ -3,15 +3,25 @@ import random
 import pytest
 
 from bamsim import (
+    BcConfig,
+    CapacityViolation,
     Fabric,
     FlowMatch,
     FlowRule,
     Lsp,
     LspRequest,
+    LspState,
+    Model,
+    NetworkState,
     RuleConflict,
     Topology,
+    TrafficClass,
     UnknownSwitch,
+    commit,
+    release,
+    scenario,
 )
+from bamsim.controller import Classifier
 
 
 def line_topology() -> Topology:
@@ -186,3 +196,138 @@ class TestOwnerIndex:
                     assert fabric.owner_rules(o) == self.scan(fabric, o)
                 total = sum(len(fabric.rules_on(sw)) for sw in switches)
                 assert fabric.rule_count() == total
+
+
+def ring_with_chords() -> Topology:
+    """Six switches in a ring, chords S1-S4 and S2-S5, a host on each: many
+    host pairs have parallel min-hop paths, so the tie-break picks routes
+    that cross ports on either side of a switch."""
+    topo = Topology()
+    for i in range(1, 7):
+        topo.add_host("H%d" % i)
+        topo.add_switch("S%d" % i)
+    for i in range(1, 7):
+        topo.add_link("A%d" % i, "H%d" % i, "S%d" % i, 100000)
+        topo.add_link("R%d" % i, "S%d" % i, "S%d" % (i % 6 + 1), 100000)
+    topo.add_link("C1", "S1", "S4", 100000)
+    topo.add_link("C2", "S2", "S5", 100000)
+    topo.freeze(1)
+    return topo
+
+
+def walk(topo: Topology, path, src):
+    """(switch, out port) per interior node, walked without the caches."""
+    nodes = topo.nodes_on(path, src)
+    return tuple((node, topo.port_of(node, path[i])) for i, node in enumerate(nodes[1:-1], start=1))
+
+
+def routes(topo: Topology):
+    """Every route a classifier holds, plus each one walked back from its
+    destination, so a route is keyed by its source as well as its path."""
+    state = NetworkState(topo, [TrafficClass(0, 1000)], BcConfig(Model.MAM, values_kbps=(1000,)))
+    for path, src, dst in Classifier.for_state(state, [])._routes.values():
+        yield path, src
+        yield path[::-1], dst
+
+
+def named_topology(name: str) -> Topology:
+    if name == "ring_with_chords":
+        return ring_with_chords()
+    return scenario.build(scenario.load_bundled(name))[0].topology
+
+
+def snapshot(topo: Topology, fabric: Fabric):
+    return (dict(fabric._rules), {o: list(s) for o, s in fabric._by_owner.items()},
+            {lid: list(link.alloc) for lid, link in topo.links.items()})
+
+
+class TestRouteCaches:
+    @pytest.mark.parametrize("name", scenario.bundled_names() + ["ring_with_chords"])
+    def test_cached_hops_and_rules_match_an_uncached_walk(self, name):
+        topo = named_topology(name)
+        fabric = Fabric(topo)
+        checked = 0
+        for n, (path, src) in enumerate(routes(topo), start=1):
+            expected = walk(topo, path, src)
+            match = FlowMatch("10.0.0.1", "10.0.0.2", n, n)
+            lsp = Lsp(n, 0, 1000, path, src, "?")
+            for _use in range(2):  # the second use reads the cache
+                assert topo.route_hops[path, src] == expected
+                rules = fabric.install_path(lsp, match)
+                assert [(r.switch_id, r.out_port) for r in rules] == list(expected)
+                assert all(type(r) is FlowRule and r.match == match and r.rate_kbps == 1000
+                           and r.owner == n for r in rules)
+                assert fabric.owner_rules(n) == sorted(rules)
+                assert fabric.remove_by_owner(n) == len(expected)
+            assert topo.path_links[path] == tuple(topo.links[lid] for lid in path)
+            checked += 1
+        assert checked > 0 and fabric.rule_count() == 0
+
+    def test_conflict_on_a_cached_route_names_the_first_slot_and_writes_nothing(self):
+        topo = line_topology()
+        fabric = Fabric(topo)
+        first = TestInstallPath().lsp(topo)
+        fabric.install_path(first, MATCH)
+        fabric.remove_by_owner(first.id)
+        fabric.install(FlowRule("S3", MATCH, 1, 1000, owner=98))
+        fabric.install(FlowRule("S2", MATCH, 1, 1000, owner=99))
+        before = snapshot(topo, fabric)
+        for _attempt in range(2):
+            with pytest.raises(RuleConflict) as err:
+                fabric.install_path(first, MATCH)
+            assert str(err.value) == "S2 already has a rule for tcp/10.0.0.1:20001->10.0.0.4:30001"
+            assert snapshot(topo, fabric) == before
+
+    def test_failing_routes_raise_every_time_and_are_not_cached(self):
+        topo = Topology()
+        for h in ("HA", "HB", "HC"):
+            topo.add_host(h)
+        topo.add_switch("S1")
+        topo.add_link("L1", "HA", "HB", 1000)  # HB is a host on the way
+        topo.add_link("L2", "HB", "S1", 1000)
+        topo.add_link("L3", "S1", "HC", 1000)
+        topo.freeze(1)
+        topo.add_link("L4", "S1", "HA", 1000)  # after freeze: S1 has no port for it
+        fabric = Fabric(topo)
+        fabric.install_path(Lsp(1, 0, 500, ("L2", "L3"), "HB", "HC"), MATCH)
+        fabric.remove_by_owner(1)  # cached from HB, which is not the route from HA
+        cases = [
+            (("L1", "L2", "L3"), "HA", UnknownSwitch, "HB"),
+            (("L3", "L4"), "HC", ValueError, "no port for link L4 on switch S1"),
+            (("L2", "L3"), "HA", ValueError, "node 'HA' is not an endpoint of link L2"),
+        ]
+        before = snapshot(topo, fabric)
+        for path, src, error, message in cases:
+            lsp = Lsp(1, 0, 500, path, src, "?")
+            for _attempt in range(2):
+                with pytest.raises(error) as err:
+                    fabric.install_path(lsp, MATCH)
+                assert str(err.value) == message
+                assert (path, lsp.src_host) not in topo.route_hops
+                assert snapshot(topo, fabric) == before
+
+    def test_capacity_violation_on_a_cached_path_changes_nothing(self):
+        topo = line_topology()
+        state = NetworkState(topo, [TrafficClass(0, 400000)], BcConfig(Model.MAM, values_kbps=(500000,)))
+        path = topo.shortest_path("HS1", "DST")
+        commit(state, Lsp(1, 0, 400000, path, "HS1", "DST"))
+        release(state, 1, LspState.COMPLETED)  # the path is cached now
+        commit(state, Lsp(2, 0, 400000, ("L5",), "S2", "S3"))
+        fabric = Fabric(topo)
+        before = snapshot(topo, fabric)
+        for _attempt in range(2):
+            with pytest.raises(CapacityViolation) as err:
+                commit(state, Lsp(3, 0, 400000, path, "HS1", "DST"))
+            assert str(err.value) == "link L5: 400000 + 400000 exceeds capacity 500000"
+            assert snapshot(topo, fabric) == before
+            assert sorted(state.active_lsps) == [2]
+
+    def test_a_second_freeze_drops_the_cached_routes(self):
+        topo = line_topology()
+        path = topo.shortest_path("HS1", "DST")
+        assert topo.route_hops[path, "HS1"] == (("S1", 2), ("S2", 3), ("S3", 3))
+        assert topo.path_links[path]
+        topo.add_link("L0", "S2", "HS2", 500000)  # sorts first on S2: its ports shift
+        topo.freeze(3)
+        assert not topo.route_hops and not topo.path_links
+        assert topo.route_hops[path, "HS1"] == walk(topo, path, "HS1") == (("S1", 2), ("S2", 4), ("S3", 3))
