@@ -1,31 +1,29 @@
 """Consistency checks over a live NetworkState and its fabric.
 
-They run after every simulation event in tests, so each check keeps a
-*shadow* on the object it checks (``_check_shadow`` on the state, and on the
-fabric): what the structures must look like, given the active registry.
-``check_all`` reads the registry once, a row per LSP with every field either
-check reads, and both checks take their delta from that one read: the LSPs
-added to and removed from the registry since the shadow's last call, found
-by comparing the registry's keys with the shadow's.  The read lives only for
-that ``check_all``; a lone ``check_state`` or ``check_fabric`` reads the
-registry itself.  Each shadow applies only the delta, then every structure
-is compared with the shadow whole, at C speed:
+``check_all`` runs after every simulation event in tests, so it keeps a
+*shadow* of what its last passing call verified, as ``_check_shadow`` on the
+state: the active registry as that call read it, a row per LSP with every
+field either check reads; the ledger and class lists that registry implies;
+and copies of the fabric's rule table and owner index.  Each ``check_all``
+reads the registry once and takes the delta from the recorded read: the LSPs
+added to and removed from the registry since, with every kept LSP's row
+compared whole, so an LSP changed in place is seen.  For the length of the
+call it hands the shadow to both checks.  Each applies the delta to its own
+copies, then compares every structure whole with them, at C speed:
 
-- the registry itself, LSP by LSP: the same objects (or equal ones) with the
-  same checked fields, so an LSP changed in place is seen;
-- ``check_state``: the per-link ledger against the shadow's running recount,
-  and the class lists against the shadow's sorted lists.  The rows of the
+- ``check_state``: the per-link ledger and the class lists.  The rows of the
   current constraint table and the counter identities still run on every
   call, on every link and class;
-- ``check_fabric``: the rule table and the owner index against the shadow's
-  copies of them.
+- ``check_fabric``: the rule table and the owner index.
 
-Any mismatch runs the full check, which rebuilds its view from the registry,
-so a failure always carries the full check's message.  If the full check
-passes, the disagreement was legal (an owner's slots reordered, say), and
-the shadow is built afresh from the state.  The first call on an object
-runs the full check and builds the shadow.  The shadow assumes only that
-the topology is fixed once frozen.
+A check with no copies, or whose copies disagree, runs its full check, which
+rebuilds its view from the registry, so a failure always carries the full
+check's message.  If the full check passes, the disagreement was legal (an
+owner's slots reordered, say), and the check copies the structures it just
+verified into the shadow.  ``check_all`` stores the shadow only once both
+checks pass, so a failed call leaves none behind.  A lone ``check_state`` or
+``check_fabric`` runs its full check and leaves the shadow alone.  The
+shadow assumes only that the topology is fixed once frozen.
 
 The full checks: the ledger must equal a recount of the registry and breach
 no row of the current config's constraint table, the table admission and
@@ -58,12 +56,14 @@ def _fail(message: str) -> None:
 
 def check_state(state: NetworkState) -> None:
     """Ledger, registry, constraint and counter invariants."""
-    shadow = getattr(state, "_check_shadow", None)
-    if shadow is None or not shadow.advance(state) or state.active_by_class != shadow.lists:
-        state._check_shadow = None
+    shadow = getattr(state, "_check_call", None)
+    if shadow is None or not shadow.advance_state() or state.active_by_class != shadow.lists:
         _check_state_in_full(state)
-        shadow = _StateShadow(state)
-        state._check_shadow = shadow if shadow.advance(state) else None
+        if shadow is not None:  # hand over what just passed, as copies
+            shadow.ledger = {lid: link.alloc[:] for lid, link in state.topology.links.items()}
+            shadow.lists = [entries[:] for entries in state.active_by_class]
+            if any(type(row[3]) is not int for row in shadow.rows):
+                shadow.keys = None  # sums of other demands hang on their order: no delta
         return
     # The shadow's ledger is the registry's recount, so these raise exactly
     # what the full check would.
@@ -150,13 +150,13 @@ def check_fabric(state: NetworkState, fabric: Fabric) -> None:
     """Every active LSP holds exactly one rule per on-path switch; no rule
     belongs to a retired LSP; the owner index lists exactly the table's
     slots under their owners."""
-    shadow = getattr(fabric, "_check_shadow", None)
-    if shadow is not None and shadow.state is state and shadow.holds(fabric):
+    shadow = getattr(state, "_check_call", None)
+    if shadow is not None and shadow.holds(state, fabric):
         return
-    fabric._check_shadow = None
     _check_fabric_in_full(state, fabric)
-    shadow = _FabricShadow(state)
-    fabric._check_shadow = shadow if shadow.holds(fabric) else None
+    if shadow is not None:
+        shadow.rules = dict(fabric._rules)
+        shadow.by_owner = {owner: list(slots) for owner, slots in fabric._by_owner.items()}
 
 
 def _check_fabric_in_full(state: NetworkState, fabric: Fabric) -> None:
@@ -194,15 +194,21 @@ def _check_fabric_in_full(state: NetworkState, fabric: Fabric) -> None:
 
 
 def check_all(state: NetworkState, fabric: Optional[Fabric] = None) -> None:
-    # One read of the registry serves both checks.  It never outlives this
-    # call, so a later lone check reads a registry that may have changed.
-    state._check_read = _Read(state.active_lsps)
+    # The stored shadow stands where the last passing call left it; a call
+    # that raises stores none, so the next one starts from the full checks.
+    shadow = getattr(state, "_check_shadow", None) or _Shadow()
+    state._check_shadow = None
+    shadow.move(state.active_lsps)
+    if fabric is None:
+        shadow.rules = None  # the fabric copies would stand at an older read
+    state._check_call = shadow
     try:
         check_state(state)
         if fabric is not None:
             check_fabric(state, fabric)
     finally:
-        state._check_read = None
+        state._check_call = None
+    state._check_shadow = shadow
 
 
 def _rows(active: Dict[int, Lsp]) -> List[tuple]:
@@ -210,88 +216,66 @@ def _rows(active: Dict[int, Lsp]) -> List[tuple]:
     return [(l.id, l, l.class_index, l.demand_kbps, l.path, l.admit_time, l.src_host) for l in active.values()]
 
 
-class _Read:
-    """The active registry read once: its keys in order and, aligned with
-    them, each LSP's row, which starts with its id.  ``base`` and ``delta``
-    record the last move to it, so a second shadow that stands where the
-    first one stood takes the first one's delta as it is."""
+# What the class-list walk compares the first entry of a class with.
+_FIRST = (float("-inf"), 0)
 
-    def __init__(self, active: Dict[int, Lsp]) -> None:
-        self.active, self.keys, self.rows = active, list(active), _rows(active)
-        self.base: Optional[List[tuple]] = None
+
+class _Shadow:
+    """What the last passing ``check_all`` verified: the registry's keys in
+    order and, aligned with them, each LSP's row, which starts with its id;
+    the ledger and class lists that registry implies; and copies of the
+    fabric's rule table and owner index (``rules`` is None when that call
+    had no fabric).  ``delta`` holds the LSPs removed and added since, or
+    None when the registry did not move as commit and release move it.
+
+    Demands are integral kbps, so the running sums are exactly the recount.
+    An added LSP must have an int class in range, an int demand, a tuple
+    path over known links, and an age key that sorts strictly between its
+    neighbours, as the full check's walk requires.  Its rules are taken
+    from the fabric only if they are as many as its route has switches,
+    each is indexed under its owner, and none takes a slot already held.
+    Otherwise the copies disagree and the full check decides."""
+
+    def __init__(self) -> None:
+        self.keys: Optional[List[int]] = None
+        self.rows: List[tuple] = []
         self.delta: Optional[Tuple[List[tuple], List[tuple]]] = None
+        self.ledger: Dict[str, List[int]] = {}
+        self.lists: List[list] = []
+        self.rules: Optional[dict] = None
+        self.by_owner: dict = {}
+        # Interior-switch count per route; the topology is fixed.
+        self.switches: Dict[Tuple[Tuple[str, ...], str], int] = {}
 
-    def move(self, shadow: "_Shadow") -> Optional[Tuple[List[tuple], List[tuple]]]:
-        """Move a shadow to this read.  Returns the rows recorded for the
-        removed LSPs and read for the added ones, or None on a mismatch."""
-        if shadow.rows is not self.base:
-            self.base, self.delta = shadow.rows, self._delta(shadow.keys, shadow.rows)
-        if self.delta is not None:
-            shadow.keys, shadow.rows = self.keys, self.rows
-        return self.delta
-
-    def _delta(self, old_keys: List[int], old_rows: List[tuple]) -> Optional[Tuple[List[tuple], List[tuple]]]:
-        """Commit appends to the registry and release deletes from it, so the
+    def move(self, active: Dict[int, Lsp]) -> None:
+        """Read the registry and take the delta from the recorded read.
+        Commit appends to the registry and release deletes from it, so the
         live keys are the recorded ones less the removed, then the added.
         Each kept LSP's row must be as recorded, and each added LSP must be
-        filed under its id.  Both shadows may hold the recorded lists, so
-        they are never changed in place."""
-        keys, rows = self.keys, self.rows
+        filed under its id."""
+        keys, rows = list(active), _rows(active)
+        old_keys, old_rows = self.keys, self.rows
+        self.keys, self.rows, self.delta = keys, rows, None
+        if old_keys is None:
+            return
         if keys == old_keys:
-            return ([], []) if rows == old_rows else None
-        gone = set(old_keys).difference(self.active)
-        if gone:
-            old_keys, old_rows = old_keys[:], old_rows[:]
+            if rows == old_rows:
+                self.delta = [], []
+            return
         removed = []
-        for key in gone:
+        for key in set(old_keys).difference(active):
             i = old_keys.index(key)
             del old_keys[i]
             removed.append(old_rows.pop(i))
         kept = len(old_keys)
         added = rows[kept:]
-        if keys[:kept] != old_keys or rows[:kept] != old_rows or keys[kept:] != [row[0] for row in added]:
-            return None
-        return removed, added
+        if keys[:kept] == old_keys and rows[:kept] == old_rows and keys[kept:] == [row[0] for row in added]:
+            self.delta = removed, added
 
-
-class _Shadow:
-    """The active registry as the last call saw it: the keys and rows of
-    the last ``_Read`` it moved to."""
-
-    def __init__(self) -> None:
-        self.keys: List[int] = []
-        self.rows: List[tuple] = []
-
-    def delta(self, state: NetworkState) -> Optional[Tuple[List[tuple], List[tuple]]]:
-        # Inside check_all the read is the one both checks share.
-        return (getattr(state, "_check_read", None) or _Read(state.active_lsps)).move(self)
-
-
-# What the class-list walk compares the first entry of a class with.
-_FIRST = (float("-inf"), 0)
-
-
-class _StateShadow(_Shadow):
-    """The per-link ledger and the class lists that the registry implies,
-    kept up to date from the LSPs added and removed since the last call.
-
-    Demands are integral kbps, so the running sums are exactly the recount.
-    An added LSP must have an int class in range, an int demand, a tuple
-    path over known links, and an age key that sorts strictly between its
-    neighbours, as the full check's walk requires; otherwise the shadow
-    reports a mismatch and the full check decides."""
-
-    def __init__(self, state: NetworkState) -> None:
-        super().__init__()
-        n = state.n_classes
-        self.ledger: Dict[str, List[int]] = {lid: [0] * n for lid in state.topology.links}
-        self.lists: List[list] = [[] for _ in range(n)]
-
-    def advance(self, state: NetworkState) -> bool:
-        delta = self.delta(state)
-        if delta is None:
+    def advance_state(self) -> bool:
+        if self.delta is None:
             return False
-        removed, added = delta
+        removed, added = self.delta
         ledger, lists = self.ledger, self.lists
         for lsp_id, _lsp, c, demand, path, admit_time, _src in removed:
             for lid in path:
@@ -316,27 +300,10 @@ class _StateShadow(_Shadow):
                 ledger[lid][c] += demand
         return True
 
-
-class _FabricShadow(_Shadow):
-    """Copies of a fabric's rule table and owner index as the last passing
-    call verified them against ``state``, kept up to date from the LSPs
-    added and removed since.  An added LSP's rules are taken from the
-    fabric only if they are as many as its route has switches, each is
-    indexed under its owner, and none takes a slot already held."""
-
-    def __init__(self, state: NetworkState) -> None:
-        super().__init__()
-        self.state = state
-        self.rules: dict = {}
-        self.by_owner: dict = {}
-        # Interior-switch count per route; the topology is fixed.
-        self.switches: Dict[Tuple[Tuple[str, ...], str], int] = {}
-
-    def holds(self, fabric: Fabric) -> bool:
-        delta = self.delta(self.state)
-        if delta is None:
+    def holds(self, state: NetworkState, fabric: Fabric) -> bool:
+        if self.delta is None or self.rules is None:
             return False
-        removed, added = delta
+        removed, added = self.delta
         rules, by_owner = self.rules, self.by_owner
         for row in removed:
             for slot in by_owner.pop(row[0], ()):
@@ -349,7 +316,7 @@ class _FabricShadow(_Shadow):
             expected = self.switches.get(route)
             if expected is None:
                 try:
-                    expected = len(self.state.topology.switches_on(path, src_host))
+                    expected = len(state.topology.switches_on(path, src_host))
                 except (KeyError, ValueError):  # no such route: the full check says how
                     return False
                 self.switches[route] = expected

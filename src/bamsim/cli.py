@@ -97,7 +97,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("error: --out: %s" % exc, file=sys.stderr)
         return EXIT_BAD_INPUT
     if not args.quiet:
-        print(metrics.render_summary(metrics.summarize(result.journal, scn.n_classes)))
+        print(metrics.render_summary(vars(result.state.counters)))
     return EXIT_OK
 
 

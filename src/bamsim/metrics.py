@@ -129,10 +129,6 @@ FIELDS: Dict[str, Tuple[str, ...]] = {
 }
 
 
-# Where a record holds its class, by kind.
-_CT = {kind: 1 + fields.index("ct") for kind, fields in FIELDS.items() if "ct" in fields}
-
-
 def _event(record: Tuple) -> Dict:
     names = ("kind",) + FIELDS[record[0]]
     return {k: list(v) if type(v) is tuple else v for k, v in zip(names, record)}
@@ -296,14 +292,10 @@ _COUNTERS = {
 
 
 def summarize(journal: Sequence[Dict], n_classes: int = 0) -> Dict[str, List[int]]:
-    """Recount per-class lifecycle totals from an event journal.  A
-    ``Journal`` is read from its records, without building its dicts.  The
+    """Recount per-class lifecycle totals from an event journal.  The
     totals cover ``n_classes`` classes, or more if the journal names a
     higher class: without the count, a class with no events is left out."""
-    if isinstance(journal, Journal):
-        classed = [(r[0], r[_CT[r[0]]]) for r in journal.records if r[0] in _CT]
-    else:
-        classed = [(e["kind"], e["ct"]) for e in journal if "ct" in e or e["kind"] in _COUNTERS]
+    classed = [(e["kind"], e["ct"]) for e in journal if "ct" in e or e["kind"] in _COUNTERS]
     n = max(n_classes, max((ct + 1 for _, ct in classed), default=0))
     stats = {key: [0] * n for key in _COUNTERS.values()}
     for kind, ct in classed:

@@ -1188,16 +1188,16 @@ def check_all_in_full(state, fabric):
 
 
 class TestShadowInTheLoop:
-    """The checks keep a shadow of what they last verified and apply only
-    the LSPs added and removed since.  Inside bundled runs checked after
-    every event, corrupt the state after event k: the next ``check_fabric``
-    and ``check_state`` (and ``_check_class_lists``) must give the verdicts
-    and messages of the rebuild-and-compare oracles.  Each trial runs twice:
-    once with the lone checks meeting the corruption, and once with
-    ``check_all`` meeting it first, through the one registry read both its
-    checks share, and giving the verdict of the full checks.  Each scenario
-    runs five trials at each of two seeds, and the four scenarios together
-    apply every entry of ``CORRUPTIONS`` twice."""
+    """``check_all`` keeps a shadow of what its last passing call verified
+    and applies only the LSPs added and removed since.  Inside bundled runs
+    checked after every event, corrupt the state after event k: the next
+    lone ``check_fabric`` and ``check_state`` (and ``_check_class_lists``),
+    which run in full, must give the verdicts and messages of the
+    rebuild-and-compare oracles.  Each trial runs twice: once with the lone
+    checks meeting the corruption, and once with ``check_all`` meeting it
+    first, through its shadow, and giving the verdict of the full checks.
+    Each scenario runs five trials at each of two seeds, and the four
+    scenarios together apply every entry of ``CORRUPTIONS`` twice."""
 
     TRIALS = 5
 
@@ -1244,10 +1244,11 @@ class TestShadowAfterALegalStep:
     """As ``TestChecksMatchTheRebuild``, but the checks pass once on the
     random run, the controller takes one more legal step (a request, an
     expiry or a reconfiguration), and only then does the corruption land,
-    so that the shadows have a delta to apply along with it.  Each trial
-    runs twice from one random state: once checked by the lone checks, and
-    once by ``check_all``, before the step and first after the corruption,
-    which must give the verdict of the full checks."""
+    so that ``check_all``'s shadow has a delta to apply along with it.
+    Each trial runs twice from one random state: once checked by the lone
+    checks, which run in full, and once by ``check_all``, before the step
+    and first after the corruption, which must give the verdict of the full
+    checks."""
 
     @staticmethod
     def legal_step(rng, state, fabric, steps):
@@ -1304,13 +1305,12 @@ class TestNoDeltaOutlivesCheckAll:
     """Lone checks interleaved with a legal step, on random runs first
     checked by ``check_all``: a lone ``check_state``, one legal controller
     step, then a lone ``check_fabric``, and the same with the two checks
-    swapped.  The registry the second lone check reads has moved on from
-    the one ``check_all`` read, so a read kept past that call would hand it
-    a stale delta.  Every lone check gives the rebuild oracles' verdict and
-    message, and on these clean states it applies the step's delta without
-    entering its full check.  A corruption then lands, and ``check_all``,
-    whose two shadows now stand at different reads, gives the verdict of the
-    full checks."""
+    swapped.  Only ``check_all`` keeps the shadow, so each lone check runs
+    its own full check exactly once and gives the rebuild oracles' verdict
+    and message.  A clean ``check_all`` then applies the step's delta to the
+    shadow its first call stored, which the lone checks left alone, without
+    entering either full check.  A corruption then lands, and ``check_all``
+    gives the verdict of the full checks."""
 
     def test_lone_checks_around_a_legal_step(self, monkeypatch):
         from bamsim import checks
@@ -1340,6 +1340,9 @@ class TestNoDeltaOutlivesCheckAll:
                     TestShadowAfterALegalStep.legal_step(rng, state, fabric, steps)
                 check, oracle = lone[which]
                 assert base.verdict(check, state, fabric) == base.verdict(oracle, state, fabric), (trial, which)
+            assert entered == {"_check_state_in_full": 1, "_check_fabric_in_full": 1}, (trial, order, entered)
+            entered.clear()
+            check_all(state, fabric)
             assert not entered, (trial, order, entered)
             corrupt = rng.choice(CORRUPTIONS)
             if corrupt is not None:
@@ -1398,3 +1401,28 @@ def test_check_all_reads_the_registry_once(name, monkeypatch):
 
         scenario.simulate(scn, on_event=hook)
         assert calls["check_all"] > 500 and reads["rows"] == calls["check_all"], (seed, reads, calls)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_check_all_calls_both_checks_through_the_module(name, monkeypatch):
+    """The benchmark's tracer times the checks by patching
+    ``checks.check_state`` and ``checks.check_fabric`` by name, so every
+    ``check_all`` with a fabric must call each of them once, through the
+    module."""
+    from bamsim import checks, scenario
+
+    calls = Counter()
+    for check in ("check_state", "check_fabric"):
+        real = getattr(checks, check)
+        monkeypatch.setattr(checks, check, lambda *args, real=real, check=check: (
+            calls.update([check]), real(*args))[1])
+
+    def hook(kind, state, fabric):
+        calls["check_all"] += 1
+        checks.check_all(state, fabric)
+
+    scn = scenario.load(name)
+    scn.run.seed = 3
+    scenario.simulate(scn, on_event=hook)
+    assert calls["check_all"] > 500, calls
+    assert calls["check_state"] == calls["check_fabric"] == calls["check_all"], calls

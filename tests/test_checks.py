@@ -251,6 +251,19 @@ class TestFabricChecks:
         fabric.remove_by_owner(1)
         check_all(state)
 
+    def test_a_call_without_the_fabric_leaves_no_fabric_copies_behind(self):
+        # The fabric copies stand where the last call with the fabric left
+        # them, so a later call with it must not take them as current.
+        state, fabric = two_route_pair([("A", 1)])
+        check_all(state, fabric)
+        controller = Controller(state, fabric, Classifier.for_state(state, [(30000, 30999, 0)]))
+        hosts = state.topology.hosts
+        controller.handle_request(LspRequest(2, 2.0, hosts["C"], hosts["B"], 20002, 30002))
+        fabric.remove_by_owner(2)
+        check_all(state)
+        with pytest.raises(InvariantViolation, match="LSP 2 holds 0 rules, path has 1 switches"):
+            check_all(state, fabric)
+
 
 def verdict(check, *args):
     try:
@@ -302,6 +315,19 @@ def _negative_counter(state, _fabric):
 
 def _more_demand(state, _fabric):
     state.active_lsps[1].demand_kbps += 1
+
+
+def test_a_legal_release_of_a_float_demand_raises_as_the_recount_does():
+    # Float sums depend on their order: the ledger, built up and drained,
+    # drifts from the recount, and check_all must say so as the full check does.
+    state = single_link_state(Model.MAM, bc=(40000, 40000), capacity=100000, demands=(0.1, 10000))
+    for lsp_id in (1, 2, 3):
+        admit(state, lsp_id, 0, when=float(lsp_id))
+    check_all(state)
+    release(state, 2, LspState.COMPLETED)
+    expected = verdict(check_state, state)
+    assert expected.startswith("InvariantViolation: link L1 ledger")
+    assert verdict(check_all, state) == expected
 
 
 # (build, corrupt): the hand corruptions above, and LSPs changed in place.

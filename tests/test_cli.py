@@ -6,7 +6,7 @@ from importlib import resources
 import pytest
 
 import bamsim
-from bamsim import cli
+from bamsim import cli, metrics, scenario
 
 MINI = """
 [topology]
@@ -326,6 +326,17 @@ class TestSummary:
         stdout = capsys.readouterr().out
         assert "requested_ct0=20" in stdout
         assert "completed_ct" in stdout
+
+    @pytest.mark.parametrize("name", ["exp1_mam", "exp1_rdm", "exp2_hard", "exp2_soft"])
+    def test_run_prints_what_its_journal_recounts(self, name, tmp_path, capsys):
+        """run prints the state's final counters; its journal must recount
+        to the same lines."""
+        n_classes = scenario.load(name).n_classes
+        for seed in (1, 7):
+            out = tmp_path / str(seed)
+            assert run_cli(["run", name, "--seed", str(seed), "--out", str(out)]) == cli.EXIT_OK
+            journal = metrics.read_journal(str(out / "journal.jsonl"))
+            assert capsys.readouterr().out == metrics.render_summary(metrics.summarize(journal, n_classes)) + "\n"
 
     def test_missing_journal_is_bad_input(self, tmp_path, capsys):
         code = run_cli(["summary", str(tmp_path / "nope.jsonl")])

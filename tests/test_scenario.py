@@ -386,7 +386,7 @@ class TestSimulate:
         assert stats["blocked"] == counters.blocked
         assert stats["preempted"] == counters.preempted
         assert stats["completed"] == counters.completed
-        # read from the records, as from the event dicts they stand for
+        # a Journal recounts as the list of the event dicts it stands for
         assert summarize(list(result.journal)) == stats
 
     def test_on_event_hook_sees_consistent_state_throughout(self):
