@@ -1,29 +1,26 @@
 """Consistency checks over a live NetworkState and its fabric.
 
 ``check_all`` runs after every simulation event in tests, so it keeps a
-*shadow* of what its last passing call verified, as ``_check_shadow`` on the
-state: the active registry as that call read it, a row per LSP with every
-field either check reads; the ledger and class lists that registry implies;
-and copies of the fabric's rule table and owner index.  Each ``check_all``
-reads the registry once and takes the delta from the recorded read: the LSPs
-added to and removed from the registry since, with every kept LSP's row
-compared whole, so an LSP changed in place is seen.  For the length of the
-call it hands the shadow to both checks.  Each applies the delta to its own
-copies, then compares every structure whole with them, at C speed:
+*shadow* of its last passing call on the state (``_check_shadow``): the
+registry's rows as that call read them, the ledger and class lists they
+imply, and copies of the fabric's rule table and owner index.  Each call
+reads the registry once and takes the delta from the recorded rows: the
+LSPs added and removed since, every kept row compared whole, so an LSP
+changed in place is seen.  Both checks apply the delta to their copies and
+then compare every structure whole with them, at C speed:
 
 - ``check_state``: the per-link ledger and the class lists.  The rows of the
   current constraint table and the counter identities still run on every
   call, on every link and class;
 - ``check_fabric``: the rule table and the owner index.
 
-A check with no copies, or whose copies disagree, runs its full check, which
-rebuilds its view from the registry, so a failure always carries the full
-check's message.  If the full check passes, the disagreement was legal (an
-owner's slots reordered, say), and the check copies the structures it just
-verified into the shadow.  ``check_all`` stores the shadow only once both
-checks pass, so a failed call leaves none behind.  A lone ``check_state`` or
-``check_fabric`` runs its full check and leaves the shadow alone.  The
-shadow assumes only that the topology is fixed once frozen.
+A check with no copies, or whose copies disagree, runs its full check, so a
+failure always carries the full check's message.  If that passes, the
+disagreement was legal (an owner's slots reordered, say), and the check
+copies what it just verified into the shadow, with the registry's own LSPs
+in the class lists.  ``check_all`` stores the shadow only once both checks
+pass.  A lone ``check_state`` or ``check_fabric`` runs in full and leaves the
+shadow alone.  The shadow assumes only that the topology is fixed once frozen.
 
 The full checks: the ledger must equal a recount of the registry and breach
 no row of the current config's constraint table, the table admission and
@@ -59,11 +56,12 @@ def check_state(state: NetworkState) -> None:
     shadow = getattr(state, "_check_call", None)
     if shadow is None or not shadow.advance_state() or state.active_by_class != shadow.lists:
         _check_state_in_full(state)
-        if shadow is not None:  # hand over what just passed, as copies
+        if shadow is not None:  # hand over copies of what just passed
+            active = state.active_lsps
             shadow.ledger = {lid: link.alloc[:] for lid, link in state.topology.links.items()}
-            shadow.lists = [entries[:] for entries in state.active_by_class]
-            if any(type(row[3]) is not int for row in shadow.rows):
-                shadow.keys = None  # sums of other demands hang on their order: no delta
+            shadow.lists = [[(t, i, active[i]) for t, i, _ in entries] for entries in state.active_by_class]
+            if not all(map(_plain, shadow.rows)):
+                shadow.keys = None  # no delta from rows it cannot take
         return
     # The shadow's ledger is the registry's recount, so these raise exactly
     # what the full check would.
@@ -216,6 +214,11 @@ def _rows(active: Dict[int, Lsp]) -> List[tuple]:
     return [(l.id, l, l.class_index, l.demand_kbps, l.path, l.admit_time, l.src_host) for l in active.values()]
 
 
+def _plain(row: tuple) -> bool:
+    # Sums of other demands hang on their order; a list path changes unseen.
+    return type(row[2]) is int and type(row[3]) is int and type(row[4]) is tuple
+
+
 # What the class-list walk compares the first entry of a class with.
 _FIRST = (float("-inf"), 0)
 
@@ -229,9 +232,9 @@ class _Shadow:
     None when the registry did not move as commit and release move it.
 
     Demands are integral kbps, so the running sums are exactly the recount.
-    An added LSP must have an int class in range, an int demand, a tuple
-    path over known links, and an age key that sorts strictly between its
-    neighbours, as the full check's walk requires.  Its rules are taken
+    Every row must be ``_plain``.  An added LSP must also have a class in
+    range, a path over known links, and an age key that sorts strictly
+    between its neighbours, as the full check's walk requires.  Its rules are taken
     from the fabric only if they are as many as its route has switches,
     each is indexed under its owner, and none takes a slot already held.
     Otherwise the copies disagree and the full check decides."""
@@ -282,11 +285,9 @@ class _Shadow:
                 ledger[lid][c] -= demand
             entries = lists[c]
             del entries[bisect_left(entries, (admit_time or 0.0, lsp_id))]
-        for lsp_id, lsp, c, demand, path, admit_time, _src in added:
-            if (
-                type(c) is not int or not 0 <= c < len(lists) or type(demand) is not int
-                or type(path) is not tuple or not all(map(ledger.__contains__, path))
-            ):
+        for row in added:
+            lsp_id, lsp, c, demand, path, admit_time, _src = row
+            if not _plain(row) or not 0 <= c < len(lists) or not all(map(ledger.__contains__, path)):
                 return False
             key = (admit_time or 0.0, lsp_id)
             entries = lists[c]

@@ -1383,7 +1383,7 @@ def test_clean_runs_enter_the_full_checks_only_on_the_first_call(name, monkeypat
 def test_check_all_reads_the_registry_once(name, monkeypatch):
     """Both checks of a ``check_all`` take their delta from one read of the
     registry's rows, the first call's included: its full checks walk the
-    registry themselves, and both new shadows move from that one read."""
+    registry themselves, and the one shadow records that read."""
     from bamsim import checks, scenario
 
     reads = Counter()

@@ -1,10 +1,12 @@
 """The checkers must actually fire: corrupt a healthy state one way at a
 time and expect the matching violation."""
 
+import copy
+
 import pytest
 
 from bamsim import BcConfig, LspState, Model, ReconfigMode, reconfigure, release, scenario
-from bamsim.checks import InvariantViolation, check_all, check_fabric, check_state
+from bamsim.checks import InvariantViolation, _check_state_in_full, check_all, check_fabric, check_state
 from bamsim.controller import Classifier, Controller, LspRequest
 from bamsim.fabric import Fabric, FlowMatch, FlowRule
 
@@ -326,6 +328,33 @@ def test_a_legal_release_of_a_float_demand_raises_as_the_recount_does():
     check_all(state)
     release(state, 2, LspState.COMPLETED)
     expected = verdict(check_state, state)
+    assert expected.startswith("InvariantViolation: link L1 ledger")
+    assert verdict(check_all, state) == expected
+
+
+@pytest.mark.parametrize("field, value", [("demand_kbps", 5001), ("admit_time", 1.5)])
+def test_an_equal_copy_in_a_class_list_changed_after_a_passing_call_raises_as_in_full(field, value):
+    # The walk takes an equal copy for the registry's LSP, so the first call
+    # passes; once the copy changes, the lists disagree with the registry.
+    state = healthy()
+    entries = state.active_by_class[0]
+    entries[0] = entries[0][:2] + (copy.copy(entries[0][2]),)
+    check_all(state)
+    setattr(entries[0][2], field, value)
+    expected = verdict(_check_state_in_full, state)
+    assert expected == "InvariantViolation: class lists disagree with the active registry"
+    assert verdict(check_all, state) == expected
+
+
+def test_a_list_path_changed_after_a_passing_call_raises_as_in_full():
+    # A row holding a list path still equals its recorded self once the path
+    # changes, so no delta may be taken from it.
+    state = healthy()
+    admit(state, 3, 0, when=3.0)
+    state.active_lsps[3].path = ["L1"]  # commit takes tuples; the full check takes this
+    check_all(state)
+    state.active_lsps[3].path.clear()
+    expected = verdict(_check_state_in_full, state)
     assert expected.startswith("InvariantViolation: link L1 ledger")
     assert verdict(check_all, state) == expected
 

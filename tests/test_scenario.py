@@ -386,7 +386,9 @@ class TestSimulate:
         assert stats["blocked"] == counters.blocked
         assert stats["preempted"] == counters.preempted
         assert stats["completed"] == counters.completed
-        # a Journal recounts as the list of the event dicts it stands for
+        # Redundant: summarize reads a Journal as the list of its event dicts,
+        # so both sides are the same recount.  tests/test_cli.py compares the
+        # recount of a run's journal with the counters run prints.
         assert summarize(list(result.journal)) == stats
 
     def test_on_event_hook_sees_consistent_state_throughout(self):
