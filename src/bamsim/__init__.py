@@ -1,6 +1,13 @@
 """bamsim: admission control for emulated MPLS LSPs under per-class
 bandwidth allocation models (MAM and RDM), with runtime hard/soft
-constraint reconfiguration and a discrete-event scenario runner."""
+constraint reconfiguration and a discrete-event scenario runner.
+
+``Lsp`` changed shape: it is an immutable record ``(id, class_index,
+demand_kbps, path, src_host, admit_time)``, active exactly while
+``NetworkState.active_lsps`` holds it.  The mutable ``dst_host``, ``state``
+and ``end_time`` fields are gone, and so are ``NotActive`` and the
+``Requested`` and ``Active`` members of ``LspState``; ``release`` takes no
+``now``."""
 
 from .bam import (
     AdmissionDecision,
@@ -29,7 +36,6 @@ from .core import (
     Model,
     NetworkState,
     NoRoute,
-    NotActive,
     Topology,
     TrafficClass,
     UnknownLsp,
@@ -74,7 +80,6 @@ __all__ = [
     "Model",
     "NetworkState",
     "NoRoute",
-    "NotActive",
     "ParseError",
     "RateUndefined",
     "ReconfigEvent",

@@ -173,12 +173,7 @@ def decide(
     return AdmissionDecision(Verdict.GRANT_WITH_PREEMPTION, victims)
 
 
-def reconfigure(
-    state: NetworkState,
-    new_config: BcConfig,
-    mode: ReconfigMode,
-    now: Optional[float] = None,
-) -> List[Lsp]:
+def reconfigure(state: NetworkState, new_config: BcConfig, mode: ReconfigMode) -> List[Lsp]:
     """Apply a new constraint vector at runtime.
 
     Hard: the vector takes effect immediately and any LSPs that no longer fit
@@ -203,7 +198,7 @@ def reconfigure(
     state.bc_config = new_config
     state.pending_soft_bc = None
     rows = _deficit_rows(state.tables().current[tuple(state.topology.links)], 0)
-    return [release(state, lsp.id, LspState.PREEMPTED, now=now) for lsp in _choose_victims(state, rows)]
+    return [release(state, lsp.id, LspState.PREEMPTED) for lsp in _choose_victims(state, rows)]
 
 
 def promote_pending_if_clear(state: NetworkState) -> bool:

@@ -2,12 +2,13 @@
 
 ``check_all`` runs after every simulation event in tests, so it keeps a
 *shadow* of its last passing call on the state (``_check_shadow``): the
-registry's rows as that call read them, the ledger and class lists they
+registry's records as that call read them, the ledger and class lists they
 imply, and copies of the fabric's rule table and owner index.  Each call
-reads the registry once and takes the delta from the recorded rows: the
-LSPs added and removed since, every kept row compared whole, so an LSP
-changed in place is seen.  Both checks apply the delta to their copies and
-then compare every structure whole with them, at C speed:
+reads the registry once and takes the delta from the recorded read: the
+LSPs added and removed since.  Records are immutable, so each kept key must
+still hold the very record it held, and an LSP replaced under its key is
+seen.  Both checks apply the delta to their copies and then compare every
+structure whole with them, at C speed:
 
 - ``check_state``: the per-link ledger and the class lists.  The rows of the
   current constraint table and the counter identities still run on every
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import chain
+from operator import is_
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .core import Lsp, NetworkState
@@ -60,8 +62,8 @@ def check_state(state: NetworkState) -> None:
             active = state.active_lsps
             shadow.ledger = {lid: link.alloc[:] for lid, link in state.topology.links.items()}
             shadow.lists = [[(t, i, active[i]) for t, i, _ in entries] for entries in state.active_by_class]
-            if not all(map(_plain, shadow.rows)):
-                shadow.keys = None  # no delta from rows it cannot take
+            if not all(map(_plain, shadow.records)):
+                shadow.keys = None  # no delta from records it cannot take
         return
     # The shadow's ledger is the registry's recount, so these raise exactly
     # what the full check would.
@@ -136,7 +138,7 @@ def _check_class_lists(state: NetworkState) -> None:
                 (registered is not lsp and registered != lsp)
                 or lsp.class_index != c
                 or lsp.id != lsp_id
-                or (lsp.admit_time or 0.0) != time
+                or lsp.admit_time != time
                 or time < prev_time
                 or (time == prev_time and lsp_id <= prev_id)
             ):
@@ -209,14 +211,10 @@ def check_all(state: NetworkState, fabric: Optional[Fabric] = None) -> None:
     state._check_shadow = shadow
 
 
-def _rows(active: Dict[int, Lsp]) -> List[tuple]:
-    # The object itself too: the class lists hold the registry's objects.
-    return [(l.id, l, l.class_index, l.demand_kbps, l.path, l.admit_time, l.src_host) for l in active.values()]
-
-
-def _plain(row: tuple) -> bool:
+def _plain(lsp) -> bool:
     # Sums of other demands hang on their order; a list path changes unseen.
-    return type(row[2]) is int and type(row[3]) is int and type(row[4]) is tuple
+    return (type(lsp) is Lsp and type(lsp.class_index) is int
+            and type(lsp.demand_kbps) is int and type(lsp.path) is tuple)
 
 
 # What the class-list walk compares the first entry of a class with.
@@ -224,15 +222,15 @@ _FIRST = (float("-inf"), 0)
 
 
 class _Shadow:
-    """What the last passing ``check_all`` verified: the registry's keys in
-    order and, aligned with them, each LSP's row, which starts with its id;
-    the ledger and class lists that registry implies; and copies of the
-    fabric's rule table and owner index (``rules`` is None when that call
-    had no fabric).  ``delta`` holds the LSPs removed and added since, or
-    None when the registry did not move as commit and release move it.
+    """What the last passing ``check_all`` verified: the registry's keys and,
+    aligned with them, its records, in order; the ledger and class lists
+    that registry implies; and copies of the fabric's rule table and owner
+    index (``rules`` is None when that call had no fabric).  ``delta`` holds
+    the records removed and added since, or None when the registry did not
+    move as commit and release move it.
 
     Demands are integral kbps, so the running sums are exactly the recount.
-    Every row must be ``_plain``.  An added LSP must also have a class in
+    Every record must be ``_plain``.  An added LSP must also have a class in
     range, a path over known links, and an age key that sorts strictly
     between its neighbours, as the full check's walk requires.  Its rules are taken
     from the fabric only if they are as many as its route has switches,
@@ -241,8 +239,8 @@ class _Shadow:
 
     def __init__(self) -> None:
         self.keys: Optional[List[int]] = None
-        self.rows: List[tuple] = []
-        self.delta: Optional[Tuple[List[tuple], List[tuple]]] = None
+        self.records: List[Lsp] = []
+        self.delta: Optional[Tuple[List[Lsp], List[Lsp]]] = None
         self.ledger: Dict[str, List[int]] = {}
         self.lists: List[list] = []
         self.rules: Optional[dict] = None
@@ -254,25 +252,25 @@ class _Shadow:
         """Read the registry and take the delta from the recorded read.
         Commit appends to the registry and release deletes from it, so the
         live keys are the recorded ones less the removed, then the added.
-        Each kept LSP's row must be as recorded, and each added LSP must be
-        filed under its id."""
-        keys, rows = list(active), _rows(active)
-        old_keys, old_rows = self.keys, self.rows
-        self.keys, self.rows, self.delta = keys, rows, None
-        if old_keys is None:
+        Each kept key must hold its recorded record, the same object, and
+        each added record must be ``_plain`` and filed under its id."""
+        keys, old_keys, old_records = list(active), self.keys, self.records
+        if keys == old_keys and all(map(is_, active.values(), old_records)):
+            self.delta = [], []
             return
-        if keys == old_keys:
-            if rows == old_rows:
-                self.delta = [], []
+        records = list(active.values())
+        self.keys, self.records, self.delta = keys, records, None
+        if old_keys is None:
             return
         removed = []
         for key in set(old_keys).difference(active):
             i = old_keys.index(key)
             del old_keys[i]
-            removed.append(old_rows.pop(i))
+            removed.append(old_records.pop(i))
         kept = len(old_keys)
-        added = rows[kept:]
-        if keys[:kept] == old_keys and rows[:kept] == old_rows and keys[kept:] == [row[0] for row in added]:
+        added = records[kept:]
+        if (keys[:kept] == old_keys and all(map(is_, records, old_records))
+                and all(map(_plain, added)) and keys[kept:] == [lsp.id for lsp in added]):
             self.delta = removed, added
 
     def advance_state(self) -> bool:
@@ -280,16 +278,16 @@ class _Shadow:
             return False
         removed, added = self.delta
         ledger, lists = self.ledger, self.lists
-        for lsp_id, _lsp, c, demand, path, admit_time, _src in removed:
+        for lsp_id, c, demand, path, _src, admit_time in removed:
             for lid in path:
                 ledger[lid][c] -= demand
             entries = lists[c]
-            del entries[bisect_left(entries, (admit_time or 0.0, lsp_id))]
-        for row in added:
-            lsp_id, lsp, c, demand, path, admit_time, _src = row
-            if not _plain(row) or not 0 <= c < len(lists) or not all(map(ledger.__contains__, path)):
+            del entries[bisect_left(entries, (admit_time, lsp_id))]
+        for lsp in added:
+            lsp_id, c, demand, path, _src, admit_time = lsp
+            if not 0 <= c < len(lists) or not all(map(ledger.__contains__, path)):
                 return False
-            key = (admit_time or 0.0, lsp_id)
+            key = (admit_time, lsp_id)
             entries = lists[c]
             i = bisect_left(entries, key)
             below = entries[i - 1][:2] if i else _FIRST
@@ -306,13 +304,11 @@ class _Shadow:
             return False
         removed, added = self.delta
         rules, by_owner = self.rules, self.by_owner
-        for row in removed:
-            for slot in by_owner.pop(row[0], ()):
+        for lsp in removed:
+            for slot in by_owner.pop(lsp.id, ()):
                 del rules[slot]
         live_rules, live_index = fabric._rules, fabric._by_owner
-        for owner, _lsp, _c, _demand, path, _admit_time, src_host in added:
-            if type(path) is not tuple:
-                return False
+        for owner, _c, _demand, path, src_host, _admit_time in added:
             route = (path, src_host)
             expected = self.switches.get(route)
             if expected is None:

@@ -119,10 +119,10 @@ class Controller:
             journal.append(("block", now, lsp_id, class_index))
             return None
         for victim_id in decision.victims:
-            victim = release(state, victim_id, LspState.PREEMPTED, now=now)
+            victim = release(state, victim_id, LspState.PREEMPTED)
             self.fabric.remove_by_owner(victim_id)
             journal.append(("preempt", now, victim_id, victim.class_index, lsp_id))
-        lsp = Lsp(lsp_id, class_index, demand, path, src_host, dst_host, admit_time=now)
+        lsp = Lsp._make((lsp_id, class_index, demand, path, src_host, now))
         commit(state, lsp)
         match = FlowMatch._make((req.src_ip, req.dst_ip, req.src_port, req.dst_port, "tcp"))
         self.fabric.install_path(lsp, match)
@@ -134,7 +134,7 @@ class Controller:
     def handle_expiry(self, lsp_id: int, now: float) -> Lsp:
         """Natural completion at end of lifetime; ``release`` raises
         UnknownLsp if the LSP is not active."""
-        lsp = release(self.state, lsp_id, LspState.COMPLETED, now=now)
+        lsp = release(self.state, lsp_id, LspState.COMPLETED)
         self.fabric.remove_by_owner(lsp_id)
         self.journal.append(("expire", now, lsp_id, lsp.class_index))
         if bam.promote_pending_if_clear(self.state):
@@ -143,7 +143,7 @@ class Controller:
 
     def apply_reconfig(self, event: bam.ReconfigEvent, now: float) -> List[Lsp]:
         """Runtime constraint change; hard mode may evict LSPs."""
-        preempted = bam.reconfigure(self.state, event.config, event.mode, now=now)
+        preempted = bam.reconfigure(self.state, event.config, event.mode)
         journal = self.journal
         for victim in preempted:
             self.fabric.remove_by_owner(victim.id)

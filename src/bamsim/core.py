@@ -44,10 +44,6 @@ class UnknownLsp(Exception):
     """LSP id is not present in the active registry."""
 
 
-class NotActive(Exception):
-    """Operation requires an Active LSP."""
-
-
 class InvalidBc(Exception):
     """Bandwidth-constraint vector is malformed for the model in use."""
 
@@ -62,8 +58,8 @@ class Model(enum.Enum):
 
 
 class LspState(enum.Enum):
-    REQUESTED = "Requested"
-    ACTIVE = "Active"
+    """Why an LSP was released."""
+
     PREEMPTED = "Preempted"
     COMPLETED = "Completed"
 
@@ -170,19 +166,16 @@ class Link:
         return sum(self.alloc)
 
 
-@dataclass(slots=True)
-class Lsp:
-    """A label-switched path instance and its lifecycle bookkeeping."""
+class Lsp(NamedTuple):
+    """An admitted label-switched path.  Immutable: it is active exactly
+    while ``NetworkState.active_lsps`` holds it."""
 
     id: int
     class_index: int
     demand_kbps: int
     path: Tuple[str, ...]
     src_host: str
-    dst_host: str
-    state: LspState = LspState.REQUESTED
-    admit_time: Optional[float] = None
-    end_time: Optional[float] = None
+    admit_time: float
 
 
 class Memo(dict):
@@ -342,7 +335,7 @@ class Counters:
 
 def age_key(lsp: Lsp) -> Tuple[float, int]:
     """Eviction age of an active LSP: admit time, then id."""
-    return (lsp.admit_time or 0.0, lsp.id)
+    return (lsp.admit_time, lsp.id)
 
 
 # An entry of a class list: age_key(lsp) + (lsp,).  Active ids are unique, so
@@ -490,11 +483,10 @@ class NetworkState:
 def commit(state: NetworkState, lsp: Lsp) -> None:
     """Reserve an LSP's demand on every link of its path and activate it.
 
-    The LSP must be in Requested state.  Validation runs before any link is
-    touched, so a CapacityViolation leaves the ledger unchanged.
+    The LSP's id must not be active.  Validation runs before any link is
+    touched, so a CapacityViolation leaves the ledger unchanged, and the
+    class-list insert, which compares age keys, comes before the ledger.
     """
-    if lsp.state is not LspState.REQUESTED:
-        raise NotActive("commit requires a Requested LSP, got %s" % lsp.state.value)
     if lsp.id in state.active_lsps:
         raise ValueError("LSP id %d already active" % lsp.id)
     links = state.topology.path_links[lsp.path]
@@ -505,21 +497,16 @@ def commit(state: NetworkState, lsp: Lsp) -> None:
                 "link %s: %d + %d exceeds capacity %d"
                 % (link.id, link.total_alloc, demand, link.capacity_kbps)
             )
+    bisect.insort(state.active_by_class[c], age_key(lsp) + (lsp,))
     for link in links:
         link.alloc[c] += demand
-    lsp.state = LspState.ACTIVE
     state.active_lsps[lsp.id] = lsp
-    bisect.insort(state.active_by_class[c], age_key(lsp) + (lsp,))
     state.counters.admitted[c] += 1
 
 
-def release(
-    state: NetworkState,
-    lsp_id: int,
-    reason: LspState,
-    now: Optional[float] = None,
-) -> Lsp:
-    """Return an active LSP's bandwidth on every path link and retire it.
+def release(state: NetworkState, lsp_id: int, reason: LspState) -> Lsp:
+    """Return an active LSP's bandwidth on every path link, retire it and
+    return its record.
 
     ``reason`` must be Completed or Preempted; the per-class preempted counter
     is bumped only for preemptions.  Exact inverse of commit with respect to
@@ -530,8 +517,6 @@ def release(
     lsp = state.active_lsps.get(lsp_id)
     if lsp is None:
         raise UnknownLsp(str(lsp_id))
-    if lsp.state is not LspState.ACTIVE:
-        raise NotActive("LSP %d is %s" % (lsp_id, lsp.state.value))
     demand, c = lsp.demand_kbps, lsp.class_index
     for link in state.topology.path_links[lsp.path]:
         alloc = link.alloc
@@ -540,8 +525,6 @@ def release(
     del state.active_lsps[lsp_id]
     same_class = state.active_by_class[c]
     del same_class[bisect.bisect_left(same_class, age_key(lsp))]
-    lsp.state = reason
-    lsp.end_time = now
     if reason is LspState.PREEMPTED:
         state.counters.preempted[c] += 1
     else:

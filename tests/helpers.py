@@ -56,12 +56,31 @@ def admit(
         demand_kbps=state.classes[class_index].max_lsp_kbps,
         path=path,
         src_host="A",
-        dst_host="B",
         admit_time=when,
     )
     state.counters.requested[class_index] += 1
     commit(state, lsp)
     return lsp
+
+
+def replace_lsp(state: NetworkState, lsp_id: int, **changes) -> Lsp:
+    """Put a changed copy of an active LSP's record wherever the record
+    sits: under its key in the registry and in its class-list entry, whose
+    age key stays as it was.  Records are immutable, so this is how a test
+    changes an LSP behind the package's back."""
+    return put_in_place(state, lsp_id, state.active_lsps[lsp_id]._replace(**changes))
+
+
+def put_in_place(state: NetworkState, lsp_id: int, new):
+    """Put ``new`` where the record of active LSP ``lsp_id`` sits, as
+    ``replace_lsp`` does."""
+    old = state.active_lsps[lsp_id]
+    state.active_lsps[lsp_id] = new
+    for entries in state.active_by_class:
+        for i, entry in enumerate(entries):
+            if entry[2] is old:
+                entries[i] = entry[:2] + (new,)
+    return new
 
 
 def fill(state: NetworkState, class_index: int, count: int, first_id: int, t0: float = 0.0) -> List[Lsp]:

@@ -376,7 +376,7 @@ class TestContinuousConsistency:
         for step in range(400):
             if ledger and rng.random() < 0.45:
                 lsp_id, before = ledger.popitem()
-                release(state, lsp_id, LspState.COMPLETED, now=float(step))
+                release(state, lsp_id, LspState.COMPLETED)
                 assert list(state.topology.links["L1"].alloc) == before
             else:
                 c = rng.randrange(3)
@@ -409,7 +409,7 @@ class TestBruteForceEquivalence:
             for step in range(200):
                 if state.active_lsps and rng.random() < 0.35:
                     gone = rng.choice(sorted(state.active_lsps))
-                    release(state, gone, LspState.COMPLETED, now=float(step))
+                    release(state, gone, LspState.COMPLETED)
                     continue
                 c = rng.randrange(3)
                 d = demands[c]
@@ -430,7 +430,7 @@ class TestBruteForceEquivalence:
                             assert not eviction_clears(state, rest, c, d)
                             assert state.active_lsps[v].class_index < c
                         for v in decision.victims:
-                            release(state, v, LspState.PREEMPTED, now=float(step))
+                            release(state, v, LspState.PREEMPTED)
                 if decision.verdict is not Verdict.DENY:
                     admit(state, next_id, c, when=float(step))
                     next_id += 1
@@ -452,7 +452,7 @@ class TestBruteForceEquivalence:
             for step in range(200):
                 if state.active_lsps and rng.random() < 0.3:
                     gone = rng.choice(sorted(state.active_lsps))
-                    release(state, gone, LspState.COMPLETED, now=float(step))
+                    release(state, gone, LspState.COMPLETED)
                     continue
                 c = rng.randrange(3)
                 verdict, count = oracle_rdm_verdict(state, c, d)
@@ -462,7 +462,7 @@ class TestBruteForceEquivalence:
                     assert len(decision.victims) == count, (trial, step)
                     preemptive += 1
                     for v in decision.victims:
-                        release(state, v, LspState.PREEMPTED, now=float(step))
+                        release(state, v, LspState.PREEMPTED)
                 if decision.verdict is not Verdict.DENY:
                     admit(state, next_id, c, when=float(step))
                     next_id += 1

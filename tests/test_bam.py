@@ -1,5 +1,4 @@
 import bisect
-import copy
 import itertools
 import random
 from collections import Counter
@@ -44,6 +43,7 @@ from helpers import (
     oracle_constraint_verdict,
     oracle_rdm_verdict,
     rdm_fits_direct,
+    replace_lsp,
     single_link_state,
 )
 
@@ -125,7 +125,7 @@ class TestCheckMam:
         state = NetworkState(topo, [TrafficClass(0, 10)], BcConfig(Model.MAM, values_kbps=(50,)))
         for i in range(5):  # saturate L2's only partition
             commit(state, Lsp(id=i + 1, class_index=0, demand_kbps=10, path=("L2",),
-                              src_host="B", dst_host="C", admit_time=float(i)))
+                              src_host="B", admit_time=float(i)))
         assert decide(state, ("L1", "L2"), 0, 10).verdict is Verdict.DENY
         assert decide(state, ("L1",), 0, 10).verdict is Verdict.GRANT
 
@@ -233,13 +233,13 @@ class TestCheckRdm:
                         assert not eviction_clears(state, rest, c, d)
                         assert state.active_lsps[v].class_index < c
                     for v in decision.victims:
-                        release(state, v, LspState.PREEMPTED, now=float(step))
+                        release(state, v, LspState.PREEMPTED)
                 if decision.verdict is not Verdict.DENY:
                     admit(state, next_id, c, float(step))
                     next_id += 1
                 if state.active_lsps and rng.random() < 0.3:
                     gone = rng.choice(list(state.active_lsps))
-                    release(state, gone, LspState.COMPLETED, now=float(step))
+                    release(state, gone, LspState.COMPLETED)
 
 
 class TestSelectVictims:
@@ -279,10 +279,10 @@ class TestSelectVictims:
             BcConfig(Model.RDM, values_kbps=(100, 50)),
         )
         on_l2 = Lsp(id=1, class_index=0, demand_kbps=10, path=("L2",),
-                    src_host="B", dst_host="C", admit_time=0.0)
+                    src_host="B", admit_time=0.0)
         commit(state, on_l2)
         on_l1 = Lsp(id=2, class_index=0, demand_kbps=10, path=("L1",),
-                    src_host="A", dst_host="B", admit_time=1.0)
+                    src_host="A", admit_time=1.0)
         commit(state, on_l1)
         assert select_victims(state, [("L1", 0, 1, 10)]) == (2,)
         with pytest.raises(Infeasible):
@@ -301,13 +301,12 @@ def test_decide_dispatches_on_model():
 class TestReconfigure:
     def test_hard_mam_evicts_newest_of_over_quota_class(self):
         state = single_link_state(Model.MAM, [300, 50, 100], 500, [5, 10, 20])
-        fill(state, 0, 60, first_id=1)  # 300, ids 1..60
-        out = reconfigure(
-            state, BcConfig(Model.MAM, values_kbps=(250, 150, 100)), ReconfigMode.HARD, now=7.0
-        )
+        lsps = fill(state, 0, 60, first_id=1)  # 300, ids 1..60
+        out = reconfigure(state, BcConfig(Model.MAM, values_kbps=(250, 150, 100)), ReconfigMode.HARD)
         assert len(out) == 10
         assert sorted(l.id for l in out) == list(range(51, 61))
-        assert all(l.state is LspState.PREEMPTED and l.end_time == 7.0 for l in out)
+        assert sorted(out) == lsps[50:]  # the records retired, as committed
+        assert sorted(state.active_lsps) == list(range(1, 51))
         assert state.topology.links["L1"].alloc[0] == 250
         assert state.counters.preempted[0] == 10
         assert state.bc_config.values_kbps == (250, 150, 100)
@@ -513,7 +512,7 @@ class TestVictimOrderMatchesTheSort:
                     # out of order and often tied.
                     lsp = Lsp(id=next_id, class_index=c,
                               demand_kbps=state.classes[c].max_lsp_kbps,
-                              path=rng.choice(paths), src_host="A", dst_host="B",
+                              path=rng.choice(paths), src_host="A",
                               admit_time=rng.randint(0, 8) * 0.5)
                     next_id += 1
                     try:
@@ -522,7 +521,7 @@ class TestVictimOrderMatchesTheSort:
                         pass
                 elif action < 0.6 and state.active_lsps:
                     gone = rng.choice(sorted(state.active_lsps))
-                    release(state, gone, LspState.COMPLETED, now=float(step))
+                    release(state, gone, LspState.COMPLETED)
                 elif action < 0.8:
                     c = rng.randrange(3)
                     rows = admission_rows(state, rng.choice(paths), c,
@@ -540,7 +539,7 @@ class TestVictimOrderMatchesTheSort:
                         link.capacity_kbps for link in state.topology.links.values()))
                     rows = reconfig_rows(state, config)
                     expected = self.outcome(choose_victims_by_sort, state, rows)
-                    out = reconfigure(state, config, ReconfigMode.HARD, now=float(step))
+                    out = reconfigure(state, config, ReconfigMode.HARD)
                     assert tuple(l.id for l in out) == expected, (trial, step)
                     seen["reconfig_victims"] += len(out)
                 # Forced commits ignore the constraints, so only the class
@@ -698,7 +697,7 @@ class TestDecideMatchesTheFitChecks:
                     for _ in range(rng.randint(1, 6)):
                         lsp = Lsp(id=next_id, class_index=c,
                                   demand_kbps=state.classes[c].max_lsp_kbps,
-                                  path=path, src_host="A", dst_host="B",
+                                  path=path, src_host="A",
                                   admit_time=float(step))
                         next_id += 1
                         try:
@@ -799,7 +798,7 @@ class TestConstraintVerdictsMatchTheInequalities:
         registry recount still holds while a link may pass its capacity."""
         lsp = state.active_lsps[rng.choice(sorted(state.active_lsps))]
         extra = rng.randint(1, 30)
-        lsp.demand_kbps += extra
+        replace_lsp(state, lsp.id, demand_kbps=lsp.demand_kbps + extra)
         for lid in lsp.path:
             state.topology.links[lid].alloc[lsp.class_index] += extra
 
@@ -821,7 +820,7 @@ class TestConstraintVerdictsMatchTheInequalities:
                     c = rng.randrange(3)
                     lsp = Lsp(id=next_id, class_index=c,
                               demand_kbps=state.classes[c].max_lsp_kbps,
-                              path=rng.choice(paths), src_host="A", dst_host="B",
+                              path=rng.choice(paths), src_host="A",
                               admit_time=float(step))
                     next_id += 1
                     try:
@@ -1060,9 +1059,11 @@ def _swap_tied_entries(state, fabric, rng):
 
 
 def _move_admit_time(state, fabric, rng):
+    """An LSP's record replaced by one with another admit time, its class
+    entry keeping the old age key."""
     if state.active_lsps:
         lsp = state.active_lsps[rng.choice(sorted(state.active_lsps))]
-        lsp.admit_time = rng.choice([lsp.admit_time, 0.0, lsp.admit_time + 0.5, 99.0])
+        replace_lsp(state, lsp.id, admit_time=rng.choice([lsp.admit_time, 0.0, lsp.admit_time + 0.5, 99.0]))
 
 
 def _keep_retired_entry(state, fabric, rng):
@@ -1089,7 +1090,7 @@ def _copy_entry_lsp(state, fabric, rng):
     entries = _class_entries(state, rng)
     if entries:
         i = rng.randrange(len(entries))
-        entries[i] = entries[i][:2] + (copy.copy(entries[i][2]),)
+        entries[i] = entries[i][:2] + (entries[i][2]._replace(),)
 
 
 CORRUPTIONS = [
@@ -1382,13 +1383,14 @@ def test_clean_runs_enter_the_full_checks_only_on_the_first_call(name, monkeypat
 @pytest.mark.parametrize("name", BUNDLED)
 def test_check_all_reads_the_registry_once(name, monkeypatch):
     """Both checks of a ``check_all`` take their delta from one read of the
-    registry's rows, the first call's included: its full checks walk the
-    registry themselves, and the one shadow records that read."""
+    registry's records, ``_Shadow.move``, the first call's included: its
+    full checks walk the registry themselves, and the one shadow records
+    that read."""
     from bamsim import checks, scenario
 
     reads = Counter()
-    real = checks._rows
-    monkeypatch.setattr(checks, "_rows", lambda active: (reads.update(["rows"]), real(active))[1])
+    real = checks._Shadow.move
+    monkeypatch.setattr(checks._Shadow, "move", lambda shadow, active: (reads.update(["registry"]), real(shadow, active))[1])
     for seed in (3, 11):
         reads.clear()
         calls = Counter()
@@ -1400,7 +1402,7 @@ def test_check_all_reads_the_registry_once(name, monkeypatch):
             checks.check_all(state, fabric)
 
         scenario.simulate(scn, on_event=hook)
-        assert calls["check_all"] > 500 and reads["rows"] == calls["check_all"], (seed, reads, calls)
+        assert calls["check_all"] > 500 and reads["registry"] == calls["check_all"], (seed, reads, calls)
 
 
 @pytest.mark.parametrize("name", BUNDLED)

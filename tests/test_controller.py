@@ -9,7 +9,6 @@ from bamsim import (
     Controller,
     Fabric,
     LspRequest,
-    LspState,
     Model,
     NetworkState,
     ReconfigEvent,
@@ -113,8 +112,7 @@ class TestHandleRequest:
         ctl = mk_controller(Model.MAM, (250000, 150000, 100000))
         lsp = ctl.handle_request(request(ctl, 1, "HS1", 30001, 1.0))
         assert lsp is ctl.state.active_lsps[1]
-        assert lsp.state is LspState.ACTIVE
-        assert lsp.admit_time == 1.0
+        assert lsp == (1, 0, 5000, lsp.path, "HS1", 1.0)
         assert ctl.state.topology.links["L6"].alloc == [5000, 0, 0]
         assert ctl.fabric.rule_count() == 3
         assert kinds(ctl) == ["request", "admit"]
@@ -143,8 +141,7 @@ class TestHandleRequest:
         lsp = ctl.handle_request(request(ctl, 101, "HS2", 31001, 200.0))
         assert lsp is ctl.state.active_lsps[101]
         assert sorted(set(held) - set(ctl.state.active_lsps)) == [99, 100]
-        assert all(held[i].state is LspState.PREEMPTED and held[i].end_time == 200.0
-                   for i in (99, 100))
+        assert ctl.state.active_lsps == {i: held[i] for i in range(1, 99)} | {101: lsp}
         assert ctl.state.counters.preempted[0] == 2
         assert 99 not in ctl.state.active_lsps
         assert ctl.fabric.owner_rules(99) == []
@@ -162,9 +159,10 @@ class TestHandleExpiry:
     def test_expiry_completes_and_cleans_up(self):
         ctl = mk_controller(Model.MAM, (250000, 150000, 100000))
         ctl.handle_request(request(ctl, 1, "HS1", 30001, 1.0))
+        admitted = ctl.state.active_lsps[1]
         lsp = ctl.handle_expiry(1, 301.0)
-        assert lsp.state is LspState.COMPLETED
-        assert lsp.end_time == 301.0
+        assert lsp is admitted
+        assert ctl.state.active_lsps == {}
         assert ctl.state.counters.completed[0] == 1
         assert ctl.fabric.rule_count() == 0
         assert ctl.state.topology.links["L6"].alloc == [0, 0, 0]

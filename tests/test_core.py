@@ -11,7 +11,6 @@ from bamsim import (
     Model,
     NetworkState,
     NoRoute,
-    NotActive,
     Topology,
     TrafficClass,
     UnknownLsp,
@@ -216,19 +215,20 @@ class TestCommitRelease:
         state = single_link_state(Model.MAM, [250, 150, 100], 500, [5, 10, 20])
         lsp = admit(state, 1, 1, 0.0)
         assert state.topology.links["L1"].alloc == [0, 10, 0]
-        assert lsp.state is LspState.ACTIVE
         assert state.counters.admitted == [0, 1, 0]
-        assert 1 in state.active_lsps
+        assert state.active_lsps[1] is lsp  # active: in the registry
 
     def test_commit_requires_requested_state_and_fresh_id(self):
         state = single_link_state(Model.MAM, [250, 150, 100], 500, [5, 10, 20])
         lsp = admit(state, 1, 0, 0.0)
-        with pytest.raises(NotActive):
-            commit(state, lsp)  # already Active
+        with pytest.raises(ValueError, match="already active"):
+            commit(state, lsp)
         clone = Lsp(id=1, class_index=0, demand_kbps=5, path=("L1",),
-                    src_host="A", dst_host="B")
-        with pytest.raises(ValueError):
+                    src_host="A", admit_time=1.0)
+        with pytest.raises(ValueError, match="already active"):
             commit(state, clone)
+        assert state.active_lsps == {1: lsp}
+        assert state.topology.links["L1"].alloc == [5, 0, 0]
 
     def test_commit_over_capacity_is_atomic(self):
         # Two links; second one is full, so the first must stay untouched.
@@ -240,15 +240,26 @@ class TestCommitRelease:
         topo.add_link("L2", "B", "C", 10)
         topo.freeze(1)
         state = NetworkState(topo, [TrafficClass(0, 8)], BcConfig(Model.MAM, values_kbps=(10,)))
-        first = Lsp(id=1, class_index=0, demand_kbps=8, path=("L2",), src_host="B", dst_host="C")
+        first = Lsp(id=1, class_index=0, demand_kbps=8, path=("L2",), src_host="B", admit_time=0.0)
         commit(state, first)
-        second = Lsp(id=2, class_index=0, demand_kbps=8, path=("L1", "L2"), src_host="A", dst_host="C")
+        second = Lsp(id=2, class_index=0, demand_kbps=8, path=("L1", "L2"), src_host="A", admit_time=1.0)
         with pytest.raises(CapacityViolation):
             commit(state, second)
         assert topo.links["L1"].alloc == [0]
         assert topo.links["L2"].alloc == [8]
-        assert second.state is LspState.REQUESTED
         assert 2 not in state.active_lsps
+        assert state.active_by_class == [[(0.0, 1, first)]]
+
+    def test_commit_with_an_admit_time_that_does_not_compare_changes_nothing(self):
+        state = single_link_state(Model.MAM, [250, 150, 100], 500, [5, 10, 20])
+        first = admit(state, 1, 0, 0.0)
+        odd = Lsp(id=2, class_index=0, demand_kbps=5, path=("L1",), src_host="A", admit_time=None)
+        with pytest.raises(TypeError):
+            commit(state, odd)  # (None, 2) against (0.0, 1)
+        assert state.active_lsps == {1: first}
+        assert state.active_by_class[0] == [(0.0, 1, first)]
+        assert state.topology.links["L1"].alloc == [5, 0, 0]
+        assert state.counters.admitted == [1, 0, 0]
 
     def test_release_is_exact_inverse(self):
         state = single_link_state(Model.MAM, [250, 150, 100], 500, [5, 10, 20])
@@ -256,19 +267,18 @@ class TestCommitRelease:
         admit(state, 2, 2, 1.0)
         before = list(state.topology.links["L1"].alloc)
         admit(state, 3, 1, 2.0)
-        release(state, 3, LspState.COMPLETED, now=9.0)
+        release(state, 3, LspState.COMPLETED)
         assert state.topology.links["L1"].alloc == before
         assert state.counters.completed == [0, 1, 0]
         assert 3 not in state.active_lsps
 
     def test_release_reason_routes_to_the_right_counter(self):
         state = single_link_state(Model.MAM, [250, 150, 100], 500, [5, 10, 20])
-        admit(state, 1, 0, 0.0)
-        admit(state, 2, 0, 1.0)
-        done = release(state, 1, LspState.COMPLETED, now=5.0)
-        gone = release(state, 2, LspState.PREEMPTED, now=6.0)
-        assert done.state is LspState.COMPLETED and done.end_time == 5.0
-        assert gone.state is LspState.PREEMPTED and gone.end_time == 6.0
+        first = admit(state, 1, 0, 0.0)
+        second = admit(state, 2, 0, 1.0)
+        assert release(state, 1, LspState.COMPLETED) is first
+        assert release(state, 2, LspState.PREEMPTED) is second
+        assert state.active_lsps == {}
         assert state.counters.completed[0] == 1
         assert state.counters.preempted[0] == 1
 
@@ -276,7 +286,8 @@ class TestCommitRelease:
         state = single_link_state(Model.MAM, [250, 150, 100], 500, [5, 10, 20])
         admit(state, 1, 0, 0.0)
         with pytest.raises(ValueError):
-            release(state, 1, LspState.ACTIVE)
+            release(state, 1, "Completed")
+        assert 1 in state.active_lsps
         with pytest.raises(UnknownLsp):
             release(state, 99, LspState.COMPLETED)
         release(state, 1, LspState.COMPLETED)
@@ -294,7 +305,7 @@ class TestCommitRelease:
             if live and rng.random() < 0.45:
                 victim = live.pop(rng.randrange(len(live)))
                 reason = LspState.COMPLETED if rng.random() < 0.7 else LspState.PREEMPTED
-                release(state, victim, reason, now=float(step))
+                release(state, victim, reason)
             else:
                 c = rng.randrange(3)
                 demand = state.classes[c].max_lsp_kbps

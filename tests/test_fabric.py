@@ -104,7 +104,7 @@ class TestInstallPath:
     def lsp(self, topo: Topology) -> Lsp:
         path = topo.shortest_path("HS1", "DST")
         return Lsp(id=7, class_index=0, demand_kbps=5000, path=path,
-                   src_host="HS1", dst_host="DST", admit_time=0.0)
+                   src_host="HS1", admit_time=0.0)
 
     def test_one_rule_per_interior_switch(self):
         topo = line_topology()
@@ -250,7 +250,7 @@ class TestRouteCaches:
         for n, (path, src) in enumerate(routes(topo), start=1):
             expected = walk(topo, path, src)
             match = FlowMatch("10.0.0.1", "10.0.0.2", n, n)
-            lsp = Lsp(n, 0, 1000, path, src, "?")
+            lsp = Lsp(n, 0, 1000, path, src, 0.0)
             for _use in range(2):  # the second use reads the cache
                 assert topo.route_hops[path, src] == expected
                 rules = fabric.install_path(lsp, match)
@@ -289,7 +289,7 @@ class TestRouteCaches:
         topo.freeze(1)
         topo.add_link("L4", "S1", "HA", 1000)  # after freeze: S1 has no port for it
         fabric = Fabric(topo)
-        fabric.install_path(Lsp(1, 0, 500, ("L2", "L3"), "HB", "HC"), MATCH)
+        fabric.install_path(Lsp(1, 0, 500, ("L2", "L3"), "HB", 0.0), MATCH)
         fabric.remove_by_owner(1)  # cached from HB, which is not the route from HA
         cases = [
             (("L1", "L2", "L3"), "HA", UnknownSwitch, "HB"),
@@ -298,7 +298,7 @@ class TestRouteCaches:
         ]
         before = snapshot(topo, fabric)
         for path, src, error, message in cases:
-            lsp = Lsp(1, 0, 500, path, src, "?")
+            lsp = Lsp(1, 0, 500, path, src, 0.0)
             for _attempt in range(2):
                 with pytest.raises(error) as err:
                     fabric.install_path(lsp, MATCH)
@@ -310,14 +310,14 @@ class TestRouteCaches:
         topo = line_topology()
         state = NetworkState(topo, [TrafficClass(0, 400000)], BcConfig(Model.MAM, values_kbps=(500000,)))
         path = topo.shortest_path("HS1", "DST")
-        commit(state, Lsp(1, 0, 400000, path, "HS1", "DST"))
+        commit(state, Lsp(1, 0, 400000, path, "HS1", 0.0))
         release(state, 1, LspState.COMPLETED)  # the path is cached now
-        commit(state, Lsp(2, 0, 400000, ("L5",), "S2", "S3"))
+        commit(state, Lsp(2, 0, 400000, ("L5",), "S2", 0.0))
         fabric = Fabric(topo)
         before = snapshot(topo, fabric)
         for _attempt in range(2):
             with pytest.raises(CapacityViolation) as err:
-                commit(state, Lsp(3, 0, 400000, path, "HS1", "DST"))
+                commit(state, Lsp(3, 0, 400000, path, "HS1", 0.0))
             assert str(err.value) == "link L5: 400000 + 400000 exceeds capacity 500000"
             assert snapshot(topo, fabric) == before
             assert sorted(state.active_lsps) == [2]
