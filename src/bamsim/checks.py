@@ -19,9 +19,10 @@ A check with no copies, or whose copies disagree, runs its full check, so a
 failure always carries the full check's message.  If that passes, the
 disagreement was legal (an owner's slots reordered, say), and the check
 copies what it just verified into the shadow, with the registry's own LSPs
-in the class lists.  ``check_all`` stores the shadow only once both checks
-pass.  A lone ``check_state`` or ``check_fabric`` runs in full and leaves the
-shadow alone.  The shadow assumes only that the topology is fixed once frozen.
+in the class lists.  ``check_all`` passes the shadow to both checks and
+stores it only once both pass.  A check called without a shadow, as a lone
+``check_state`` or ``check_fabric`` is, runs in full.  The shadow assumes
+only that the topology is fixed once frozen.
 
 The full checks: the ledger must equal a recount of the registry and breach
 no row of the current config's constraint table, the table admission and
@@ -53,9 +54,8 @@ def _fail(message: str) -> None:
     raise InvariantViolation(message)
 
 
-def check_state(state: NetworkState) -> None:
+def check_state(state: NetworkState, shadow: Optional[_Shadow] = None) -> None:
     """Ledger, registry, constraint and counter invariants."""
-    shadow = getattr(state, "_check_call", None)
     if shadow is None or not shadow.advance_state() or state.active_by_class != shadow.lists:
         _check_state_in_full(state)
         if shadow is not None:  # hand over copies of what just passed
@@ -146,11 +146,10 @@ def _check_class_lists(state: NetworkState) -> None:
             prev_time, prev_id = time, lsp_id
 
 
-def check_fabric(state: NetworkState, fabric: Fabric) -> None:
+def check_fabric(state: NetworkState, fabric: Fabric, shadow: Optional[_Shadow] = None) -> None:
     """Every active LSP holds exactly one rule per on-path switch; no rule
     belongs to a retired LSP; the owner index lists exactly the table's
     slots under their owners."""
-    shadow = getattr(state, "_check_call", None)
     if shadow is not None and shadow.holds(state, fabric):
         return
     _check_fabric_in_full(state, fabric)
@@ -201,13 +200,9 @@ def check_all(state: NetworkState, fabric: Optional[Fabric] = None) -> None:
     shadow.move(state.active_lsps)
     if fabric is None:
         shadow.rules = None  # the fabric copies would stand at an older read
-    state._check_call = shadow
-    try:
-        check_state(state)
-        if fabric is not None:
-            check_fabric(state, fabric)
-    finally:
-        state._check_call = None
+    check_state(state, shadow)
+    if fabric is not None:
+        check_fabric(state, fabric, shadow)
     state._check_shadow = shadow
 
 

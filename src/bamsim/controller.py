@@ -47,34 +47,27 @@ class Classifier:
     """Destination-port rules mapping flows to classes (first match wins)
     plus the static ip-pair route table, both fixed at scenario load."""
 
-    def __init__(self) -> None:
-        self._port_rules: List[Tuple[int, int, int]] = []  # (lo, hi, class)
-        self._routes: Dict[Tuple[str, str], Tuple[Tuple[str, ...], str, str]] = {}
-
-    def add_port_rule(self, lo: int, hi: int, class_index: int) -> None:
-        self._port_rules.append((lo, hi, class_index))
-
-    def add_route(self, src_ip: str, dst_ip: str, path: Tuple[str, ...], src_host: str, dst_host: str) -> None:
-        self._routes[(src_ip, dst_ip)] = (path, src_host, dst_host)
+    def __init__(self, port_rules: List[Tuple[int, int, int]],
+                 routes: Dict[Tuple[str, str], Tuple[Tuple[str, ...], str, str]]) -> None:
+        self._port_rules = port_rules  # (lo, hi, class)
+        self._routes = routes  # (src ip, dst ip) -> (path, src host, dst host)
 
     @classmethod
     def for_state(cls, state: NetworkState, port_rules: List[Tuple[int, int, int]]) -> "Classifier":
         """Port rules in table order; routes precomputed for every connected
         host pair (static routing)."""
-        table = cls()
-        for lo, hi, class_index in port_rules:
-            table.add_port_rule(lo, hi, class_index)
         topology = state.topology
         hosts = topology.hosts
+        routes = {}
         for src, src_ip in hosts.items():
             for dst, dst_ip in hosts.items():
                 if src == dst:
                     continue
                 try:
-                    table.add_route(src_ip, dst_ip, topology.shortest_path(src, dst), src, dst)
+                    routes[src_ip, dst_ip] = (topology.shortest_path(src, dst), src, dst)
                 except NoRoute:
                     continue
-        return table
+        return cls(port_rules, routes)
 
     def classify(self, req: LspRequest) -> Tuple[int, Tuple[str, ...], str, str]:
         """(class_index, path, src_host, dst_host) for a request, from the

@@ -161,10 +161,6 @@ class Link:
             return self.a
         raise ValueError("node %r is not an endpoint of link %s" % (node, self.id))
 
-    @property
-    def total_alloc(self) -> int:
-        return sum(self.alloc)
-
 
 class Lsp(NamedTuple):
     """An admitted label-switched path.  Immutable: it is active exactly
@@ -273,11 +269,10 @@ class Topology:
         """
         if src == dst:
             return ()
-        dist_from_src = self._bfs(src)
-        dist_to_dst = self._bfs(dst)
-        if dst not in dist_from_src:
+        dist_to_dst = self._bfs(dst)  # links are undirected: src's distance is the route's
+        if src not in dist_to_dst:
             raise NoRoute("%s -> %s" % (src, dst))
-        total = dist_from_src[dst]
+        total = dist_to_dst[src]
         # Greedy reconstruction: at each node take the smallest link id that
         # still lies on some minimum-hop path.  This yields the
         # lexicographically smallest link-id sequence among min-hop paths.
@@ -322,15 +317,6 @@ class Counters:
     @classmethod
     def zero(cls, n_classes: int) -> "Counters":
         return cls(*([0] * n_classes for _ in range(5)))
-
-    def snapshot(self) -> Tuple[Tuple[int, ...], ...]:
-        return (
-            tuple(self.requested),
-            tuple(self.admitted),
-            tuple(self.blocked),
-            tuple(self.preempted),
-            tuple(self.completed),
-        )
 
 
 def age_key(lsp: Lsp) -> Tuple[float, int]:
@@ -495,7 +481,7 @@ def commit(state: NetworkState, lsp: Lsp) -> None:
         if sum(link.alloc) + demand > link.capacity_kbps:
             raise CapacityViolation(
                 "link %s: %d + %d exceeds capacity %d"
-                % (link.id, link.total_alloc, demand, link.capacity_kbps)
+                % (link.id, sum(link.alloc), demand, link.capacity_kbps)
             )
     bisect.insort(state.active_by_class[c], age_key(lsp) + (lsp,))
     for link in links:

@@ -1,9 +1,10 @@
 """Emulated switch fabric: the flow-rule tables the controller programs.
 
 Admitting an LSP installs exactly one forwarding rule on every switch along
-its path, keyed by the flow's match tuple and rate-limited to the LSP's
-demand.  Tearing an LSP down (completion or preemption) removes its rules by
-owner, through an owner -> slots index that ``install`` keeps, so teardown
+its path, keyed by the flow's match tuple, owned by the LSP and rate-limited
+to its demand.  ``install_path`` is the only way a rule gets into a table.
+Tearing an LSP down (completion or preemption) removes its rules by owner,
+through an owner -> slots index that ``install_path`` keeps, so teardown
 costs the LSP's path length, not the table size.  A blocked request never
 lands in a table; the request itself is kept as an ephemeral drop record so
 the deny history stays inspectable.
@@ -33,28 +34,14 @@ class FlowMatch(NamedTuple):
         )
 
 
-class _RuleFields(NamedTuple):
+class FlowRule(NamedTuple):
+    """A forwarding rule: out port, rate limit (the LSP's demand) and owner LSP."""
+
     switch_id: str
     match: FlowMatch
-    out_port: Optional[int]
+    out_port: int
     rate_kbps: int
-    owner: Optional[int]
-
-
-class FlowRule(_RuleFields):
-    """out_port None means a drop rule; forward rules carry their owner LSP
-    and a rate limit equal to its demand."""
-
-    __slots__ = ()
-
-    def __new__(cls, switch_id, match, out_port, rate_kbps, owner):
-        if out_port is not None and owner is None:
-            raise ValueError("forward rules must carry an owner LSP")
-        return tuple.__new__(cls, (switch_id, match, out_port, rate_kbps, owner))
-
-    @property
-    def action(self) -> str:
-        return "drop" if self.out_port is None else "fwd:%d" % self.out_port
+    owner: int
 
 
 Slot = Tuple[str, str]  # (switch id, match key)
@@ -64,7 +51,7 @@ class Fabric:
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
         self._rules: Dict[Slot, FlowRule] = {}
-        self._by_owner: Dict[Optional[int], List[Slot]] = {}
+        self._by_owner: Dict[int, List[Slot]] = {}
         self.drops: list = []  # blocked requests, as the controller passed them
 
     def _check_switch(self, switch: str) -> None:
@@ -73,14 +60,6 @@ class Fabric:
 
     def rule_count(self) -> int:
         return len(self._rules)
-
-    def install(self, rule: FlowRule) -> None:
-        self._check_switch(rule.switch_id)
-        slot = (rule.switch_id, rule.match.key())
-        if slot in self._rules:
-            raise RuleConflict("%s already has a rule for %s" % slot)
-        self._rules[slot] = rule
-        self._by_owner.setdefault(rule.owner, []).append(slot)
 
     def lookup(self, switch: str, match: FlowMatch) -> Optional[FlowRule]:
         """Pure read; None signals a table miss."""
@@ -134,7 +113,7 @@ class Fabric:
         lines = []
         for (switch, key), rule in sorted(self._rules.items()):
             lines.append(
-                "%s\t%s\t%s\t%g\t%s"
-                % (switch, key, rule.action, mbps(rule.rate_kbps), rule.owner)
+                "%s\t%s\tfwd:%d\t%g\t%s"
+                % (switch, key, rule.out_port, mbps(rule.rate_kbps), rule.owner)
             )
         return "\n".join(lines)

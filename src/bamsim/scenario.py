@@ -35,6 +35,7 @@ from .core import (
     NoRoute,
     Topology,
     TrafficClass,
+    UnknownSwitch,
     host_ip,
     kbps,
 )
@@ -293,10 +294,9 @@ def _validate(scn: Scenario) -> None:
         link_ids.add(lid)
     if scn.bottleneck is not None and scn.bottleneck not in link_ids:
         raise ValidationError("%s: bottleneck %s is not a link" % (src, scn.bottleneck))
-    if scn.bc_links:
-        for lid in scn.bc_links:
-            if lid not in link_ids:
-                raise ValidationError("%s: bc links reference unknown link %s" % (src, lid))
+    for lid in scn.bc_links or ():
+        if lid not in link_ids:
+            raise ValidationError("%s: bc links reference unknown link %s" % (src, lid))
     if len(scn.bc_mbps) != scn.n_classes:
         raise ValidationError("%s: bc vector length must equal class count" % src)
     for spec in scn.reconfigs:
@@ -355,11 +355,13 @@ def build(scn: Scenario) -> Tuple[NetworkState, Fabric, List[bam.ReconfigEvent]]
     except ValueError as exc:  # unknown link endpoints; duplicates in a Scenario made in code
         raise ValidationError("%s: %s" % (scn.source, exc)) from None
     topo.freeze(scn.n_classes)
-    for d in scn.demands:
+    for d in scn.demands:  # each demand's route, as Classifier.for_state computes it
         try:
-            topo.shortest_path(d.src, d.dst)
+            topo.route_hops[topo.shortest_path(d.src, d.dst), d.src]
         except NoRoute:
             raise ValidationError("%s: no route for demand %s -> %s" % (scn.source, d.src, d.dst)) from None
+        except UnknownSwitch as host:  # a host has no flow table to forward with
+            raise ValidationError("%s: demand %s -> %s crosses host %s" % (scn.source, d.src, d.dst, host)) from None
     classes = [TrafficClass(c.index, kbps(c.rate_mbps)) for c in scn.classes]
     try:
         config = _bc_config(scn, scn.bc_mbps, scn.bc_percent)
@@ -452,9 +454,7 @@ def simulate(
     live state and the fabric; tests use it to assert invariants continuously.
     """
     state, fabric, events = build(scn)
-    classifier = Classifier.for_state(
-        state, [(c.port_lo, c.port_hi, c.index) for c in scn.classes]
-    )
+    classifier = Classifier.for_state(state, [(c.port_lo, c.port_hi, c.index) for c in scn.classes])
     controller = Controller(state, fabric, classifier)
     schedule = generate_schedule(scn)
     metrics = MetricsLog(scn.n_classes)
@@ -526,8 +526,7 @@ def bundled_names() -> List[str]:
 
 
 def load_bundled(name: str) -> Scenario:
-    if name.endswith(".scn"):
-        name = name[:-4]
+    name = name.removesuffix(".scn")
     path = resources.files(__package__) / "scenarios" / (name + ".scn")
     try:
         text = path.read_text()

@@ -22,6 +22,7 @@ from bamsim import (
     scenario,
 )
 from bamsim.controller import Classifier, Controller
+from bamsim.fabric import Fabric, FlowRule
 from bamsim.metrics import MetricsLog, MetricsRecord
 
 
@@ -81,6 +82,15 @@ def put_in_place(state: NetworkState, lsp_id: int, new):
             if entry[2] is old:
                 entries[i] = entry[:2] + (new,)
     return new
+
+
+def plant(fabric: Fabric, rule: FlowRule) -> None:
+    """Write a rule straight into a fabric's table and owner index, checking
+    nothing, as a corrupted table could hold it.  ``Fabric.install_path``
+    writes only an LSP's own rules, on its own path."""
+    slot = (rule.switch_id, rule.match.key())
+    fabric._rules[slot] = rule
+    fabric._by_owner.setdefault(rule.owner, []).append(slot)
 
 
 def fill(state: NetworkState, class_index: int, count: int, first_id: int, t0: float = 0.0) -> List[Lsp]:

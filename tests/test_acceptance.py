@@ -42,10 +42,12 @@ def _fingerprint(state):
     links = tuple(
         (lid, tuple(link.alloc)) for lid, link in sorted(state.topology.links.items())
     )
+    counters = state.counters
     return (
         links,
         tuple(sorted(state.active_lsps)),
-        tuple(tuple(row) for row in state.counters.snapshot()),
+        tuple(tuple(row) for row in (counters.requested, counters.admitted, counters.blocked,
+                                     counters.preempted, counters.completed)),
         state.bc_config,
         state.pending_soft_bc,
     )

@@ -42,6 +42,7 @@ from helpers import (
     mam_admission_caps,
     oracle_constraint_verdict,
     oracle_rdm_verdict,
+    plant,
     rdm_fits_direct,
     replace_lsp,
     single_link_state,
@@ -321,7 +322,7 @@ class TestReconfigure:
         )
         # Only the topmost constraint shrank; 200 must go, newest class 0
         # borrowers first (class 1 holders are within their nested slice).
-        assert state.topology.links["L1"].total_alloc <= 300
+        assert sum(state.topology.links["L1"].alloc) <= 300
         assert all(l.class_index == 0 for l in out)
         assert len(out) == 40
 
@@ -556,7 +557,7 @@ class TestVictimOrderMatchesTheSort:
 # walk.  Kept here as the reference ``decide`` must reproduce.
 
 def mam_fits_before(link, bc, class_index, demand_kbps):
-    if link.total_alloc + demand_kbps > link.capacity_kbps:
+    if sum(link.alloc) + demand_kbps > link.capacity_kbps:
         return False
     if bc is None:
         return True
@@ -564,7 +565,7 @@ def mam_fits_before(link, bc, class_index, demand_kbps):
 
 
 def rdm_fits_before(link, bc, class_index, demand_kbps):
-    if link.total_alloc + demand_kbps > link.capacity_kbps:
+    if sum(link.alloc) + demand_kbps > link.capacity_kbps:
         return False
     if bc is None:
         return True
@@ -585,14 +586,14 @@ def admission_rows_before(state, path, class_index, demand_kbps):
         if model is Model.MAM:
             # Nothing is evicted under MAM, so each breach is a row with an
             # empty class range, reported with its real deficit.
-            over_cap = link.total_alloc + demand_kbps - link.capacity_kbps
+            over_cap = sum(link.alloc) + demand_kbps - link.capacity_kbps
             if over_cap > 0:
                 rows.append((link_id, 0, 0, over_cap))
             over_bc = 0 if bc is None else link.alloc[class_index] + demand_kbps - bc[class_index]
             if over_bc > 0:
                 rows.append((link_id, class_index, class_index, over_bc))
             continue
-        over_cap = link.total_alloc + demand_kbps - link.capacity_kbps
+        over_cap = sum(link.alloc) + demand_kbps - link.capacity_kbps
         if over_cap > 0 and (bc is None or bc[0] > link.capacity_kbps):
             rows.append((link_id, 0, class_index, over_cap))
         if bc is None:
@@ -748,7 +749,7 @@ class TestDecideMatchesTheFitChecks:
                         bc = admission_vector(state, link)
                         assert sorted(r[1:4] for r in view[lid]) == admission_view_before(
                             state, link, c), where
-                        if (model is Model.RDM and link.total_alloc + d > link.capacity_kbps
+                        if (model is Model.RDM and sum(link.alloc) + d > link.capacity_kbps
                                 and (bc is None or bc[0] > link.capacity_kbps)):
                             seen["capacity rows"] += 1
                     old = admission_rows_before(state, path, c, d)
@@ -975,7 +976,7 @@ def _duplicate_rule(state, fabric, rng):
             state.topology.switches_on(lsp.path, lsp.src_host)))
         if off_path:
             match = fabric.owner_rules(owner)[0].match
-            fabric.install(FlowRule(rng.choice(off_path), match, 1, lsp.demand_kbps, owner))
+            plant(fabric, FlowRule(rng.choice(off_path), match, 1, lsp.demand_kbps, owner))
             return
 
 

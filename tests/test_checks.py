@@ -17,7 +17,7 @@ from bamsim.checks import (
 from bamsim.controller import Classifier, Controller, LspRequest
 from bamsim.fabric import Fabric, FlowMatch, FlowRule
 
-from helpers import admit, put_in_place, replace_lsp, single_link_state
+from helpers import admit, plant, put_in_place, replace_lsp, single_link_state
 
 
 def healthy():
@@ -207,10 +207,11 @@ class TestFabricChecks:
         state.active_lsps[1] = lsp  # quiet the linter; state is scratch
 
     def test_ownerless_rule_is_a_violation_naming_its_switch(self):
-        # Blocked flows never land in a table, so a drop rule there is stale.
+        # install_path writes only owned rules, so an ownerless one can only
+        # be planted, as a corrupted table would hold it.
         state, fabric, _events = scenario.build(scenario.load("exp1_rdm"))
         match = FlowMatch("10.0.0.1", "10.0.0.4", 20001, 30001)
-        fabric.install(FlowRule("S1", match, None, 0, owner=None))
+        plant(fabric, FlowRule("S1", match, None, 0, owner=None))
         with pytest.raises(InvariantViolation, match="switch S1 holds a rule with no owner LSP"):
             check_fabric(state, fabric)
 
@@ -248,7 +249,7 @@ class TestFabricChecks:
         check_fabric(state, fabric)
         short = 1 if order[0] == "C" else 2
         match = fabric.owner_rules(short)[0].match
-        fabric.install(FlowRule("S1", match, 1, 5000, short))
+        plant(fabric, FlowRule("S1", match, 1, 5000, short))
         with pytest.raises(InvariantViolation, match="LSP %d holds 2 rules, path has 1 switches" % short):
             check_fabric(state, fabric)
         fabric.remove_by_owner(short)

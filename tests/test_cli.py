@@ -63,6 +63,37 @@ seed 1
 stop 2
 """
 
+# Both endpoints are hosts with a route, but the min-hop route A -> C takes
+# L1, L2 over host B, which holds no flow table; the equally short route over
+# S1 loses the link-id tie-break.
+HOST_TRANSIT = """
+[topology]
+node A host
+node B host
+node C host
+node S1 switch
+link L1 A B 10
+link L2 B C 10
+link L3 A S1 10
+link L4 S1 C 10
+
+[classes]
+class 0 rate 5 ports 30000-30999
+
+[bc]
+model MAM
+bc 10
+
+[demand]
+flows A C class 0 count 3
+
+[run]
+cycles 1
+cycle_length 10
+lsp_lifetime 10
+seed 1
+"""
+
 
 def run_cli(argv):
     try:
@@ -189,6 +220,14 @@ class TestRun:
         assert sorted(p.name for p in existing.iterdir()) == ["note.txt"]
         assert (existing / "note.txt").read_text() == "mine"
 
+    def test_demand_routed_through_a_host_is_bad_input(self, tmp_path, capsys):
+        path = tmp_path / "transit.scn"
+        path.write_text(HOST_TRANSIT)
+        code = run_cli(["run", str(path), "--quiet", "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_BAD_INPUT
+        assert "error: %s: demand A -> C crosses host B" % path in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_overlapping_port_ranges_are_bad_input(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"
         bad.write_text(MINI.replace("ports 30000-30999", "ports 31500-32000"))
@@ -242,6 +281,12 @@ class TestValidate:
         assert run_cli(["validate", str(path)]) == cli.EXIT_BAD_INPUT
         err = capsys.readouterr().err
         assert "error:" in err and "no route for demand A -> C" in err
+
+    def test_demand_routed_through_a_host_is_bad_input(self, tmp_path, capsys):
+        path = tmp_path / "transit.scn"
+        path.write_text(HOST_TRANSIT)
+        assert run_cli(["validate", str(path)]) == cli.EXIT_BAD_INPUT
+        assert "error: %s: demand A -> C crosses host B" % path in capsys.readouterr().err
 
     def test_overlapping_port_ranges_are_bad_input(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"

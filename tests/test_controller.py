@@ -62,24 +62,21 @@ def kinds(ctl: Controller):
 
 
 class TestClassifier:
+    ROUTES = {("10.0.0.1", "10.0.0.2"): (("L1",), "A", "B")}
+
     def test_first_matching_port_rule_wins(self):
-        table = Classifier()
-        table.add_port_rule(30000, 31999, 0)
-        table.add_port_rule(31000, 31999, 1)  # shadowed by the wider rule
-        table.add_route("10.0.0.1", "10.0.0.2", ("L1",), "A", "B")
+        # The second rule is shadowed by the wider first one.
+        table = Classifier([(30000, 31999, 0), (31000, 31999, 1)], self.ROUTES)
         got = table.classify(packet("10.0.0.1", "10.0.0.2", 31500))
         assert got == (0, ("L1",), "A", "B")
 
     def test_unmatched_port_fails(self):
-        table = Classifier()
-        table.add_port_rule(30000, 30999, 0)
-        table.add_route("10.0.0.1", "10.0.0.2", ("L1",), "A", "B")
+        table = Classifier([(30000, 30999, 0)], self.ROUTES)
         with pytest.raises(ClassificationFailure):
             table.classify(packet("10.0.0.1", "10.0.0.2", 50000))
 
     def test_unknown_ip_pair_fails(self):
-        table = Classifier()
-        table.add_port_rule(30000, 30999, 0)
+        table = Classifier([(30000, 30999, 0)], {})
         with pytest.raises(ClassificationFailure):
             table.classify(packet("10.0.0.1", "10.0.0.9", 30001))
 

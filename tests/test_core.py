@@ -310,7 +310,7 @@ class TestCommitRelease:
                 c = rng.randrange(3)
                 demand = state.classes[c].max_lsp_kbps
                 link = state.topology.links["L1"]
-                if link.total_alloc + demand > link.capacity_kbps:
+                if sum(link.alloc) + demand > link.capacity_kbps:
                     continue
                 admit(state, next_id, c, float(step))
                 live.append(next_id)

@@ -43,19 +43,16 @@ def line_topology() -> Topology:
 MATCH = FlowMatch("10.0.0.1", "10.0.0.4", 20001, 30001)
 
 
+def lsp_on(owner: int, path, src: str, demand: int = 5000) -> Lsp:
+    """An LSP for ``install_path``, which programs the interior switches of
+    its path; a path may end at a switch."""
+    return Lsp(owner, 0, demand, tuple(path), src, 0.0)
+
+
 def test_match_key_encodes_protocol_and_endpoints():
     assert MATCH.key() == "tcp/10.0.0.1:20001->10.0.0.4:30001"
     udp = FlowMatch("10.0.0.1", "10.0.0.4", 1, 2, protocol="udp")
     assert udp.key().startswith("udp/")
-
-
-def test_rule_action_strings():
-    fwd = FlowRule("S1", MATCH, 2, 5000, owner=1)
-    drop = FlowRule("S1", MATCH, None, 0, owner=None)
-    assert fwd.action == "fwd:2"
-    assert drop.action == "drop"
-    with pytest.raises(ValueError):
-        FlowRule("S1", MATCH, 2, 5000, owner=None)  # forward needs an owner
 
 
 @pytest.mark.parametrize("record,attr,value", [
@@ -72,8 +69,8 @@ def test_match_and_rule_are_immutable(record, attr, value):
 class TestInstallLookup:
     def test_install_then_lookup(self):
         fabric = Fabric(line_topology())
-        rule = FlowRule("S1", MATCH, 2, 5000, owner=1)
-        fabric.install(rule)
+        [rule] = fabric.install_path(lsp_on(1, ("L1", "L4"), "HS1"), MATCH)  # S1 only
+        assert rule == FlowRule("S1", MATCH, 2, 5000, owner=1)
         assert fabric.lookup("S1", MATCH) is rule
         assert fabric.rule_count() == 1
 
@@ -84,19 +81,17 @@ class TestInstallLookup:
     def test_unknown_switch_rejected_everywhere(self):
         fabric = Fabric(line_topology())
         with pytest.raises(UnknownSwitch):
-            fabric.install(FlowRule("S9", MATCH, 1, 5000, owner=1))
-        with pytest.raises(UnknownSwitch):
             fabric.lookup("HS1", MATCH)  # hosts have no tables
         with pytest.raises(UnknownSwitch):
             fabric.rules_on("S9")
 
     def test_conflicting_slot_rejected(self):
         fabric = Fabric(line_topology())
-        fabric.install(FlowRule("S1", MATCH, 2, 5000, owner=1))
+        fabric.install_path(lsp_on(1, ("L1", "L4"), "HS1"), MATCH)  # S1
         with pytest.raises(RuleConflict):
-            fabric.install(FlowRule("S1", MATCH, 3, 5000, owner=2))
+            fabric.install_path(lsp_on(2, ("L1", "L4", "L2"), "HS1"), MATCH)  # S1, S2
         # same match on another switch is a different slot
-        fabric.install(FlowRule("S2", MATCH, 3, 5000, owner=1))
+        fabric.install_path(lsp_on(1, ("L2", "L5"), "HS2"), MATCH)  # S2
         assert fabric.rule_count() == 2
 
 
@@ -122,12 +117,19 @@ class TestInstallPath:
         topo = line_topology()
         fabric = Fabric(topo)
         # Occupy the slot on the LAST switch of the path, then try the path.
-        fabric.install(FlowRule("S3", MATCH, 1, 1000, owner=99))
+        fabric.install_path(lsp_on(99, ("L3", "L6"), "HS3", 1000), MATCH)  # S3 only
         with pytest.raises(RuleConflict):
             fabric.install_path(self.lsp(topo), MATCH)
         assert fabric.lookup("S1", MATCH) is None
         assert fabric.lookup("S2", MATCH) is None
         assert fabric.rule_count() == 1
+
+    def test_an_lsp_without_an_id_is_rejected_and_writes_nothing(self):
+        topo = line_topology()
+        fabric = Fabric(topo)
+        with pytest.raises(ValueError, match="forward rules must carry an owner LSP"):
+            fabric.install_path(self.lsp(topo)._replace(id=None), MATCH)
+        assert fabric.rule_count() == 0 and fabric._by_owner == {}
 
     def test_remove_by_owner(self):
         topo = line_topology()
@@ -150,8 +152,8 @@ def test_dump_is_stable_and_tab_separated():
     topo = line_topology()
     fabric = Fabric(topo)
     other = FlowMatch("10.0.0.2", "10.0.0.4", 20002, 31001)
-    fabric.install(FlowRule("S2", other, 3, 10000, owner=2))
-    fabric.install(FlowRule("S1", MATCH, 2, 5000, owner=1))
+    fabric.install_path(lsp_on(2, ("L2", "L5"), "HS2", 10000), other)  # S2, port 3
+    fabric.install_path(lsp_on(1, ("L1", "L4"), "HS1"), MATCH)  # S1, port 2
     lines = fabric.dump().splitlines()
     assert lines == [
         "S1\ttcp/10.0.0.1:20001->10.0.0.4:30001\tfwd:2\t5\t1",
@@ -175,16 +177,17 @@ class TestOwnerIndex:
         rng = random.Random(4127)
         topo = line_topology()
         switches = sorted(topo.switches)
+        hosts = sorted(topo.hosts)
+        routes = [(topo.shortest_path(a, b), a) for a in hosts for b in hosts if a != b]
         for _trial in range(30):
             fabric = Fabric(topo)
             owners = range(1, 7)
             for _step in range(60):
                 owner = rng.choice(owners)
                 if rng.random() < 0.7:
-                    rule = FlowRule(rng.choice(switches), rng.choice(self.MATCHES),
-                                    1, 1000, owner=owner)
+                    path, src = rng.choice(routes)
                     try:
-                        fabric.install(rule)
+                        fabric.install_path(lsp_on(owner, path, src, 1000), rng.choice(self.MATCHES))
                     except RuleConflict:
                         pass
                 else:
@@ -269,8 +272,8 @@ class TestRouteCaches:
         first = TestInstallPath().lsp(topo)
         fabric.install_path(first, MATCH)
         fabric.remove_by_owner(first.id)
-        fabric.install(FlowRule("S3", MATCH, 1, 1000, owner=98))
-        fabric.install(FlowRule("S2", MATCH, 1, 1000, owner=99))
+        fabric.install_path(lsp_on(98, ("L3", "L6"), "HS3", 1000), MATCH)  # S3
+        fabric.install_path(lsp_on(99, ("L2", "L5"), "HS2", 1000), MATCH)  # S2
         before = snapshot(topo, fabric)
         for _attempt in range(2):
             with pytest.raises(RuleConflict) as err:

@@ -226,6 +226,16 @@ class TestValidation:
         with pytest.raises(ValidationError, match="no route for demand A -> C"):
             scenario.build(parse(text))
 
+    def test_demand_routed_through_a_host_is_a_validation_error(self):
+        # A -> B over host C (L0, L01) ties with the route over SW (L1, L2),
+        # and the link-id tie-break takes C, which holds no flow table.
+        text = MINI.replace("node SW switch", "node SW switch\nnode C host").replace(
+            "link L2 SW B 100", "link L2 SW B 100\nlink L0 A C 100\nlink L01 C B 100")
+        scn = parse(text)
+        with pytest.raises(ValidationError) as err:
+            scenario.build(scn)
+        assert str(err.value) == "<test>: demand A -> B crosses host C"
+
     def test_bc_over_capacity_is_a_validation_error(self):
         scn = parse(MINI.replace("bc 50 50", "bc 150 50"))
         with pytest.raises(ValidationError):
