@@ -23,7 +23,6 @@ from typing import List, Optional, Tuple
 
 from .core import (
     BcConfig,
-    InvalidBc,
     Lsp,
     LspState,
     NetworkState,
@@ -186,11 +185,7 @@ def reconfigure(state: NetworkState, new_config: BcConfig, mode: ReconfigMode) -
     The new vector becomes current once natural departures bring every link
     within its limits.  Returns [].
     """
-    if new_config.model is not state.bc_config.model:
-        raise InvalidBc("reconfiguration cannot change the allocation model")
-    if new_config.n_classes != state.n_classes:
-        raise InvalidBc("constraint vector length must match class count")
-    new_config.validate_for(state.topology)
+    state.check_config(new_config)
     if mode is ReconfigMode.SOFT:
         state.pending_soft_bc = new_config
         promote_pending_if_clear(state)

@@ -76,6 +76,8 @@ def _check_state_in_full(state: NetworkState) -> None:
     recount: Dict[str, List[int]] = {lid: [0] * n for lid in state.topology.links}
     active_per_class = [0] * n
     for lsp in state.active_lsps.values():
+        if not 0 <= lsp.class_index < n:
+            _fail("LSP %r has class %r, outside 0..%d" % (lsp.id, lsp.class_index, n - 1))
         active_per_class[lsp.class_index] += 1
         for lid in lsp.path:
             recount[lid][lsp.class_index] += lsp.demand_kbps
@@ -207,9 +209,9 @@ def check_all(state: NetworkState, fabric: Optional[Fabric] = None) -> None:
 
 
 def _plain(lsp) -> bool:
-    # Sums of other demands hang on their order; a list path changes unseen.
-    return (type(lsp) is Lsp and type(lsp.class_index) is int
-            and type(lsp.demand_kbps) is int and type(lsp.path) is tuple)
+    # Float sums hang on their order, list paths change unseen, other keys may not compare.
+    return (type(lsp) is Lsp and type(lsp.id) is type(lsp.class_index) is type(lsp.demand_kbps) is int
+            and type(lsp.path) is tuple and type(lsp.admit_time) is float)
 
 
 # What the class-list walk compares the first entry of a class with.
@@ -226,11 +228,11 @@ class _Shadow:
 
     Demands are integral kbps, so the running sums are exactly the recount.
     Every record must be ``_plain``.  An added LSP must also have a class in
-    range, a path over known links, and an age key that sorts strictly
-    between its neighbours, as the full check's walk requires.  Its rules are taken
-    from the fabric only if they are as many as its route has switches,
-    each is indexed under its owner, and none takes a slot already held.
-    Otherwise the copies disagree and the full check decides."""
+    range, a path over known links, and an age key the full check's walk
+    accepts.  Its rules are taken from the fabric only if they are as many
+    as its route has switches, each is indexed under its owner, and none
+    takes a slot already held.  Otherwise the copies disagree and the full
+    check decides."""
 
     def __init__(self) -> None:
         self.keys: Optional[List[int]] = None
@@ -285,9 +287,9 @@ class _Shadow:
             key = (admit_time, lsp_id)
             entries = lists[c]
             i = bisect_left(entries, key)
-            below = entries[i - 1][:2] if i else _FIRST
-            # A NaN time equals nothing, itself included, and fails the walk.
-            if key[0] != key[0] or not below < key or (i < len(entries) and not key < entries[i][:2]):
+            # Keys are distinct and ordered, so the walk rejects only a first key at its start,
+            # as it does a NaN time: that compares below nothing, so it lands first.
+            if i == 0 and not _FIRST < key:
                 return False
             entries.insert(i, key + (lsp,))
             for lid in path:

@@ -66,14 +66,12 @@ class LspState(enum.Enum):
 
 @dataclass(frozen=True)
 class TrafficClass:
-    """A class type (CT): an index plus the fixed per-LSP bandwidth demand."""
+    """A class type (CT): the fixed per-LSP bandwidth demand.  A class's
+    index is its position in ``NetworkState.classes``."""
 
-    index: int
     max_lsp_kbps: int
 
     def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError("class index must be >= 0")
         if self.max_lsp_kbps <= 0:
             raise ValueError("max LSP bandwidth must be positive")
 
@@ -129,24 +127,11 @@ class BcConfig:
             return self.values_kbps
         return tuple(int(round(link.capacity_kbps * p / 100.0)) for p in self.percents)
 
-    def validate_for(self, topology: "Topology") -> None:
-        """Reject constraints that exceed the capacity of a governed link."""
-        for link in topology.links.values():
-            bc = self.bc_for(link)
-            if bc is None:
-                continue
-            for b, value in enumerate(bc):
-                if value > link.capacity_kbps:
-                    raise InvalidBc(
-                        "constraint %d (%d kbps) exceeds capacity of link %s"
-                        % (b, value, link.id)
-                    )
-
 
 @dataclass
 class Link:
     """An undirected link with one allocation counter per traffic class,
-    ``alloc``: bound once by ``Topology.freeze``, as plans read it live."""
+    ``alloc``: bound once by its ``NetworkState``, as plans read it live."""
 
     id: str
     a: str
@@ -215,13 +200,12 @@ class Topology:
             raise ValueError("duplicate link %r" % link_id)
         self.links[link_id] = Link(link_id, a, b, capacity_kbps)
 
-    def freeze(self, n_classes: int) -> None:
-        """Finalize adjacency, allocation vectors and switch port numbers, and
-        start the route caches: ``path_links[path]``, the path's links, and
+    def freeze(self) -> None:
+        """Finalize adjacency and switch port numbers, and start the route
+        caches: ``path_links[path]``, the path's links, and
         ``route_hops[path, src]``, its interior ``(switch, out_port)`` hops."""
         self._adjacency = {name: [] for name in list(self.hosts) + self.switches}
         for link in self.links.values():
-            link.alloc = [0] * n_classes
             self._adjacency[link.a].append((link.id, link.b))
             self._adjacency[link.b].append((link.id, link.a))
         for entries in self._adjacency.values():
@@ -286,8 +270,6 @@ class Topology:
                     node = peer
                     hops += 1
                     break
-            else:
-                raise NoRoute("%s -> %s" % (src, dst))
         return tuple(path)
 
     def _bfs(self, start: str) -> Dict[str, int]:
@@ -313,10 +295,6 @@ class Counters:
     blocked: List[int]
     preempted: List[int]
     completed: List[int]
-
-    @classmethod
-    def zero(cls, n_classes: int) -> "Counters":
-        return cls(*([0] * n_classes for _ in range(5)))
 
 
 def age_key(lsp: Lsp) -> Tuple[float, int]:
@@ -410,7 +388,9 @@ class Tables(NamedTuple):
 @dataclass
 class NetworkState:
     """The controller's authoritative view: topology, allocation ledger,
-    active-LSP registry, constraint configuration and counters.
+    active-LSP registry, constraint configuration and counters.  Only the
+    topology, the classes and the config are given: the state zeroes every
+    link's ledger and starts with no LSP and nothing pending.
 
     ``active_by_class[c]`` holds an ``AgeEntry`` for each active LSP of class
     c, sorted, so newest last; commit and release keep it in step with
@@ -420,24 +400,38 @@ class NetworkState:
     topology: Topology
     classes: List[TrafficClass]
     bc_config: BcConfig
-    pending_soft_bc: Optional[BcConfig] = None
-    active_lsps: Dict[int, Lsp] = field(default_factory=dict)
-    counters: Counters = None  # type: ignore[assignment]
+    pending_soft_bc: Optional[BcConfig] = field(init=False, default=None)
+    active_lsps: Dict[int, Lsp] = field(init=False, default_factory=dict)
+    counters: Counters = field(init=False)
     active_by_class: List[List[AgeEntry]] = field(init=False, repr=False)
     # (bc_config, pending_soft_bc, Tables): see tables().
     _tables: Tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.counters is None:
-            self.counters = Counters.zero(len(self.classes))
+        self.check_config(self.bc_config)
+        n = len(self.classes)
+        for link in self.topology.links.values():
+            link.alloc = [0] * n
+        self.counters = Counters(*([0] * n for _ in range(5)))
         self.active_by_class = [[] for _ in self.classes]
         self._tables = (None, None, None)
-        if self.bc_config.n_classes != len(self.classes):
-            raise InvalidBc("constraint vector length must match class count")
 
     @property
     def n_classes(self) -> int:
         return len(self.classes)
+
+    def check_config(self, config: BcConfig) -> None:
+        """Reject a config this state cannot take: another model, another
+        class count, or a constraint above a governed link's capacity."""
+        if config.model is not self.bc_config.model:
+            raise InvalidBc("reconfiguration cannot change the allocation model")
+        if config.n_classes != len(self.classes):
+            raise InvalidBc("constraint vector length must match class count")
+        for link in self.topology.links.values():
+            for b, value in enumerate(config.bc_for(link) or ()):
+                if value > link.capacity_kbps:
+                    raise InvalidBc("constraint %d (%d kbps) exceeds capacity of link %s"
+                                    % (b, value, link.id))
 
     def tables(self) -> Tables:
         """The constraint tables of the current and the pending config, and

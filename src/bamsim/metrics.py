@@ -307,10 +307,5 @@ def summarize(journal: Sequence[Dict], n_classes: int = 0) -> Dict[str, List[int
 
 def render_summary(stats: Dict[str, List[int]]) -> str:
     """Line-oriented key=value form, one counter per line."""
-    keys = ["requested", "admitted", "blocked", "preempted", "completed"]
-    n = len(stats["requested"]) if stats["requested"] else 0
-    lines = []
-    for key in keys:
-        for c in range(n):
-            lines.append("%s_ct%d=%d" % (key, c, stats[key][c]))
-    return "\n".join(lines)
+    n = len(stats["requested"])
+    return "\n".join("%s_ct%d=%d" % (key, c, stats[key][c]) for key in _COUNTERS.values() for c in range(n))

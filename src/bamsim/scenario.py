@@ -277,9 +277,6 @@ def _validate(scn: Scenario) -> None:
         raise ValidationError("%s: no links defined" % src)
     if not scn.classes:
         raise ValidationError("%s: no traffic classes defined" % src)
-    names = [n for n, _k in scn.nodes]
-    if len(set(names)) != len(names):
-        raise ValidationError("%s: duplicate node names" % src)
     hosts = {n for n, k in scn.nodes if k == "host"}
     scn.classes.sort(key=lambda c: c.index)
     if [c.index for c in scn.classes] != list(range(len(scn.classes))):
@@ -287,21 +284,12 @@ def _validate(scn: Scenario) -> None:
     for c in scn.classes:
         if c.port_lo > c.port_hi:
             raise ValidationError("%s: class %d has an empty port range" % (src, c.index))
-    link_ids = set()
-    for lid, _a, _b, _cap in scn.links:
-        if lid in link_ids:
-            raise ValidationError("%s: duplicate link id %s" % (src, lid))
-        link_ids.add(lid)
+    link_ids = {lid for lid, _a, _b, _cap in scn.links}
     if scn.bottleneck is not None and scn.bottleneck not in link_ids:
         raise ValidationError("%s: bottleneck %s is not a link" % (src, scn.bottleneck))
     for lid in scn.bc_links or ():
         if lid not in link_ids:
             raise ValidationError("%s: bc links reference unknown link %s" % (src, lid))
-    if len(scn.bc_mbps) != scn.n_classes:
-        raise ValidationError("%s: bc vector length must equal class count" % src)
-    for spec in scn.reconfigs:
-        if len(spec.bc_mbps) != scn.n_classes:
-            raise ValidationError("%s: reconfig bc vector length must equal class count" % src)
     for d in scn.demands:
         if d.src not in hosts or d.dst not in hosts:
             raise ValidationError("%s: demand endpoints must be hosts" % src)
@@ -341,8 +329,9 @@ def _bc_config(scn: Scenario, mbps_values: List[float], percent: bool) -> BcConf
 
 def build(scn: Scenario) -> Tuple[NetworkState, Fabric, List[bam.ReconfigEvent]]:
     """Instantiate the network state, fabric and reconfig events.  Checks
-    that need the built topology (link endpoints, routes between demanded
-    hosts, constraints against capacities) raise ValidationError here."""
+    that need the built topology (duplicate nodes and links, link endpoints,
+    routes between demanded hosts) or the state (each constraint vector
+    against the class count and the capacities) raise ValidationError here."""
     topo = Topology()
     try:
         for name, kind in scn.nodes:
@@ -352,9 +341,9 @@ def build(scn: Scenario) -> Tuple[NetworkState, Fabric, List[bam.ReconfigEvent]]
                 topo.add_switch(name)
         for lid, a, b, cap in scn.links:
             topo.add_link(lid, a, b, kbps(cap))
-    except ValueError as exc:  # unknown link endpoints; duplicates in a Scenario made in code
+    except ValueError as exc:  # duplicate nodes or links, unknown link endpoints
         raise ValidationError("%s: %s" % (scn.source, exc)) from None
-    topo.freeze(scn.n_classes)
+    topo.freeze()
     for d in scn.demands:  # each demand's route, as Classifier.for_state computes it
         try:
             topo.route_hops[topo.shortest_path(d.src, d.dst), d.src]
@@ -362,11 +351,9 @@ def build(scn: Scenario) -> Tuple[NetworkState, Fabric, List[bam.ReconfigEvent]]
             raise ValidationError("%s: no route for demand %s -> %s" % (scn.source, d.src, d.dst)) from None
         except UnknownSwitch as host:  # a host has no flow table to forward with
             raise ValidationError("%s: demand %s -> %s crosses host %s" % (scn.source, d.src, d.dst, host)) from None
-    classes = [TrafficClass(c.index, kbps(c.rate_mbps)) for c in scn.classes]
+    classes = [TrafficClass(kbps(c.rate_mbps)) for c in scn.classes]
     try:
-        config = _bc_config(scn, scn.bc_mbps, scn.bc_percent)
-        config.validate_for(topo)
-        state = NetworkState(topo, classes, config)
+        state = NetworkState(topo, classes, _bc_config(scn, scn.bc_mbps, scn.bc_percent))
         events = [
             bam.ReconfigEvent(
                 mode=bam.ReconfigMode(spec.mode),
@@ -377,7 +364,7 @@ def build(scn: Scenario) -> Tuple[NetworkState, Fabric, List[bam.ReconfigEvent]]
             for spec in scn.reconfigs
         ]
         for event in events:
-            event.config.validate_for(topo)
+            state.check_config(event.config)
     except InvalidBc as exc:
         raise ValidationError("%s: %s" % (scn.source, exc)) from None
     return state, Fabric(topo), events

@@ -37,8 +37,8 @@ def single_link_state(
     topo.add_host("A")
     topo.add_host("B")
     topo.add_link("L1", "A", "B", capacity)
-    topo.freeze(len(demands))
-    classes = [TrafficClass(i, d) for i, d in enumerate(demands)]
+    topo.freeze()
+    classes = [TrafficClass(d) for d in demands]
     config = BcConfig(model, values_kbps=tuple(bc))
     return NetworkState(topo, classes, config)
 

@@ -122,8 +122,8 @@ class TestCheckMam:
         topo.add_host("C")
         topo.add_link("L1", "A", "B", 100)
         topo.add_link("L2", "B", "C", 100)
-        topo.freeze(1)
-        state = NetworkState(topo, [TrafficClass(0, 10)], BcConfig(Model.MAM, values_kbps=(50,)))
+        topo.freeze()
+        state = NetworkState(topo, [TrafficClass(10)], BcConfig(Model.MAM, values_kbps=(50,)))
         for i in range(5):  # saturate L2's only partition
             commit(state, Lsp(id=i + 1, class_index=0, demand_kbps=10, path=("L2",),
                               src_host="B", admit_time=float(i)))
@@ -273,10 +273,10 @@ class TestSelectVictims:
         topo.add_host("C")
         topo.add_link("L1", "A", "B", 100)
         topo.add_link("L2", "B", "C", 100)
-        topo.freeze(2)
+        topo.freeze()
         state = NetworkState(
             topo,
-            [TrafficClass(0, 10), TrafficClass(1, 10)],
+            [TrafficClass(10), TrafficClass(10)],
             BcConfig(Model.RDM, values_kbps=(100, 50)),
         )
         on_l2 = Lsp(id=1, class_index=0, demand_kbps=10, path=("L2",),
@@ -463,10 +463,10 @@ def six_link_rdm_state(rng):
     caps = [rng.randint(30, 60) for _ in ends]
     for lid, (a, b), cap in zip(SIX_LINKS, ends, caps):
         topo.add_link(lid, a, b, cap)
-    topo.freeze(3)
+    topo.freeze()
     paths = [topo.shortest_path(a, b) for a in "ABCD" for b in "ABCD" if a != b]
     demands = [rng.randint(1, 6) for _ in range(3)]
-    classes = [TrafficClass(i, d) for i, d in enumerate(demands)]
+    classes = [TrafficClass(d) for d in demands]
     state = NetworkState(topo, classes, random_rdm(rng, min(caps)))
     return state, paths
 

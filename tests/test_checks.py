@@ -112,9 +112,9 @@ class TestStateChecks:
         topo.add_switch("S1")
         topo.add_link("L1", "A", "S1", 100000)
         topo.add_link("L2", "S1", "B", 100000)
-        topo.freeze(1)
+        topo.freeze()
         current = BcConfig(Model.MAM, values_kbps=(100000,), applies_to=frozenset({"L1"}))
-        state = NetworkState(topo, [TrafficClass(0, 50000)], current)
+        state = NetworkState(topo, [TrafficClass(50000)], current)
         admit(state, 1, 0, when=1.0, path=("L1", "L2"))
         cut = BcConfig(Model.MAM, values_kbps=(20000,), applies_to=frozenset({"L2"}))
         assert reconfigure(state, cut, ReconfigMode.SOFT) == []
@@ -157,8 +157,8 @@ def controller_pair():
     topo.add_switch("S1")
     topo.add_link("L1", "A", "S1", 100000)
     topo.add_link("L2", "S1", "B", 100000)
-    topo.freeze(1)
-    state = NetworkState(topo, [TrafficClass(0, 5000)], BcConfig(Model.MAM, values_kbps=(50000,)))
+    topo.freeze()
+    state = NetworkState(topo, [TrafficClass(5000)], BcConfig(Model.MAM, values_kbps=(50000,)))
     fabric = Fabric(topo)
     classifier = Classifier.for_state(state, [(30000, 30999, 0)])
     controller = Controller(state, fabric, classifier)
@@ -180,8 +180,8 @@ def two_route_pair(requests):
     topo.add_link("L2", "S1", "S2", 100000)
     topo.add_link("L3", "S2", "B", 100000)
     topo.add_link("L4", "C", "S2", 100000)
-    topo.freeze(1)
-    state = NetworkState(topo, [TrafficClass(0, 5000)], BcConfig(Model.MAM, values_kbps=(50000,)))
+    topo.freeze()
+    state = NetworkState(topo, [TrafficClass(5000)], BcConfig(Model.MAM, values_kbps=(50000,)))
     fabric = Fabric(topo)
     controller = Controller(state, fabric, Classifier.for_state(state, [(30000, 30999, 0)]))
     for src, lsp_id in requests:
@@ -391,6 +391,10 @@ SHADOWED = {
     "src_host_in_place": (controller_pair, lambda s, f: replace_lsp(s, 1, src_host="B")),
     "class_in_place": (healthy_alone, lambda s, f: replace_lsp(s, 2, class_index=0)),
     "admit_time_in_place": (healthy_alone, lambda s, f: replace_lsp(s, 1, admit_time=3.0)),
+    # The state holds, and the fabric check cannot walk the new route from C;
+    # the full check names the owner index, which it reads first.
+    "route_not_walkable": (lambda: two_route_pair([("A", 1)]), lambda s, f: (
+        _commit(s, Lsp(7, 0, 5000, ("L1", "L2", "L3"), "C", 7.0)), f._by_owner[1].pop())),
 }
 
 
@@ -419,11 +423,22 @@ def _check_all_in_full(state, fabric):
 def _commit_from_c(state, fabric, lsp_id, demand):
     """A class 0 LSP from host C over L4 and L3; L4 carries no other LSP."""
     lsp = Lsp(lsp_id, 0, demand, ("L4", "L3"), "C", float(lsp_id))
-    state.counters.requested[0] += 1
-    commit(state, lsp)
+    _commit(state, lsp)
     if fabric is not None:
         hosts = state.topology.hosts
         fabric.install_path(lsp, FlowMatch(hosts["C"], hosts["B"], 20000 + lsp_id, 30000 + lsp_id))
+
+
+def _commit(state, lsp):
+    state.counters.requested[lsp.class_index] += 1
+    commit(state, lsp)
+
+
+def _register(lsp):
+    return lambda state, fabric: state.active_lsps.__setitem__(lsp.id, lsp)
+
+
+_A_TO_B = ("L1", "L2", "L3")
 
 
 def _tuple_in_place(state, fabric):
@@ -460,13 +475,29 @@ def _release_a_float_demand(state, fabric):
 
 
 # (put in after a passing call, then changed, the last full verdict): values
-# in the registry that the shadow must not adopt.
+# in the registry that the shadow must not adopt, then records it adopts and
+# must hand to the full check, or apply as the full check would.
 UNADOPTED = {
     "tuple_in_place": (_tuple_in_place, lambda s, f: None,
                        "AttributeError: 'tuple' object has no attribute 'class_index'"),
     "mutable_in_place": (_mutable_in_place, _more_demand_in_place, "InvariantViolation: link L1 ledger"),
     "list_path": (_list_path, _shorten_list_path, "InvariantViolation: link L3 ledger"),
     "float_demand": (_float_demands, _release_a_float_demand, "InvariantViolation: link L4 ledger"),
+    "none_admit_time": (_register(Lsp(7, 0, 5000, _A_TO_B, "A", None)), lambda s, f: None,
+                        "InvariantViolation: link L1 ledger"),
+    # Adopted, but the shadow cannot apply them, so the full check decides.
+    "class_above_range": (_register(Lsp(7, 1, 5000, _A_TO_B, "A", 7.0)), lambda s, f: None,
+                          "InvariantViolation: LSP 7 has class 1, outside 0..0"),
+    "class_below_range": (_register(Lsp(7, -1, 5000, _A_TO_B, "A", 7.0)), lambda s, f: None,
+                          "InvariantViolation: LSP 7 has class -1, outside 0..0"),
+    "unknown_link": (_register(Lsp(7, 0, 5000, ("L9",), "A", 7.0)), lambda s, f: None, "KeyError: 'L9'"),
+    "nan_admit_time": (lambda s, f: _commit(s, Lsp(7, 0, 5000, _A_TO_B, "A", float("nan"))), lambda s, f: None,
+                       "InvariantViolation: class lists disagree"),
+    "key_at_the_walk_start": (lambda s, f: _commit(s, Lsp(0, 0, 5000, _A_TO_B, "A", float("-inf"))),
+                              lambda s, f: None, "InvariantViolation: class lists disagree"),
+    # A route that ends at a switch has no interior switch, so the LSP needs
+    # no rule and no entry in the owner index.
+    "no_interior_switch": (lambda s, f: _commit(s, Lsp(7, 0, 5000, ("L4",), "C", 7.0)), lambda s, f: None, "pass"),
 }
 
 

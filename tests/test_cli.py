@@ -320,10 +320,13 @@ class TestValidate:
          "class 0 rate must be positive: 0.0004 Mbps rounds to 0 kbps", None),
         ("link L1 A B 100", "link L1 A B 4e-4",
          "link L1 capacity must be positive: 4e-4 Mbps rounds to 0 kbps", None),
+        ("cycles 2", "cycles 1" + "0" * 400,
+         "the run outlasts the float range: cycles 1%s x cycle_length 50.0 + lsp_lifetime 40.0" % ("0" * 400),
+         "lsp_lifetime 40"),
     ], ids=["lifetime_inf", "cycle_length_overflows", "cycle_length_nan", "at_time_nan",
             "rate_nan", "rate_inf", "capacity_nan", "capacity_overflows", "bc_nan",
             "bc_minus_inf", "bc_percent_nan", "bc_beyond_exact_kbps",
-            "rate_rounds_to_0_kbps", "capacity_rounds_to_0_kbps"])
+            "rate_rounds_to_0_kbps", "capacity_rounds_to_0_kbps", "cycles_beyond_the_float_range"])
     def test_non_finite_or_overflowing_number_is_bad_input(
         self, tmp_path, capsys, old, new, needle, cited
     ):
@@ -351,7 +354,7 @@ class TestValidate:
         assert not out.exists()
 
     @pytest.mark.parametrize("links,needle", [
-        ("link L1 A B 100\nlink L1 B A 50", "duplicate link id L1"),
+        ("link L1 A B 100\nlink L1 B A 50", "duplicate link 'L1'"),
         ("link L1 A B 100\nlink L2 A Z 50", "link L2 references unknown node 'Z'"),
     ], ids=["duplicate_id", "unknown_endpoint"])
     def test_bad_link_is_bad_input(self, tmp_path, capsys, links, needle):

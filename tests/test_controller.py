@@ -36,13 +36,13 @@ def line_topology() -> Topology:
     topo.add_link("L4", "S1", "S2", 500000)
     topo.add_link("L5", "S2", "S3", 500000)
     topo.add_link("L6", "S3", "DST", 500000)
-    topo.freeze(3)
+    topo.freeze()
     return topo
 
 
 def mk_controller(model: Model, bc) -> Controller:
     topo = line_topology()
-    classes = [TrafficClass(0, 5000), TrafficClass(1, 10000), TrafficClass(2, 20000)]
+    classes = [TrafficClass(5000), TrafficClass(10000), TrafficClass(20000)]
     state = NetworkState(topo, classes, BcConfig(model, values_kbps=tuple(bc)))
     classifier = Classifier.for_state(state, PORT_RULES)
     return Controller(state, Fabric(topo), classifier)

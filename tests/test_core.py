@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from bamsim import bam
 from bamsim import (
     BcConfig,
     CapacityViolation,
@@ -34,9 +35,7 @@ def test_unit_conversion_round_trip():
 
 def test_traffic_class_rejects_bad_values():
     with pytest.raises(ValueError):
-        TrafficClass(-1, 1000)
-    with pytest.raises(ValueError):
-        TrafficClass(0, 0)
+        TrafficClass(0)
 
 
 class TestBcConfig:
@@ -67,7 +66,7 @@ class TestBcConfig:
         topo.add_host("A")
         topo.add_host("B")
         topo.add_link("L1", "A", "B", 400000)
-        topo.freeze(2)
+        topo.freeze()
         config = BcConfig(Model.MAM, percents=(50.0, 25.0))
         assert config.bc_for(topo.links["L1"]) == (200000, 100000)
 
@@ -78,21 +77,37 @@ class TestBcConfig:
         topo.add_host("C")
         topo.add_link("L1", "A", "B", 1000)
         topo.add_link("L2", "B", "C", 1000)
-        topo.freeze(1)
+        topo.freeze()
         config = BcConfig(Model.MAM, values_kbps=(500,), applies_to=frozenset(["L1"]))
         assert config.governs("L1")
         assert not config.governs("L2")
         assert config.bc_for(topo.links["L2"]) is None
 
-    def test_validate_for_rejects_constraint_over_capacity(self):
+    def test_check_config_rejects_what_the_state_cannot_take(self):
         topo = Topology()
-        topo.add_host("A")
-        topo.add_host("B")
+        for host in ("A", "B", "C"):
+            topo.add_host(host)
         topo.add_link("L1", "A", "B", 1000)
-        topo.freeze(1)
-        BcConfig(Model.MAM, values_kbps=(1000,)).validate_for(topo)
-        with pytest.raises(InvalidBc):
-            BcConfig(Model.MAM, values_kbps=(1001,)).validate_for(topo)
+        topo.add_link("L2", "B", "C", 2000)
+        topo.freeze()
+        classes = [TrafficClass(1), TrafficClass(1)]
+        state = NetworkState(topo, classes, BcConfig(Model.MAM, values_kbps=(1000, 1000)))
+        state.check_config(BcConfig(Model.MAM, values_kbps=(0, 1000)))
+        with pytest.raises(InvalidBc, match=r"^reconfiguration cannot change the allocation model$"):
+            state.check_config(BcConfig(Model.RDM, values_kbps=(1000, 0)))
+        with pytest.raises(InvalidBc, match=r"^constraint vector length must match class count$"):
+            state.check_config(BcConfig(Model.MAM, values_kbps=(1000,)))
+        over = BcConfig(Model.MAM, values_kbps=(0, 1001))
+        with pytest.raises(InvalidBc, match=r"^constraint 1 \(1001 kbps\) exceeds capacity of link L1$"):
+            state.check_config(over)
+        with pytest.raises(InvalidBc, match=r"^constraint 1 \(1001 kbps\) exceeds capacity of link L1$"):
+            NetworkState(topo, classes, over)  # the initial config passes the same check
+        # Only the governed links count, and a percentage resolves per link:
+        # 2000 kbps fits L2 alone, and 100% is 1000 kbps on L1, 2000 on L2.
+        state.check_config(BcConfig(Model.MAM, values_kbps=(2000, 0), applies_to=frozenset(["L2"])))
+        state.check_config(BcConfig(Model.MAM, percents=(100.0, 50.0)))
+        with pytest.raises(InvalidBc, match=r"^constraint 0 \(2000 kbps\) exceeds capacity of link L1$"):
+            state.check_config(BcConfig(Model.MAM, values_kbps=(2000, 1000)))
 
 
 class TestTopology:
@@ -108,7 +123,7 @@ class TestTopology:
         topo.add_link("L4", "S1", "S2", 500000)
         topo.add_link("L5", "S2", "S3", 500000)
         topo.add_link("L6", "S3", "DST", 500000)
-        topo.freeze(3)
+        topo.freeze()
         return topo
 
     def test_rejects_duplicates_and_unknown_endpoints(self):
@@ -161,7 +176,7 @@ class TestTopology:
         topo.add_host("D")
         topo.add_link("L1", "A", "B", 100)
         topo.add_link("L2", "C", "D", 100)
-        topo.freeze(1)
+        topo.freeze()
         with pytest.raises(NoRoute):
             topo.shortest_path("A", "C")
 
@@ -176,7 +191,7 @@ class TestTopology:
         topo.add_link("L2", "X", "B", 100)
         topo.add_link("L3", "A", "Y", 100)
         topo.add_link("L4", "Y", "B", 100)
-        topo.freeze(1)
+        topo.freeze()
         assert topo.shortest_path("A", "B") == ("L1", "L2")
 
     def test_routes_match_exhaustive_search(self):
@@ -198,7 +213,7 @@ class TestTopology:
                 seen.add(key)
                 topo.add_link("L%02d" % lid, a, b, 100)
                 lid += 1
-            topo.freeze(1)
+            topo.freeze()
             src, dst = rng.sample(names, 2)
             expected = oracle_route(topo, src, dst)
             if expected is None:
@@ -238,8 +253,8 @@ class TestCommitRelease:
         topo.add_host("C")
         topo.add_link("L1", "A", "B", 100)
         topo.add_link("L2", "B", "C", 10)
-        topo.freeze(1)
-        state = NetworkState(topo, [TrafficClass(0, 8)], BcConfig(Model.MAM, values_kbps=(10,)))
+        topo.freeze()
+        state = NetworkState(topo, [TrafficClass(8)], BcConfig(Model.MAM, values_kbps=(10,)))
         first = Lsp(id=1, class_index=0, demand_kbps=8, path=("L2",), src_host="B", admit_time=0.0)
         commit(state, first)
         second = Lsp(id=2, class_index=0, demand_kbps=8, path=("L1", "L2"), src_host="A", admit_time=1.0)
@@ -327,13 +342,30 @@ def test_shortest_path_uses_topology_routing():
     assert state.topology.shortest_path("A", "B") == ("L1",)
 
 
+def test_state_is_built_from_topology_classes_and_config_alone():
+    topo = Topology()
+    topo.add_host("A")
+    topo.add_host("B")
+    topo.add_link("L1", "A", "B", 100)
+    topo.freeze()
+    config = BcConfig(Model.RDM, values_kbps=(100, 50, 20))
+    state = NetworkState(topo, [TrafficClass(5)] * 3, config)
+    assert topo.links["L1"].alloc == [0, 0, 0]  # one counter per class, set by the state
+    assert (state.active_lsps, state.pending_soft_bc) == ({}, None)
+    assert state.counters.requested == state.counters.completed == [0, 0, 0]
+    assert bam.decide(state, ("L1",), 2, 5) == bam.AdmissionDecision(bam.Verdict.GRANT)
+    for name, value in (("counters", None), ("active_lsps", {}), ("pending_soft_bc", config)):
+        with pytest.raises(TypeError):
+            NetworkState(topo, [TrafficClass(5)] * 3, config, **{name: value})
+
+
 def test_state_rejects_mismatched_vector_length():
     topo = Topology()
     topo.add_host("A")
     topo.add_host("B")
     topo.add_link("L1", "A", "B", 100)
-    topo.freeze(2)
-    classes = [TrafficClass(0, 1), TrafficClass(1, 1)]
+    topo.freeze()
+    classes = [TrafficClass(1), TrafficClass(1)]
     with pytest.raises(InvalidBc):
         NetworkState(topo, classes, BcConfig(Model.MAM, values_kbps=(50,)))
 

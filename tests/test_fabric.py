@@ -36,7 +36,7 @@ def line_topology() -> Topology:
     topo.add_link("L4", "S1", "S2", 500000)
     topo.add_link("L5", "S2", "S3", 500000)
     topo.add_link("L6", "S3", "DST", 500000)
-    topo.freeze(3)
+    topo.freeze()
     return topo
 
 
@@ -214,7 +214,7 @@ def ring_with_chords() -> Topology:
         topo.add_link("R%d" % i, "S%d" % i, "S%d" % (i % 6 + 1), 100000)
     topo.add_link("C1", "S1", "S4", 100000)
     topo.add_link("C2", "S2", "S5", 100000)
-    topo.freeze(1)
+    topo.freeze()
     return topo
 
 
@@ -227,7 +227,7 @@ def walk(topo: Topology, path, src):
 def routes(topo: Topology):
     """Every route a classifier holds, plus each one walked back from its
     destination, so a route is keyed by its source as well as its path."""
-    state = NetworkState(topo, [TrafficClass(0, 1000)], BcConfig(Model.MAM, values_kbps=(1000,)))
+    state = NetworkState(topo, [TrafficClass(1000)], BcConfig(Model.MAM, values_kbps=(1000,)))
     for path, src, dst in Classifier.for_state(state, [])._routes.values():
         yield path, src
         yield path[::-1], dst
@@ -289,7 +289,7 @@ class TestRouteCaches:
         topo.add_link("L1", "HA", "HB", 1000)  # HB is a host on the way
         topo.add_link("L2", "HB", "S1", 1000)
         topo.add_link("L3", "S1", "HC", 1000)
-        topo.freeze(1)
+        topo.freeze()
         topo.add_link("L4", "S1", "HA", 1000)  # after freeze: S1 has no port for it
         fabric = Fabric(topo)
         fabric.install_path(Lsp(1, 0, 500, ("L2", "L3"), "HB", 0.0), MATCH)
@@ -311,7 +311,7 @@ class TestRouteCaches:
 
     def test_capacity_violation_on_a_cached_path_changes_nothing(self):
         topo = line_topology()
-        state = NetworkState(topo, [TrafficClass(0, 400000)], BcConfig(Model.MAM, values_kbps=(500000,)))
+        state = NetworkState(topo, [TrafficClass(400000)], BcConfig(Model.MAM, values_kbps=(500000,)))
         path = topo.shortest_path("HS1", "DST")
         commit(state, Lsp(1, 0, 400000, path, "HS1", 0.0))
         release(state, 1, LspState.COMPLETED)  # the path is cached now
@@ -331,6 +331,6 @@ class TestRouteCaches:
         assert topo.route_hops[path, "HS1"] == (("S1", 2), ("S2", 3), ("S3", 3))
         assert topo.path_links[path]
         topo.add_link("L0", "S2", "HS2", 500000)  # sorts first on S2: its ports shift
-        topo.freeze(3)
+        topo.freeze()
         assert not topo.route_hops and not topo.path_links
         assert topo.route_hops[path, "HS1"] == walk(topo, path, "HS1") == (("S1", 2), ("S2", 4), ("S3", 3))

@@ -1,6 +1,7 @@
 import math
 import os
 import tempfile
+from importlib import resources
 from unittest import mock
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bamsim import Model, ParseError, ScenarioError, ValidationError, simulate
-from bamsim import scenario
+from bamsim import cli, scenario
 from bamsim.checks import check_all
 from bamsim.controller import Controller
 from bamsim.metrics import summarize, write_journal
@@ -146,12 +147,30 @@ class TestParsing:
             lambda t: t.replace("flows A B class 0", "pipes A B class 0"),
             lambda t: t.replace("cycles 3", "epochs 3"),
             lambda t: "stray line\n" + t,
+            lambda t: t.replace("bottleneck L2", "bottle L2"),
+            lambda t: t.replace("class 1 rate", "klass 1 rate"),
+            lambda t: t.replace("model MAM", "modle MAM"),
+            lambda t: t.replace("[demand]", "[reconfig]\nchange hard after_request 3 bc 30 70\n[demand]"),
+            lambda t: t.replace("[demand]", "[reconfig]\nevent firm after_request 3 bc 30 70\n[demand]"),
+            lambda t: t.replace("[demand]", "[reconfig]\nevent hard after_request 3 when 9 bc 30 70\n[demand]"),
+            lambda t: t.replace("[demand]", "[reconfig]\nevent hard after_request 3\n[demand]"),
+            lambda t: t.replace("flows A B class 0", "flows A B klass 0"),
+            lambda t: t.replace("count 6 start_cycle 1", "count 6 begin 1"),
         ],
     )
-    def test_syntax_errors_carry_source_and_line(self, mangle):
+    def test_syntax_errors_carry_source_and_line(self, mangle, tmp_path, capsys):
+        text = mangle(MINI)
+        # The error is on the last line the mangle wrote.
+        lineno = max(i for i, line in enumerate(text.splitlines(), 1) if line not in MINI.splitlines())
         with pytest.raises(ParseError) as err:
-            parse(mangle(MINI))
-        assert "<test>:" in str(err.value)
+            parse(text)
+        assert str(err.value).startswith("<test>:%d: " % lineno)
+        path = tmp_path / "bad.scn"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as exit:
+            cli.main(["validate", str(path)])
+        assert exit.value.code == cli.EXIT_BAD_INPUT
+        assert capsys.readouterr().err.startswith("error: %s:%d: " % (path, lineno))
 
     def test_reconfig_trigger_must_be_exactly_one(self):
         bad = MINI.replace("[demand]", "[reconfig]\nevent hard bc 30 70\n\n[demand]")
@@ -169,8 +188,8 @@ class TestValidation:
     @pytest.mark.parametrize(
         "mangle,needle",
         [
-            (lambda t: t.replace("node B host", "node A host"), "duplicate"),
-            (lambda t: t.replace("link L2", "link L1"), "duplicate link id L1"),
+            (lambda t: t.replace("node SW switch", "node SW switch\nnode A switch"), "duplicate"),
+            (lambda t: t.replace("bottleneck L2", "link L1 SW B 100\nbottleneck L2"), "duplicate link 'L1'"),
             (lambda t: t.replace("class 1 rate", "class 2 rate"), "indices"),
             (lambda t: t.replace("rate 5", "rate 0"), "positive"),
             (lambda t: t.replace("ports 31000-31999", "ports 31999-31000"), "port"),
@@ -189,12 +208,28 @@ class TestValidation:
              "after_request 0 outside 1..18"),
             (lambda t: t.replace("[demand]", "[reconfig]\nevent soft after_request 19 bc 30 70\n\n[demand]"),
              "after_request 19 outside 1..18"),
+            (lambda t: t.replace("[demand]", "[reconfig]\nevent soft after_request 3 bc 30\n\n[demand]"),
+             "constraint vector length must match class count"),
+            (lambda t: t.replace("link L1 A SW 100\n", "").replace("link L2 SW B 100\n", ""), "no links defined"),
+            (lambda t: t.replace("class 0 rate 5 ports 30000-30999\n", "").replace("class 1 rate 10", "#"),
+             "no traffic classes defined"),
+            (lambda t: t.replace("bc 50 50", "bc 50 50\nlinks L1 L9"), "bc links reference unknown link L9"),
         ],
     )
-    def test_inconsistent_scenarios_rejected(self, mangle, needle):
+    def test_inconsistent_scenarios_rejected(self, mangle, needle, tmp_path, capsys):
+        # Some checks need the built topology or state, so a scenario is
+        # judged as validate and run judge it: parsed, then built.
         with pytest.raises(ValidationError) as err:
-            parse(mangle(MINI))
+            scenario.build(parse(mangle(MINI)))
         assert needle in str(err.value)
+        path = tmp_path / "bad.scn"
+        path.write_text(mangle(MINI))
+        try:
+            code = cli.main(["validate", str(path)])
+        except SystemExit as exit:
+            code = exit.code
+        assert code == cli.EXIT_BAD_INPUT
+        assert needle in capsys.readouterr().err
 
     @pytest.mark.parametrize("ports", ["30000-30999", "30999-31999", "30100-30200", "29000-31999"],
                              ids=["same", "one_port", "inside", "around"])
@@ -449,6 +484,57 @@ class TestSimulate:
         p.write_text(MINI)
         scn = scenario.load(str(p))
         assert scn.source == str(p)
+
+
+def exp2_soft_with(*replacements):
+    text = (resources.files("bamsim") / "scenarios" / "exp2_soft.scn").read_text()
+    for old, new in replacements:
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
+# exp2_soft restated: every link has 500 Mbps, so these percentages are its
+# vectors, and every flow crosses L6, so governing L6 alone binds as
+# governing every link does.
+RESTATED = {
+    "percent": (("bc 350 50 100", "bc% 70 10 20"), ("bc 250 150 100", "bc% 50 30 20")),
+    "links": (("bc 350 50 100", "bc 350 50 100\nlinks L6"),),
+}
+
+
+class TestConstraintScopes:
+    """``bc%`` vectors and ``links`` subsets, from scenario text to a run
+    checked after every event."""
+
+    def checked_run(self, text, tmp_path):
+        path = tmp_path / "scoped.scn"
+        path.write_text(text)
+        assert cli.main(["validate", str(path)]) == cli.EXIT_OK
+        return simulate(scenario.parse_file(str(path)), on_event=lambda kind, state, fabric: check_all(state, fabric))
+
+    @pytest.mark.parametrize("name", list(RESTATED))
+    def test_a_restated_vector_runs_as_the_bundled_one(self, name, tmp_path):
+        result = self.checked_run(exp2_soft_with(*RESTATED[name]), tmp_path)
+        bundled = simulate(scenario.load_bundled("exp2_soft"))
+        assert result.metrics.to_csv() == bundled.metrics.to_csv()
+        assert sum(result.state.counters.blocked) > 0
+
+    def test_links_outside_the_subset_hold_only_their_capacity(self, tmp_path):
+        # Governing the ingress links of HS1 and HS2 leaves HS3's classes 1
+        # and 2 capped by nothing but the 500 Mbps links.
+        result = self.checked_run(exp2_soft_with(("bc 350 50 100", "bc 350 50 100\nlinks L1 L2")), tmp_path)
+        table = result.state.tables().current.table
+        assert [row[4] for row in table["L3"]] == ["capacity"]
+        assert [row[4] for row in table["L1"]] == ["class 0", "class 1", "class 2", "capacity"]
+        bundled = simulate(scenario.load_bundled("exp2_soft"))
+        assert result.state.counters.blocked[1:] < bundled.state.counters.blocked[1:]
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: a bc% reconfig is journaled as bc_mbps []")
+    def test_a_percent_reconfig_journals_its_vector_in_mbps(self):
+        result = simulate(scenario.parse_text(exp2_soft_with(*RESTATED["percent"])))
+        logged = [(e["kind"], e["bc_mbps"]) for e in result.journal if e["kind"] in ("reconfig", "promote")]
+        assert logged == [("reconfig", [250.0, 150.0, 100.0]), ("promote", [250.0, 150.0, 100.0])]
 
 
 def artifacts(journal, log):
