@@ -95,48 +95,58 @@ def _choose_victims(state: NetworkState, rows: List[Row]) -> List[Lsp]:
 
     Candidates are scanned lowest class first, then newest first (admit time
     descending, id descending as the tie-break), read backwards from each
-    class list in ``state.active_by_class``.  A candidate joins the set only
-    while some row it serves still has a deficit, so the walk leaves a class
-    as soon as no row with a deficit left admits that class.  A
-    reverse pruning pass then drops members made redundant by later picks,
-    so no member of the result can be removed without reopening a deficit.
+    class list in ``state.active_by_class``.  ``left[i]`` is row i's running
+    deficit.  A candidate is tested against the links of its class's open
+    rows only, and the walk leaves a class once none is open.  A pick is
+    charged to every row it serves, open or closed, and keeps their indexes,
+    so ``-left[i]`` ends as row i's spare cover.  One reverse pass then drops
+    each pick that every row it serves can spare, so no member of the result
+    can be removed without reopening a deficit, in O(picks x rows).
     """
     if not rows:
         return []
-    if any(lo >= hi for _lid, lo, hi, _d in rows):
-        raise Infeasible("deficit with no eligible class")
-    remaining = [list(r) for r in rows]
-
-    def serves(lsp: Lsp, row) -> bool:
-        lid, lo, hi = row[0], row[1], row[2]
-        return lo <= lsp.class_index < hi and lid in lsp.path
-
-    def clears(lsps: List[Lsp]) -> bool:
-        return all(sum(l.demand_kbps for l in lsps if serves(l, row)) >= row[3] for row in rows)
-
-    chosen: List[Lsp] = []
-    for c in range(min(r[1] for r in rows), max(r[2] for r in rows)):
-        # Rows with a deficit left that class c may serve; once none is
-        # left, no later LSP of this class could join.
-        open_rows = [row for row in remaining if row[3] > 0 and row[1] <= c < row[2]]
+    left: List[int] = []
+    first, last = rows[0][1], rows[0][2]
+    for _lid, lo, hi, deficit in rows:
+        if lo >= hi:
+            raise Infeasible("deficit with no eligible class")
+        first, last = min(first, lo), max(last, hi)
+        left.append(deficit)
+    picks: List[Tuple[Lsp, List[int]]] = []
+    for c in range(first, last):
+        # (index, link) of the rows class c may serve, and the links of
+        # those still open; once none is open, no later LSP of c could join.
+        rows_c = [(i, r[0]) for i, r in enumerate(rows) if r[1] <= c < r[2]]
+        open_links = [lid for i, lid in rows_c if left[i] > 0]
         for _admitted, _id, lsp in reversed(state.active_by_class[c]):
-            if not open_rows:
+            if not open_links:
                 break
-            if not any(row[0] in lsp.path for row in open_rows):
+            path = lsp.path
+            for lid in open_links:
+                if lid in path:
+                    break
+            else:
                 continue
-            chosen.append(lsp)
-            for row in remaining:
-                if serves(lsp, row):
-                    row[3] -= lsp.demand_kbps
-            open_rows = [row for row in open_rows if row[3] > 0]
-    if any(row[3] > 0 for row in remaining):
+            served, open_links = [], []
+            for i, lid in rows_c:
+                if lid in path:
+                    left[i] -= lsp.demand_kbps
+                    served.append(i)
+                if left[i] > 0:
+                    open_links.append(lid)
+            picks.append((lsp, served))
+    if max(left) > 0:
         raise Infeasible("eligible LSPs cannot cover the deficit")
-    # Prune in reverse pick order: later picks may have made earlier ones
-    # redundant when rows overlap.
-    for i in range(len(chosen) - 1, -1, -1):
-        if clears(chosen[:i] + chosen[i + 1 :]):
-            del chosen[i]
-    return chosen
+    chosen: List[Lsp] = []
+    for lsp, served in reversed(picks):
+        for i in served:
+            if -left[i] < lsp.demand_kbps:
+                chosen.append(lsp)
+                break
+        else:
+            for i in served:
+                left[i] += lsp.demand_kbps
+    return chosen[::-1]
 
 
 def select_victims(state: NetworkState, rows: List[Row]) -> Tuple[int, ...]:

@@ -80,6 +80,8 @@ def _check_state_in_full(state: NetworkState) -> None:
             _fail("LSP %r has class %r, outside 0..%d" % (lsp.id, lsp.class_index, n - 1))
         active_per_class[lsp.class_index] += 1
         for lid in lsp.path:
+            if lid not in recount:
+                _fail("LSP %r path names unknown link %r" % (lsp.id, lid))
             recount[lid][lsp.class_index] += lsp.demand_kbps
     _check_links(state, recount)
     _check_class_lists(state)

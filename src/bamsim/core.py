@@ -131,7 +131,7 @@ class BcConfig:
 @dataclass
 class Link:
     """An undirected link with one allocation counter per traffic class,
-    ``alloc``: bound once by its ``NetworkState``, as plans read it live."""
+    ``alloc``: bound by the topology's one ``NetworkState``; plans read it live."""
 
     id: str
     a: str
@@ -389,8 +389,9 @@ class Tables(NamedTuple):
 class NetworkState:
     """The controller's authoritative view: topology, allocation ledger,
     active-LSP registry, constraint configuration and counters.  Only the
-    topology, the classes and the config are given: the state zeroes every
-    link's ledger and starts with no LSP and nothing pending.
+    topology, which may back no other state, the classes and the config are
+    given: the state zeroes every link's ledger and starts with no LSP and
+    nothing pending.
 
     ``active_by_class[c]`` holds an ``AgeEntry`` for each active LSP of class
     c, sorted, so newest last; commit and release keep it in step with
@@ -410,6 +411,8 @@ class NetworkState:
     def __post_init__(self) -> None:
         self.check_config(self.bc_config)
         n = len(self.classes)
+        if any(link.alloc for link in self.topology.links.values()):
+            raise ValueError("the topology already backs a NetworkState: its links carry a ledger")
         for link in self.topology.links.values():
             link.alloc = [0] * n
         self.counters = Counters(*([0] * n for _ in range(5)))

@@ -492,7 +492,7 @@ class TestVictimOrderMatchesTheSort:
         from bamsim import CapacityViolation, Lsp
 
         rng = random.Random(4127)
-        seen = {"victims": 0, "infeasible": 0, "reconfig_victims": 0}
+        seen = {"victims": 0, "infeasible": 0, "reconfig_victims": 0, "multi_row": 0}
 
         def compare(state, rows, where):
             expected = self.outcome(choose_victims_by_sort, state, rows)
@@ -501,6 +501,7 @@ class TestVictimOrderMatchesTheSort:
                 seen["infeasible"] += 1
             else:
                 seen["victims"] += len(expected)
+                seen["multi_row"] += len(rows) > 1
 
         for trial in range(60):
             state, paths = six_link_rdm_state(rng)
@@ -546,9 +547,52 @@ class TestVictimOrderMatchesTheSort:
                 # Forced commits ignore the constraints, so only the class
                 # lists are checked here.
                 _check_class_lists(state)
-        # The comparison must have covered real evictions and refusals.
+        # The comparison must have covered real evictions and refusals, and
+        # feasible calls whose rows the running totals and the prune share.
         assert seen["victims"] > 100 and seen["infeasible"] > 100
-        assert seen["reconfig_victims"] > 100
+        assert seen["reconfig_victims"] > 100 and seen["multi_row"] > 20
+
+    # Hand-built cases of the walk's running totals and its one-pass prune
+    # on hosts A-B-C, links L1 = A-B and L2 = B-C, two classes: the LSPs as
+    # (id, class, demand, path) in admission order, the rows, and the
+    # victims, which the sort must pick as well.
+    CASES = {
+        # Class 0 clears the (0, 2) row, then class 1 clears the (1, 2) row
+        # and covers (0, 2) again, so both class-0 picks are dropped.
+        "later_class_1_picks_make_class_0_redundant": (
+            [(1, 0, 10, ("L1",)), (2, 0, 10, ("L1",)), (3, 1, 10, ("L1",)), (4, 1, 10, ("L1",))],
+            [("L1", 1, 2, 20), ("L1", 0, 2, 20)], (4, 3)),
+        # LSP 2 is picked for the L2 row and also charged to the L1 row that
+        # LSP 3 already closed, which makes LSP 3 redundant.
+        "pick_serves_a_closed_row": (
+            [(1, 0, 10, ("L2",)), (2, 0, 10, ("L1", "L2")), (3, 0, 10, ("L1",))],
+            [("L1", 0, 1, 10), ("L2", 0, 1, 20)], (2, 1)),
+        # Every L2 LSP together holds 20 of the 30 the L2 row needs.
+        "row_left_uncovered": (
+            [(1, 0, 10, ("L2",)), (2, 0, 10, ("L1", "L2")), (3, 0, 10, ("L1",))],
+            [("L1", 0, 1, 10), ("L2", 0, 1, 30)], "infeasible"),
+        # One class-1 LSP over both links clears the L2 row and re-covers
+        # the L1 row the class-0 pick had cleared.
+        "rows_on_two_links_of_one_path": (
+            [(1, 0, 10, ("L1",)), (2, 1, 10, ("L1", "L2"))],
+            [("L1", 0, 2, 10), ("L2", 1, 2, 10)], (2,)),
+    }
+
+    @pytest.mark.parametrize("lsps, rows, victims", CASES.values(), ids=list(CASES))
+    def test_hand_built_case(self, lsps, rows, victims):
+        from bamsim import Lsp, NetworkState, Topology, TrafficClass
+
+        topo = Topology()
+        for h in ("A", "B", "C"):
+            topo.add_host(h)
+        topo.add_link("L1", "A", "B", 100)
+        topo.add_link("L2", "B", "C", 100)
+        topo.freeze()
+        state = NetworkState(topo, [TrafficClass(10)] * 2, BcConfig(Model.RDM, values_kbps=(100, 50)))
+        for t, (lsp_id, c, demand, path) in enumerate(lsps):
+            commit(state, Lsp(lsp_id, c, demand, path, "A" if path[0] == "L1" else "B", float(t)))
+        assert self.outcome(choose_victims_by_sort, state, rows) == victims
+        assert self.outcome(_choose_victims, state, rows) == victims
 
 
 # The admission checks as they were before the one-pass kernel and the

@@ -490,7 +490,8 @@ UNADOPTED = {
                           "InvariantViolation: LSP 7 has class 1, outside 0..0"),
     "class_below_range": (_register(Lsp(7, -1, 5000, _A_TO_B, "A", 7.0)), lambda s, f: None,
                           "InvariantViolation: LSP 7 has class -1, outside 0..0"),
-    "unknown_link": (_register(Lsp(7, 0, 5000, ("L9",), "A", 7.0)), lambda s, f: None, "KeyError: 'L9'"),
+    "unknown_link": (_register(Lsp(7, 0, 5000, ("L9",), "A", 7.0)), lambda s, f: None,
+                     "InvariantViolation: LSP 7 path names unknown link 'L9'"),
     "nan_admit_time": (lambda s, f: _commit(s, Lsp(7, 0, 5000, _A_TO_B, "A", float("nan"))), lambda s, f: None,
                        "InvariantViolation: class lists disagree"),
     "key_at_the_walk_start": (lambda s, f: _commit(s, Lsp(0, 0, 5000, _A_TO_B, "A", float("-inf"))),

@@ -359,6 +359,31 @@ def test_state_is_built_from_topology_classes_and_config_alone():
             NetworkState(topo, [TrafficClass(5)] * 3, config, **{name: value})
 
 
+def test_state_refuses_a_topology_that_already_backs_a_state():
+    # The ledger lives on the topology's links, which the first state's
+    # cached plans read live: a second state must not rebind it.
+    topo = Topology()
+    topo.add_host("A")
+    topo.add_host("B")
+    topo.add_link("L1", "A", "B", 10)
+    topo.freeze()
+    config = BcConfig(Model.MAM, values_kbps=(10,))
+    s1 = NetworkState(topo, [TrafficClass(10)], config)
+    ledger = topo.links["L1"].alloc
+    assert bam.decide(s1, ("L1",), 0, 10).verdict is bam.Verdict.GRANT
+    with pytest.raises(ValueError, match="already backs a NetworkState"):
+        NetworkState(topo, [TrafficClass(10)], config)
+    assert topo.links["L1"].alloc is ledger
+    commit(s1, Lsp(1, 0, 10, ("L1",), "A", 0.0))
+    assert bam.decide(s1, ("L1",), 0, 10).verdict is bam.Verdict.DENY
+    with pytest.raises(CapacityViolation):
+        commit(s1, Lsp(2, 0, 10, ("L1",), "A", 1.0))
+    assert ledger == [10] and list(s1.active_lsps) == [1]
+    # A config the state cannot take is still reported as such.
+    with pytest.raises(InvalidBc):
+        NetworkState(topo, [TrafficClass(10)] * 2, config)
+
+
 def test_state_rejects_mismatched_vector_length():
     topo = Topology()
     topo.add_host("A")

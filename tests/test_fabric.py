@@ -224,19 +224,20 @@ def walk(topo: Topology, path, src):
     return tuple((node, topo.port_of(node, path[i])) for i, node in enumerate(nodes[1:-1], start=1))
 
 
-def routes(topo: Topology):
+def routes(state: NetworkState):
     """Every route a classifier holds, plus each one walked back from its
     destination, so a route is keyed by its source as well as its path."""
-    state = NetworkState(topo, [TrafficClass(1000)], BcConfig(Model.MAM, values_kbps=(1000,)))
     for path, src, dst in Classifier.for_state(state, [])._routes.values():
         yield path, src
         yield path[::-1], dst
 
 
-def named_topology(name: str) -> Topology:
+def named_state(name: str) -> NetworkState:
+    """The built state of a bundled scenario, or a one-class state on the
+    ring; a topology backs one state only."""
     if name == "ring_with_chords":
-        return ring_with_chords()
-    return scenario.build(scenario.load_bundled(name))[0].topology
+        return NetworkState(ring_with_chords(), [TrafficClass(1000)], BcConfig(Model.MAM, values_kbps=(1000,)))
+    return scenario.build(scenario.load_bundled(name))[0]
 
 
 def snapshot(topo: Topology, fabric: Fabric):
@@ -247,10 +248,11 @@ def snapshot(topo: Topology, fabric: Fabric):
 class TestRouteCaches:
     @pytest.mark.parametrize("name", scenario.bundled_names() + ["ring_with_chords"])
     def test_cached_hops_and_rules_match_an_uncached_walk(self, name):
-        topo = named_topology(name)
+        state = named_state(name)
+        topo = state.topology
         fabric = Fabric(topo)
         checked = 0
-        for n, (path, src) in enumerate(routes(topo), start=1):
+        for n, (path, src) in enumerate(routes(state), start=1):
             expected = walk(topo, path, src)
             match = FlowMatch("10.0.0.1", "10.0.0.2", n, n)
             lsp = Lsp(n, 0, 1000, path, src, 0.0)
