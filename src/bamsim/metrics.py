@@ -1,14 +1,18 @@
 """Per-request measurement records, derived rates and the event journal.
 
-One MetricsRecord is emitted for every request, carrying the observed
-utilization of the watched (bottleneck) link per class plus the cumulative
-blocked/preempted counters at that instant.  The journal is the raw ordered
-event stream (JSON lines) from which every figure can be recounted.
+Every request leaves one MetricsLog row: the observed utilization of the
+watched (bottleneck) link per class plus the cumulative blocked/preempted
+counters at that instant.  The journal is the raw ordered event stream (JSON
+lines) from which every figure can be recounted.  Both logs keep their
+entries as flat cells in one list, not one container per entry, so a run's
+logs give the garbage collector nothing to count or to walk; each builds its
+records afresh when it is read.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from collections import abc
 from json.encoder import encode_basestring_ascii
 from math import inf
@@ -27,7 +31,9 @@ class MetricsRecord(NamedTuple):
     preempted: Tuple[int, ...]       # cumulative per class
 
     def csv_row(self) -> str:
-        return next(_csv_chunks(len(self.util_kbps), [self]))[:-1]
+        log = MetricsLog(len(self.util_kbps))
+        log.append(self)
+        return next(_csv_chunks(log.n_classes, log._cells))[:-1]
 
 
 def csv_header(n_classes: int) -> str:
@@ -42,40 +48,91 @@ def csv_header(n_classes: int) -> str:
 _CHUNK = 4096
 
 
-def _csv_chunks(n_classes: int, records: Sequence[MetricsRecord]) -> Iterator[str]:
-    """The rows of ``records``: index, time, then per class the utilisation
-    in Mbps, the blocked count and the preempted count.  The utilisation and
-    preempted cells are rendered once for consecutive records that hold the
-    same tuple object, as ``simulate``'s records do while they are equal."""
+def _csv_chunks(n_classes: int, cells: List) -> Iterator[str]:
+    """The rows of a ``MetricsLog``'s cells: index, time, then per class the
+    utilisation in Mbps, the blocked count and the preempted count.  The
+    utilisation and preempted cells are rendered once, into the row format,
+    for consecutive rows that hold the same tuple object, as ``simulate``'s
+    rows do while they are equal."""
+    width = 4 + n_classes
     util_cells, count_cells = ",%g" * n_classes, ",%d" * n_classes
-    util = preempted = object()  # matches no record's tuple
-    for start in range(0, len(records), _CHUNK):
+    util = preempted = object()  # matches no row's tuple
+    for start in range(0, len(cells), _CHUNK * width):
         lines = []
         add = lines.append
-        for index, time, record_util, blocked, record_preempted in records[start:start + _CHUNK]:
-            if record_util is not util:
-                util = record_util
-                util_text = util_cells % tuple([v / 1000.0 for v in util])
-            if record_preempted is not preempted:
-                preempted = record_preempted
-                preempted_text = count_cells % preempted
-            add("%d,%g%s%s%s\n" % (index, time, util_text, count_cells % blocked, preempted_text))
+        for row in zip(*[iter(cells[start:start + _CHUNK * width])] * width):
+            if row[0] is not util or row[1] is not preempted:
+                if row[0] is not util:
+                    util = row[0]
+                    util_text = util_cells % tuple([v / 1000.0 for v in util])
+                preempted = row[1]
+                # Neither text holds a "%": it is %g and %d output.
+                line = "%d,%g" + util_text + count_cells + count_cells % preempted + "\n"
+            add(line % row[2:])
         yield "".join(lines)
 
 
-class MetricsLog:
+class _Cells(abc.Sequence):
+    """A log kept as flat cells in one list rather than one container per
+    entry.  ``_starts()`` gives the cell where each entry starts, and read
+    as a sequence, the log yields the items ``_item(start)`` builds afresh."""
+
+    def __len__(self) -> int:
+        return len(self._starts())
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._item(start) for start in self._starts()[index]]
+        return self._item(self._starts()[index])
+
+    def __iter__(self) -> Iterator:
+        return map(self._item, self._starts())
+
+
+class MetricsLog(_Cells):
+    """One row per request, appended in request order.  A row is kept as
+    ``4 + n_classes`` cells, ``(util_kbps, preempted, request_index,
+    sim_time, *blocked)``: the two tuples by reference, so that equal rows
+    can share them, and the blocked counts by value.  Read as a sequence,
+    it yields ``MetricsRecord``s."""
+
     def __init__(self, n_classes: int) -> None:
         self.n_classes = n_classes
-        self.records: List[MetricsRecord] = []
+        self._width = 4 + n_classes
+        self._cells: List = []
 
-    def append(self, record: MetricsRecord) -> None:
-        if self.records and record.request_index <= self.records[-1].request_index:
+    def append(self, record: Sequence) -> None:
+        """Append ``(request_index, sim_time, util_kbps, blocked,
+        preempted)``, a ``MetricsRecord`` or a plain tuple.  ``blocked`` is
+        copied, so it may be a live counter list.  A row whose vectors are
+        not ``n_classes`` long, or whose index does not exceed the last one,
+        raises ValueError and leaves the log as it was."""
+        index, time, util, blocked, preempted = record
+        n = self.n_classes
+        if len(util) != n or len(blocked) != n or len(preempted) != n:
+            raise ValueError("row %r: util_kbps, blocked and preempted must each hold %d values"
+                             % (index, n))
+        cells = self._cells
+        if cells and index <= cells[-2 - n]:
             raise ValueError("request_index must be strictly increasing")
-        self.records.append(record)
+        cells.extend((util, preempted, index, time))
+        cells.extend(blocked)
+
+    def _starts(self) -> range:
+        return range(0, len(self._cells), self._width)
+
+    def _item(self, start: int) -> MetricsRecord:
+        cells = self._cells
+        return MetricsRecord(cells[start + 2], cells[start + 3], cells[start],
+                             tuple(cells[start + 4:start + self._width]), cells[start + 1])
+
+    @property
+    def records(self) -> List[MetricsRecord]:
+        return list(self)
 
     def _chunks(self) -> Iterator[str]:
         yield csv_header(self.n_classes) + "\n"
-        yield from _csv_chunks(self.n_classes, self.records)
+        yield from _csv_chunks(self.n_classes, self._cells)
 
     def to_csv(self) -> str:
         return "".join(self._chunks())
@@ -127,32 +184,62 @@ FIELDS: Dict[str, Tuple[str, ...]] = {
     "reconfig": ("time", "mode", "bc_mbps", "preempted"),
     "promote": ("time", "bc_mbps"),
 }
+# Cells per record, the kind's included.
+_WIDTH = {kind: 1 + len(fields) for kind, fields in FIELDS.items()}
 
 
-def _event(record: Tuple) -> Dict:
+def _width(cell) -> Optional[int]:
+    """The width of the record that ``cell`` starts, or None if it is no kind."""
+    return _WIDTH.get(cell) if type(cell) is str else None
+
+
+def _misaligned(start: int) -> ValueError:
+    return ValueError("journal cell %d: no whole event record starts here; "
+                      "a record has the wrong width for its kind" % start)
+
+
+def _event(record: Sequence) -> Dict:
     names = ("kind",) + FIELDS[record[0]]
     return {k: list(v) if type(v) is tuple else v for k, v in zip(names, record)}
 
 
-class Journal(abc.Sequence):
-    """The controller's ordered record of events, one tuple per event,
-    ``(kind, *fields)`` as laid out in ``FIELDS``.  Read as a sequence, it
-    yields event dicts built afresh from the records."""
+class Journal(_Cells):
+    """The controller's ordered record of events.  ``append`` takes one
+    record, ``(kind, *fields)`` as laid out in ``FIELDS``, and keeps its
+    cells back to back.  Read as a sequence, it yields event dicts;
+    ``records`` gives the records as tuples.  Reading a journal with a
+    record of the wrong width for its kind raises ValueError."""
 
     def __init__(self) -> None:
-        self.records: List[Tuple] = []
-        self.append = self.records.append
+        self._cells: List = []
+        self.append = self._cells.extend
+        self._scanned = array("q")  # the start cell of every record scanned
+        self._end = 0               # the cell after the last record scanned
 
-    def __len__(self) -> int:
-        return len(self.records)
+    def _starts(self) -> array:
+        """The start cell of every record, scanned on from the last one."""
+        cells, starts, start = self._cells, self._scanned, self._end
+        end = len(cells)
+        while start < end:
+            width = _width(cells[start])
+            if width is None or start + width > end:
+                self._end = start
+                raise _misaligned(start)
+            starts.append(start)
+            start += width
+        self._end = start
+        return starts
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [_event(r) for r in self.records[index]]
-        return _event(self.records[index])
+    def _record(self, start: int) -> Tuple:
+        cells = self._cells
+        return tuple(cells[start:start + _WIDTH[cells[start]]])
 
-    def __iter__(self) -> Iterator[Dict]:
-        return map(_event, self.records)
+    def _item(self, start: int) -> Dict:
+        return _event(self._record(start))
+
+    @property
+    def records(self) -> List[Tuple]:
+        return list(map(self._record, self._starts()))
 
 
 def _template(kind: str) -> str:
@@ -171,60 +258,80 @@ class _Encoded(dict):
         return text
 
 
-def _render(records: Sequence[Tuple], encode: Callable) -> Iterator[str]:
-    """The journal's lines in chunks of ``_CHUNK``.  The frequent kinds go
-    through their templates, arguments in key order: str() spells an int,
-    and a finite float, as json does.  A time is spelled once for
-    consecutive records that hold the same object, as a request and its
-    block, admit and preempt records do.  The rare kinds, a time that is not
-    a finite float, a non-finite demand and a preemption with no preemptor
-    go through the encoder."""
+def _render(cells: List, encode: Callable) -> Iterator[str]:
+    """A journal's lines, from its cells, in chunks of about ``_CHUNK``
+    lines.  The frequent kinds go through their templates, arguments in key
+    order: str() spells an int, and a finite float, as json does.  A time is
+    spelled once for consecutive records that hold the same object, as a
+    request and its block, admit and preempt records do.  The rare kinds, a
+    time that is not a finite float, a non-finite demand and a preemption
+    with no preemptor go through the encoder.
+
+    A record is rendered only once the cell after it is known to start a
+    record, or to be the end: a record of the wrong width raises ValueError
+    before any line after it, or the line it shifts, is handed out."""
     request, admit, block, preempt, expire = map(
         _template, ("request", "admit", "block", "preempt", "expire"))
     text = _Encoded()
     last = object()  # is no record's time
-    for start in range(0, len(records), _CHUNK):
+    p, end = 0, len(cells)
+    while p < end:
         lines = []
         add = lines.append
-        for record in records[start:start + _CHUNK]:
-            kind, time = record[0], record[1]
-            if time is not last:
-                last = time
-                stamp = str(time) if type(time) is float and -inf < time < inf else None
-            if stamp is not None:
-                if kind == "request":
-                    _, _, lsp, ct, demand, src, dst = record
-                    if -inf < demand < inf:
-                        add(request % (ct, demand, text[dst], lsp, text[src], stamp))
+        stop = min(end, p + 4 * _CHUNK)  # about _CHUNK lines: most records hold 4+ cells
+        try:
+            while p < stop:
+                kind, time = cells[p], cells[p + 1]
+                if time is not last:
+                    last = time
+                    stamp = str(time) if type(time) is float and -inf < time < inf else None
+                # Each template reads its record's last cell, so a short
+                # record at the end raises IndexError.
+                if stamp is not None:
+                    if kind == "request":
+                        demand = cells[p + 4]
+                        if -inf < demand < inf:
+                            add(request % (cells[p + 3], demand, text[cells[p + 6]],
+                                           cells[p + 2], text[cells[p + 5]], stamp))
+                            p += 7
+                            continue
+                    elif kind == "block" or kind == "expire":
+                        add((block if kind == "block" else expire) % (cells[p + 3], cells[p + 2], stamp))
+                        p += 4
                         continue
-                elif kind == "block" or kind == "expire":
-                    _, _, lsp, ct = record
-                    add((block if kind == "block" else expire) % (ct, lsp, stamp))
-                    continue
-                elif kind == "admit":
-                    _, _, lsp, ct, path = record
-                    add(admit % (ct, lsp, text[path], stamp))
-                    continue
-                elif kind == "preempt":
-                    _, _, lsp, ct, by = record
-                    if by is not None:
-                        add(preempt % (by, ct, lsp, stamp))
+                    elif kind == "admit":
+                        add(admit % (cells[p + 3], cells[p + 2], text[cells[p + 4]], stamp))
+                        p += 5
                         continue
-            add(encode(_event(record)) + "\n")
+                    elif kind == "preempt":
+                        by = cells[p + 4]
+                        if by is not None:
+                            add(preempt % (by, cells[p + 3], cells[p + 2], stamp))
+                            p += 5
+                            continue
+                width = _width(kind)
+                if width is None or p + width > end:
+                    raise _misaligned(p)
+                add(encode(_event(cells[p:p + width])) + "\n")
+                p += width
+        except IndexError:
+            raise _misaligned(p) from None
+        if p < end and _width(cells[p]) is None:
+            raise _misaligned(p)
         yield "".join(lines)
 
 
 def write_journal(events: Iterable[Dict], path: str) -> None:
     """One line per event, exactly ``json.dumps(event, sort_keys=True)``.
 
-    A ``Journal`` is rendered from its records, any other iterable of events
+    A ``Journal`` is rendered from its cells, any other iterable of events
     through the one sorted-key encoder.  Lines go through the file's buffer
     in chunks, not as one string: that would hold the whole journal a second
     time."""
     encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w") as fh:
         if isinstance(events, Journal):
-            fh.writelines(_render(events.records, encode))
+            fh.writelines(_render(events._cells, encode))
         else:
             for event in events:
                 fh.write(encode(event) + "\n")

@@ -12,7 +12,10 @@ The simulation is a discrete-event loop.  Arrivals are read from the
 schedule in its (time, id) order; a heap holds only the timers, expiries and
 timed reconfigurations.  Ties at one timestamp resolve as departures first,
 then timed reconfigurations, then new requests; equal-time departures go in
-LSP id order.
+LSP id order.  Every handled request appends one row to the metrics log: the
+watched link's allocation per class and the cumulative blocked and preempted
+counts, handed over as a plain tuple whose values the log copies into its
+flat cells.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .core import (
     kbps,
 )
 from .fabric import Fabric
-from .metrics import Journal, MetricsLog, MetricsRecord
+from .metrics import Journal, MetricsLog
 
 
 class ScenarioError(Exception):
@@ -449,7 +452,6 @@ def simulate(
     alloc = state.topology.links[watched].alloc
     counters = state.counters
     lifetime, stop = scn.run.lsp_lifetime, scn.run.stop
-    record = MetricsRecord._make  # without the NamedTuple's Python-level __new__
 
     by_count: Dict[int, List[bam.ReconfigEvent]] = {}
     # (time, kind, seq) timers: an expiry's seq is its LSP id, a timed
@@ -482,8 +484,9 @@ def simulate(
 
     # Past the stop count no request is handled; the timers still run out.
     arrivals = schedule if stop is None else schedule[:max(stop, 0)]
-    # A record reuses the previous record's tuple when the new one is equal,
-    # so the CSV writer renders each run of equal cells once.
+    # A row reuses the previous row's tuple when the new one is equal, so the
+    # CSV writer renders each run of equal cells once.  The log copies the
+    # blocked counts out of the live list.
     util = preempted = None
     for handled, request in enumerate(arrivals, start=1):
         now = request.time
@@ -498,7 +501,7 @@ def simulate(
         fresh = tuple(counters.preempted)
         if fresh != preempted:
             preempted = fresh
-        metrics.append(record((request.id, now, util, tuple(counters.blocked), preempted)))
+        metrics.append((request.id, now, util, counters.blocked, preempted))
         notify("request")
         for event in by_count.get(handled, ()):
             controller.apply_reconfig(event, now)

@@ -47,6 +47,21 @@ class TestCsv:
         r = rec(7, t=12.5, util=(250000, 2500, 0), blocked=(3, 0, 1), preempted=(0, 2, 0))
         assert r.csv_row() == "7,12.5,250,2.5,0,3,0,1,0,2,0"
 
+    @pytest.mark.parametrize("bad", [
+        rec(2, util=(0, 0)), rec(2, blocked=(0, 0, 0, 0)), rec(2, preempted=()),
+        (2, 1.0, (0, 0, 0), [0, 0], (0, 0, 0)),
+    ])
+    def test_log_rejects_a_row_of_the_wrong_width_and_stays_as_it_was(self, bad):
+        log = MetricsLog(3)
+        log.append(rec(1, util=(5000, 0, 0), blocked=(1, 2, 3)))
+        before = log.to_csv()
+        with pytest.raises(ValueError, match="each hold 3 values"):
+            log.append(bad)
+        assert log.to_csv() == before
+        assert log.records == [rec(1, util=(5000, 0, 0), blocked=(1, 2, 3))]
+        log.append(rec(2))
+        assert len(log) == 2
+
     def test_log_requires_strictly_increasing_indices(self):
         log = MetricsLog(3)
         log.append(rec(1))
@@ -341,6 +356,57 @@ def test_journal_reads_as_a_sequence_of_event_dicts():
     assert journal.records[1] == ("admit", 0.5, 1, 0, ("L1", "L2"))
 
 
+REQUEST = ("request", 0.5, 1, 0, 5.0, "A", "B")  # cells 0-6
+
+
+@pytest.mark.parametrize("records, good, cell", [
+    # A short block: the next record's time sits where a kind should.
+    ([REQUEST, ("block", 0.5, 1), ("expire", 2.0, 2, 0)], 1, 11),
+    # A short record last, and a long one last.
+    ([REQUEST, ("block", 0.5, 1)], 1, 7),
+    ([REQUEST, ("expire", 2.0, 1, 0, 9)], 1, 11),
+    # A short request first: its template would read the block's kind.
+    ([("request", 0.5, 1, 0, 5.0, "A"), ("block", 0.5, 1, 0)], 0, 7),
+])
+@pytest.mark.parametrize("chunk", [1, 2, metrics._CHUNK])
+def test_a_journal_with_a_record_of_the_wrong_width_raises_and_never_shifts(
+        records, good, cell, chunk, tmp_path):
+    journal = Journal()
+    for record in records:
+        journal.append(record)
+    message = "journal cell %d: no whole event record starts here" % cell
+    for read in (len, list, lambda j: j.records, lambda j: j[0], lambda j: j[-1], lambda j: j[:]):
+        with pytest.raises(ValueError, match=message):
+            read(journal)
+    path = tmp_path / "j.jsonl"
+    with mock.patch.object(metrics, "_CHUNK", chunk), pytest.raises(ValueError, match=message):
+        write_journal(journal, str(path))
+    # Only the whole records before the bad one may have been written.
+    lines = path.read_text().splitlines()
+    assert lines == [json.dumps(oracle_event(r), sort_keys=True) for r in records[:good]][:len(lines)]
+
+
+@PROPERTY
+@given(st.lists(journal_records, max_size=12), st.integers(0, 12), st.data())
+def test_journal_reads_like_the_list_of_its_records(records, split, data):
+    journal = Journal()
+    for record in records[:split]:
+        journal.append(record)
+    assert len(journal) == len(records[:split])  # the scan resumes from here
+    for record in records[split:]:
+        journal.append(record)
+    events = [oracle_event(r) for r in records]
+    assert len(journal) == len(records)
+    assert journal.records == records
+    assert list(journal) == events
+    for i in range(-len(records), len(records)):
+        assert journal[i] == events[i]
+    cut = data.draw(st.slices(len(records) + 2))
+    assert journal[cut] == events[cut]
+    with pytest.raises(IndexError):
+        journal[len(records)]
+
+
 @st.composite
 def metrics_logs(draw):
     n = draw(st.integers(1, 4))
@@ -363,6 +429,24 @@ def test_csv_is_exactly_the_cell_by_cell_rendering(log_spec):
     expected = csv_oracle(n, records)
     assert log.to_csv() == expected
     assert [r.csv_row() for r in records] == expected.splitlines()[1:]
+
+
+@PROPERTY
+@given(metrics_logs(), st.data())
+def test_metrics_log_reads_like_the_list_of_its_records(log_spec, data):
+    n, records = log_spec
+    log = MetricsLog(n)
+    for record in records:
+        log.append(record)
+    assert len(log) == len(records)
+    assert log.records == list(log) == records
+    assert all(type(r) is MetricsRecord and type(r.blocked) is tuple for r in log)
+    for i in range(-len(records), len(records)):
+        assert log[i] == records[i]
+    cut = data.draw(st.slices(len(records) + 2))
+    assert log[cut] == records[cut]
+    with pytest.raises(IndexError):
+        log[len(records)]
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import tempfile
@@ -12,7 +13,7 @@ from bamsim import Model, ParseError, ScenarioError, ValidationError, simulate
 from bamsim import cli, scenario
 from bamsim.checks import check_all
 from bamsim.controller import Controller
-from bamsim.metrics import summarize, write_journal
+from bamsim.metrics import read_journal, summarize, write_journal
 
 from helpers import heap_loop_run
 
@@ -422,7 +423,7 @@ class TestSimulate:
         last = records[-1]
         assert last.blocked == tuple(result.state.counters.blocked)
 
-    def test_journal_totals_match_state_counters(self):
+    def test_journal_totals_match_state_counters(self, tmp_path):
         result = simulate(parse())
         stats = summarize(result.journal)
         counters = result.state.counters
@@ -431,10 +432,22 @@ class TestSimulate:
         assert stats["blocked"] == counters.blocked
         assert stats["preempted"] == counters.preempted
         assert stats["completed"] == counters.completed
-        # Redundant: summarize reads a Journal as the list of its event dicts,
-        # so both sides are the same recount.  tests/test_cli.py compares the
-        # recount of a run's journal with the counters run prints.
-        assert summarize(list(result.journal)) == stats
+        # The written journal, read back, recounts to the same totals.
+        path = str(tmp_path / "journal.jsonl")
+        write_journal(result.journal, path)
+        assert summarize(read_journal(path), result.scenario.n_classes) == stats
+
+    @pytest.mark.parametrize("name", scenario.bundled_names())
+    def test_a_run_leaves_its_logs_nothing_for_the_collector(self, name):
+        # Both logs keep flat cells, not a container per event or per
+        # request, so once the collector has untracked the few shared
+        # tuples of atoms (paths, utilisations), no cell is tracked.
+        result = simulate(scenario.load(name))
+        gc.collect()
+        for log in (result.journal, result.metrics):
+            cells = [cell for held in vars(log).values() if type(held) is list for cell in held]
+            assert cells
+            assert not any(map(gc.is_tracked, cells))
 
     def test_on_event_hook_sees_consistent_state_throughout(self):
         seen = []
