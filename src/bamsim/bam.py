@@ -95,7 +95,7 @@ def _choose_victims(state: NetworkState, rows: List[Row]) -> List[Lsp]:
 
     Candidates are scanned lowest class first, then newest first (admit time
     descending, id descending as the tie-break), read backwards from each
-    class list in ``state.active_by_class``.  ``left[i]`` is row i's running
+    class's dict in ``state.active_by_class``, which is in age order.  ``left[i]`` is row i's running
     deficit.  A candidate is tested against the links of its class's open
     rows only, and the walk leaves a class once none is open.  A pick is
     charged to every row it serves, open or closed, and keeps their indexes,
@@ -118,7 +118,7 @@ def _choose_victims(state: NetworkState, rows: List[Row]) -> List[Lsp]:
         # those still open; once none is open, no later LSP of c could join.
         rows_c = [(i, r[0]) for i, r in enumerate(rows) if r[1] <= c < r[2]]
         open_links = [lid for i, lid in rows_c if left[i] > 0]
-        for _admitted, _id, lsp in reversed(state.active_by_class[c]):
+        for lsp in reversed(state.active_by_class[c].values()):
             if not open_links:
                 break
             path = lsp.path

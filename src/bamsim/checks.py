@@ -10,9 +10,10 @@ still hold the very record it held, and an LSP replaced under its key is
 seen.  Both checks apply the delta to their copies and then compare every
 structure whole with them, at C speed:
 
-- ``check_state``: the per-link ledger and the class lists.  The rows of the
-  current constraint table and the counter identities still run on every
-  call, on every link and class;
+- ``check_state``: the per-link ledger and the class lists, dicts by id
+  compared with ``==``, then their key orders with the copy's, kept as
+  lists.  The rows of the current constraint table and the counter
+  identities still run on every call, on every link and class;
 - ``check_fabric``: the rule table and the owner index.
 
 A check with no copies, or whose copies disagree, runs its full check, so a
@@ -37,12 +38,11 @@ index, and each distinct route's switches are counted once per call.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import chain
 from operator import is_
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .core import Lsp, NetworkState
+from .core import Lsp, NetworkState, age_key
 from .fabric import Fabric
 
 
@@ -56,12 +56,15 @@ def _fail(message: str) -> None:
 
 def check_state(state: NetworkState, shadow: Optional[_Shadow] = None) -> None:
     """Ledger, registry, constraint and counter invariants."""
-    if shadow is None or not shadow.advance_state() or state.active_by_class != shadow.lists:
+    lists = state.active_by_class
+    if (shadow is None or not shadow.advance_state() or lists != shadow.lists
+            or list(map(list, lists)) != shadow.orders):
         _check_state_in_full(state)
         if shadow is not None:  # hand over copies of what just passed
             active = state.active_lsps
             shadow.ledger = {lid: link.alloc[:] for lid, link in state.topology.links.items()}
-            shadow.lists = [[(t, i, active[i]) for t, i, _ in entries] for entries in state.active_by_class]
+            shadow.lists = [{i: active[i] for i in entries} for entries in lists]
+            shadow.orders = list(map(list, lists))
             if not all(map(_plain, shadow.records)):
                 shadow.keys = None  # no delta from records it cannot take
         return
@@ -121,33 +124,28 @@ def _check_counters(state: NetworkState, active_per_class: Iterable[int]) -> Non
 
 
 def _check_class_lists(state: NetworkState) -> None:
-    """``active_by_class`` is what commit and release build: per class, an
-    ``age_key(lsp) + (lsp,)`` entry for each active LSP, sorted.
+    """``active_by_class`` is what commit and release build: per class, a
+    dict of each active LSP by id, in ``age_key`` order.
 
-    Checked without rebuilding or sorting: every entry carries its LSP's
-    current key and class and is that LSP's registry object (or equal to
-    it), keys rise strictly within a class, and the lists hold as many
-    entries as the registry.  Strict order keeps an LSP from appearing twice
-    in its class, and the class check keeps it out of the others, so the
-    count makes the entries one per active LSP."""
+    Checked without rebuilding or sorting: every entry is filed under its
+    LSP's id, has the class of its dict and is that LSP's registry object
+    (or equal to it), age keys rise strictly within a dict, and the dicts
+    hold as many entries as the registry.  The class check keeps an LSP out
+    of the other dicts, so the count makes the entries one per active LSP."""
     lists = state.active_by_class
     active = state.active_lsps
     if len(lists) != len(state.classes) or sum(map(len, lists)) != len(active):
         _fail("class lists disagree with the active registry")
     for c, entries in enumerate(lists):
-        prev_time, prev_id = float("-inf"), 0
-        for time, lsp_id, lsp in entries:
+        prev = _FIRST
+        for lsp_id, lsp in entries.items():
             registered = active.get(lsp_id)
-            if (
-                (registered is not lsp and registered != lsp)
-                or lsp.class_index != c
-                or lsp.id != lsp_id
-                or lsp.admit_time != time
-                or time < prev_time
-                or (time == prev_time and lsp_id <= prev_id)
-            ):
+            key = age_key(lsp)
+            # ``not prev < key`` also rejects a NaN admit time, which compares below nothing.
+            if ((registered is not lsp and registered != lsp) or lsp.class_index != c
+                    or lsp.id != lsp_id or not prev < key):
                 _fail("class lists disagree with the active registry")
-            prev_time, prev_id = time, lsp_id
+            prev = key
 
 
 def check_fabric(state: NetworkState, fabric: Fabric, shadow: Optional[_Shadow] = None) -> None:
@@ -230,18 +228,19 @@ class _Shadow:
 
     Demands are integral kbps, so the running sums are exactly the recount.
     Every record must be ``_plain``.  An added LSP must also have a class in
-    range, a path over known links, and an age key the full check's walk
-    accepts.  Its rules are taken from the fabric only if they are as many
-    as its route has switches, each is indexed under its owner, and none
-    takes a slot already held.  Otherwise the copies disagree and the full
-    check decides."""
+    range, a path over known links, and an age key above its class's newest,
+    so that it appends.  Its rules are taken from the fabric only if they are
+    as many as its route has switches, each is indexed under its owner, and
+    none takes a slot already held.  Otherwise the copies disagree and the
+    full check decides."""
 
     def __init__(self) -> None:
         self.keys: Optional[List[int]] = None
         self.records: List[Lsp] = []
         self.delta: Optional[Tuple[List[Lsp], List[Lsp]]] = None
         self.ledger: Dict[str, List[int]] = {}
-        self.lists: List[list] = []
+        self.lists: List[Dict[int, Lsp]] = []
+        self.orders: List[List[int]] = []  # the keys of ``lists``, in order
         self.rules: Optional[dict] = None
         self.by_owner: dict = {}
         # Interior-switch count per route; the topology is fixed.
@@ -276,24 +275,23 @@ class _Shadow:
         if self.delta is None:
             return False
         removed, added = self.delta
-        ledger, lists = self.ledger, self.lists
-        for lsp_id, c, demand, path, _src, admit_time in removed:
+        ledger, lists, orders = self.ledger, self.lists, self.orders
+        for lsp_id, c, demand, path, _src, _admit_time in removed:
             for lid in path:
                 ledger[lid][c] -= demand
-            entries = lists[c]
-            del entries[bisect_left(entries, (admit_time, lsp_id))]
+            del lists[c][lsp_id]
+            orders[c].remove(lsp_id)
         for lsp in added:
             lsp_id, c, demand, path, _src, admit_time = lsp
             if not 0 <= c < len(lists) or not all(map(ledger.__contains__, path)):
                 return False
-            key = (admit_time, lsp_id)
             entries = lists[c]
-            i = bisect_left(entries, key)
-            # Keys are distinct and ordered, so the walk rejects only a first key at its start,
-            # as it does a NaN time: that compares below nothing, so it lands first.
-            if i == 0 and not _FIRST < key:
+            # Appended only past its class's newest.  An older LSP, a first key at the walk's
+            # start, or a NaN time, which compares below nothing, goes to the full check.
+            if not (age_key(next(reversed(entries.values()))) if entries else _FIRST) < (admit_time, lsp_id):
                 return False
-            entries.insert(i, key + (lsp,))
+            entries[lsp_id] = lsp
+            orders[c].append(lsp_id)
             for lid in path:
                 ledger[lid][c] += demand
         return True

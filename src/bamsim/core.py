@@ -11,7 +11,6 @@ topology.
 
 from __future__ import annotations
 
-import bisect
 import enum
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -302,12 +301,6 @@ def age_key(lsp: Lsp) -> Tuple[float, int]:
     return (lsp.admit_time, lsp.id)
 
 
-# An entry of a class list: age_key(lsp) + (lsp,).  Active ids are unique, so
-# entries compare on their key alone and the LSPs themselves are never
-# compared.
-AgeEntry = Tuple[float, int, Lsp]
-
-
 # A row of a link's constraint table, (held, lo, hi, cap, name): classes
 # lo..hi-1 together hold at most cap kbps.  held(alloc) is what they hold on
 # a link whose ledger is alloc, and name says which constraint a check
@@ -393,9 +386,10 @@ class NetworkState:
     given: the state zeroes every link's ledger and starts with no LSP and
     nothing pending.
 
-    ``active_by_class[c]`` holds an ``AgeEntry`` for each active LSP of class
-    c, sorted, so newest last; commit and release keep it in step with
-    ``active_lsps``.
+    ``active_by_class[c]`` maps id to LSP for the active LSPs of class c,
+    in ``age_key`` order, so newest last; commit and release keep it in step
+    with ``active_lsps``.  The loop admits in (time, id) order, so a commit
+    appends; release deletes one key.
     """
 
     topology: Topology
@@ -404,7 +398,7 @@ class NetworkState:
     pending_soft_bc: Optional[BcConfig] = field(init=False, default=None)
     active_lsps: Dict[int, Lsp] = field(init=False, default_factory=dict)
     counters: Counters = field(init=False)
-    active_by_class: List[List[AgeEntry]] = field(init=False, repr=False)
+    active_by_class: List[Dict[int, Lsp]] = field(init=False, repr=False)
     # (bc_config, pending_soft_bc, Tables): see tables().
     _tables: Tuple = field(init=False, repr=False, compare=False)
 
@@ -416,7 +410,7 @@ class NetworkState:
         for link in self.topology.links.values():
             link.alloc = [0] * n
         self.counters = Counters(*([0] * n for _ in range(5)))
-        self.active_by_class = [[] for _ in self.classes]
+        self.active_by_class = [{} for _ in self.classes]
         self._tables = (None, None, None)
 
     @property
@@ -468,7 +462,9 @@ def commit(state: NetworkState, lsp: Lsp) -> None:
 
     The LSP's id must not be active.  Validation runs before any link is
     touched, so a CapacityViolation leaves the ledger unchanged, and the
-    class-list insert, which compares age keys, comes before the ledger.
+    class-list insert, which compares age keys, comes before the ledger.  An
+    LSP older than its class's newest, as only a hand-built state commits,
+    re-sorts that class's dict.
     """
     if lsp.id in state.active_lsps:
         raise ValueError("LSP id %d already active" % lsp.id)
@@ -480,7 +476,15 @@ def commit(state: NetworkState, lsp: Lsp) -> None:
                 "link %s: %d + %d exceeds capacity %d"
                 % (link.id, sum(link.alloc), demand, link.capacity_kbps)
             )
-    bisect.insort(state.active_by_class[c], age_key(lsp) + (lsp,))
+    same_class = state.active_by_class[c]
+    newest = next(reversed(same_class.values()), None)
+    # age_key(newest) < age_key(lsp), with the admit times alone deciding when they differ.
+    if newest is None or newest.admit_time < lsp.admit_time or age_key(newest) < age_key(lsp):
+        same_class[lsp.id] = lsp
+    else:
+        ordered = sorted([*same_class.items(), (lsp.id, lsp)], key=lambda item: age_key(item[1]))
+        same_class.clear()
+        same_class.update(ordered)
     for link in links:
         link.alloc[c] += demand
     state.active_lsps[lsp.id] = lsp
@@ -506,8 +510,7 @@ def release(state: NetworkState, lsp_id: int, reason: LspState) -> Lsp:
         alloc[c] -= demand
         assert alloc[c] >= 0, "negative allocation on %s" % link.id
     del state.active_lsps[lsp_id]
-    same_class = state.active_by_class[c]
-    del same_class[bisect.bisect_left(same_class, age_key(lsp))]
+    del state.active_by_class[c][lsp_id]
     if reason is LspState.PREEMPTED:
         state.counters.preempted[c] += 1
     else:

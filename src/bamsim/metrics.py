@@ -30,11 +30,6 @@ class MetricsRecord(NamedTuple):
     blocked: Tuple[int, ...]         # cumulative per class
     preempted: Tuple[int, ...]       # cumulative per class
 
-    def csv_row(self) -> str:
-        log = MetricsLog(len(self.util_kbps))
-        log.append(self)
-        return next(_csv_chunks(log.n_classes, log._cells))[:-1]
-
 
 def csv_header(n_classes: int) -> str:
     cols = ["request_index", "sim_time"]

@@ -9,10 +9,12 @@ deterministic.  Each schedule entry is a ``controller.LspRequest``, and the
 loop hands the controller that same record.
 
 The simulation is a discrete-event loop.  Arrivals are read from the
-schedule in its (time, id) order; a heap holds only the timers, expiries and
-timed reconfigurations.  Ties at one timestamp resolve as departures first,
-then timed reconfigurations, then new requests; equal-time departures go in
-LSP id order.  Every handled request appends one row to the metrics log: the
+schedule in its (time, id) order.  Expiries wait in a FIFO: requests are
+admitted in (time, id) order and live one fixed lifetime, so they come due
+in that order too.  The timed reconfigurations are known up front and are
+sorted once.  Ties at one timestamp resolve as departures first, then timed
+reconfigurations, then new requests; equal-time departures go in LSP id
+order.  Every handled request appends one row to the metrics log: the
 watched link's allocation per class and the cumulative blocked and preempted
 counts, handed over as a plain tuple whose values the log copies into its
 flat cells.
@@ -20,13 +22,13 @@ flat cells.
 
 from __future__ import annotations
 
-import heapq
 import os
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from importlib import resources
 from math import inf, isfinite
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from . import bam
 from .controller import Classifier, Controller, LspRequest
@@ -429,11 +431,6 @@ class RunResult:
         return self.controller.journal
 
 
-# Timer kinds; lower sorts first at one timestamp, and both before an
-# arrival at that timestamp.
-_EXPIRY, _TIMED_RECONFIG = 0, 1
-
-
 def simulate(
     scn: Scenario,
     on_event: Optional[Callable[[str, NetworkState, Fabric], None]] = None,
@@ -454,33 +451,40 @@ def simulate(
     lifetime, stop = scn.run.lsp_lifetime, scn.run.stop
 
     by_count: Dict[int, List[bam.ReconfigEvent]] = {}
-    # (time, kind, seq) timers: an expiry's seq is its LSP id, a timed
-    # reconfiguration's its index in ``events``.  Entries are unique, so the
-    # heap pops them in one total order.
-    heap: List[Tuple[float, int, int]] = []
+    # (time, index in ``events``) of each timed reconfiguration, latest
+    # first, so the next one is last.
+    timed: List[Tuple[float, int]] = []
     for idx, event in enumerate(events):
         if event.at_time is not None:
-            heap.append((event.at_time, _TIMED_RECONFIG, idx))
+            timed.append((event.at_time, idx))
         else:
             by_count.setdefault(event.after_request, []).append(event)
-    heapq.heapify(heap)
+    timed.sort(reverse=True)
+    # (time, LSP id) of each grant's expiry.  Grants come in (time, id) order
+    # and ``now + lifetime`` is monotone in ``now``, so appending keeps the
+    # FIFO in (time, id) order.
+    expiries: Deque[Tuple[float, int]] = deque()
 
     def notify(kind: str) -> None:
         if on_event is not None:
             on_event(kind, state, fabric)
 
     def run_timers(until: float) -> None:
-        """Handle, in heap order, every timer due at or before ``until``."""
-        while heap and heap[0][0] <= until:
-            now, kind, seq = heapq.heappop(heap)
-            if kind == _EXPIRY:
-                # Timers of preempted LSPs are left in the heap; skip them here.
-                if seq in state.active_lsps:
-                    controller.handle_expiry(seq, now)
+        """Handle, in time order, every timer due at or before ``until``;
+        at one time, the expiries before the timed reconfigurations."""
+        while True:
+            if expiries and expiries[0][0] <= until and not (timed and timed[-1][0] < expiries[0][0]):
+                now, lsp_id = expiries.popleft()
+                # Expiries of preempted LSPs are left in the FIFO; skip them here.
+                if lsp_id in state.active_lsps:
+                    controller.handle_expiry(lsp_id, now)
                     notify("expire")
-            else:
-                controller.apply_reconfig(events[seq], now)
+            elif timed and timed[-1][0] <= until:
+                now, idx = timed.pop()
+                controller.apply_reconfig(events[idx], now)
                 notify("reconfig")
+            else:
+                return
 
     # Past the stop count no request is handled; the timers still run out.
     arrivals = schedule if stop is None else schedule[:max(stop, 0)]
@@ -490,11 +494,11 @@ def simulate(
     util = preempted = None
     for handled, request in enumerate(arrivals, start=1):
         now = request.time
-        if heap and heap[0][0] <= now:
+        if expiries and expiries[0][0] <= now or timed and timed[-1][0] <= now:
             run_timers(now)
         controller.handle_request(request)
         if request.id in state.active_lsps:
-            heapq.heappush(heap, (now + lifetime, _EXPIRY, request.id))
+            expiries.append((now + lifetime, request.id))
         fresh = tuple(alloc)
         if fresh != util:
             util = fresh

@@ -66,9 +66,9 @@ def admit(
 
 def replace_lsp(state: NetworkState, lsp_id: int, **changes) -> Lsp:
     """Put a changed copy of an active LSP's record wherever the record
-    sits: under its key in the registry and in its class-list entry, whose
-    age key stays as it was.  Records are immutable, so this is how a test
-    changes an LSP behind the package's back."""
+    sits: under its key in the registry and in its class dict, at the place
+    it held there, even if its age key changed.  Records are immutable, so
+    this is how a test changes an LSP behind the package's back."""
     return put_in_place(state, lsp_id, state.active_lsps[lsp_id]._replace(**changes))
 
 
@@ -78,9 +78,9 @@ def put_in_place(state: NetworkState, lsp_id: int, new):
     old = state.active_lsps[lsp_id]
     state.active_lsps[lsp_id] = new
     for entries in state.active_by_class:
-        for i, entry in enumerate(entries):
-            if entry[2] is old:
-                entries[i] = entry[:2] + (new,)
+        for key, lsp in list(entries.items()):
+            if lsp is old:
+                entries[key] = new
     return new
 
 

@@ -1,4 +1,3 @@
-import bisect
 import itertools
 import random
 from collections import Counter
@@ -31,7 +30,7 @@ from bamsim.checks import (
     check_state,
 )
 from bamsim.controller import Classifier, Controller, LspRequest
-from bamsim.core import Plans, age_key, constraint_table
+from bamsim.core import Plans, constraint_table
 from bamsim.fabric import Fabric, FlowRule
 
 from helpers import (
@@ -578,6 +577,19 @@ class TestVictimOrderMatchesTheSort:
             [("L1", 0, 2, 10), ("L2", 1, 2, 10)], (2,)),
     }
 
+    def test_an_out_of_order_commit_re_sorts_its_class(self):
+        # Commits older than their class's newest, one of them tied in time
+        # with a higher id: the dict ends in (admit time, id) order, and the
+        # walk takes the newest first, as the sort does.
+        state = single_link_state(Model.RDM, (100, 50), 100, (10, 10))
+        for lsp_id, when in ((1, 2.0), (2, 0.0), (5, 1.0), (4, 1.0)):
+            admit(state, lsp_id, 0, when)
+        assert list(state.active_by_class[0]) == [2, 4, 5, 1]
+        _check_class_lists(state)
+        rows = [("L1", 0, 1, 30)]
+        assert self.outcome(choose_victims_by_sort, state, rows) == (1, 5, 4)
+        assert self.outcome(_choose_victims, state, rows) == (1, 5, 4)
+
     @pytest.mark.parametrize("lsps, rows, victims", CASES.values(), ids=list(CASES))
     def test_hand_built_case(self, lsps, rows, victims):
         from bamsim import Lsp, NetworkState, Topology, TrafficClass
@@ -979,14 +991,15 @@ def check_fabric_by_rebuild(state, fabric):
 
 
 def check_class_lists_by_sort(state):
-    """_check_class_lists as it was: rebuild every class list from the
-    registry, sort, and compare.  Kept here as the reference."""
+    """_check_class_lists as it was: rebuild every class's (id, LSP) items
+    from the registry, sort them by (admit time, id), and compare them with
+    each class dict's items in order.  Kept here as the reference."""
     expected = [[] for _ in state.classes]
     for lsp in state.active_lsps.values():
-        expected[lsp.class_index].append(age_key(lsp) + (lsp,))
-    for entries in expected:
-        entries.sort()
-    if state.active_by_class != expected:
+        expected[lsp.class_index].append((lsp.id, lsp))
+    for items in expected:
+        items.sort(key=lambda item: (item[1].admit_time, item[0]))
+    if [list(entries.items()) for entries in state.active_by_class] != expected:
         raise InvariantViolation("class lists disagree with the active registry")
 
 
@@ -1066,46 +1079,67 @@ def _class_entries(state, rng):
     return rng.choice(filled) if filled else None
 
 
+def _refile(entries, items):
+    """Make the class dict ``entries`` hold ``items``, in that order."""
+    entries.clear()
+    entries.update(items)
+
+
+def _file_by_age(entries, lsp_id, lsp):
+    """File ``lsp`` under ``lsp_id`` in ``entries`` at its place in
+    (admit time, id) order."""
+    _refile(entries, sorted([*entries.items(), (lsp_id, lsp)], key=lambda item: (item[1].admit_time, item[0])))
+
+
+def _swap(entries, i):
+    items = list(entries.items())
+    items[i], items[i + 1] = items[i + 1], items[i]
+    _refile(entries, items)
+
+
 def _drop_entry(state, fabric, rng):
     entries = _class_entries(state, rng)
     if entries:
-        entries.pop(rng.randrange(len(entries)))
+        del entries[rng.choice(list(entries))]
 
 
 def _duplicate_entry(state, fabric, rng):
+    """An LSP filed a second time, next to itself, under an id no LSP has."""
     entries = _class_entries(state, rng)
     if entries:
-        i = rng.randrange(len(entries))
-        entries.insert(i, entries[i])
+        items = list(entries.items())
+        i = rng.randrange(len(items))
+        items.insert(i, (max(state.active_lsps) + 1, items[i][1]))
+        _refile(entries, items)
 
 
 def _move_entry_to_other_class(state, fabric, rng):
     entries = _class_entries(state, rng)
     if entries:
-        entry = entries.pop(rng.randrange(len(entries)))
+        lsp_id = rng.choice(list(entries))
         others = [e for e in state.active_by_class if e is not entries]
-        bisect.insort(rng.choice(others), entry)
+        _file_by_age(rng.choice(others), lsp_id, entries.pop(lsp_id))
 
 
 def _swap_entries(state, fabric, rng):
     entries = _class_entries(state, rng)
     if entries and len(entries) > 1:
-        i = rng.randrange(len(entries) - 1)
-        entries[i], entries[i + 1] = entries[i + 1], entries[i]
+        _swap(entries, rng.randrange(len(entries) - 1))
 
 
 def _swap_tied_entries(state, fabric, rng):
     """Two neighbours with the same admit time, out of id order."""
-    tied = [(entries, i) for entries in state.active_by_class
-            for i in range(len(entries) - 1) if entries[i][0] == entries[i + 1][0]]
+    tied = []
+    for entries in state.active_by_class:
+        lsps = list(entries.values())
+        tied += [(entries, i) for i in range(len(lsps) - 1) if lsps[i].admit_time == lsps[i + 1].admit_time]
     if tied:
-        entries, i = rng.choice(tied)
-        entries[i], entries[i + 1] = entries[i + 1], entries[i]
+        _swap(*rng.choice(tied))
 
 
 def _move_admit_time(state, fabric, rng):
-    """An LSP's record replaced by one with another admit time, its class
-    entry keeping the old age key."""
+    """An LSP's record replaced by one with another admit time, at the place
+    the old one held in its class dict."""
     if state.active_lsps:
         lsp = state.active_lsps[rng.choice(sorted(state.active_lsps))]
         replace_lsp(state, lsp.id, admit_time=rng.choice([lsp.admit_time, 0.0, lsp.admit_time + 0.5, 99.0]))
@@ -1114,19 +1148,19 @@ def _move_admit_time(state, fabric, rng):
 def _keep_retired_entry(state, fabric, rng):
     entries = _class_entries(state, rng)
     if entries:
-        entry = entries[rng.randrange(len(entries))]
-        release(state, entry[1], LspState.COMPLETED)
-        bisect.insort(entries, entry)
+        lsp_id = rng.choice(list(entries))
+        _file_by_age(entries, lsp_id, release(state, lsp_id, LspState.COMPLETED))
 
 
 def _rekey_lsp(state, fabric, rng):
-    """An LSP filed, in the registry and its class list, under another id."""
+    """An LSP filed, in the registry and its class dict, under another id."""
     entries = _class_entries(state, rng)
     if entries:
-        time, lsp_id, lsp = entries.pop(rng.randrange(len(entries)))
+        lsp_id = rng.choice(list(entries))
+        lsp = entries.pop(lsp_id)
         new_id = max(state.active_lsps) + 1
         state.active_lsps[new_id] = state.active_lsps.pop(lsp_id)
-        bisect.insort(entries, (time, new_id, lsp))
+        _file_by_age(entries, new_id, lsp)
 
 
 def _copy_entry_lsp(state, fabric, rng):
@@ -1134,8 +1168,8 @@ def _copy_entry_lsp(state, fabric, rng):
     value, so this passes both checks."""
     entries = _class_entries(state, rng)
     if entries:
-        i = rng.randrange(len(entries))
-        entries[i] = entries[i][:2] + (entries[i][2]._replace(),)
+        lsp_id = rng.choice(list(entries))
+        entries[lsp_id] = entries[lsp_id]._replace()
 
 
 CORRUPTIONS = [

@@ -31,9 +31,15 @@ def healthy():
 
 def _keep_entry_of_released(state, lsp_id):
     entries = state.active_by_class[state.active_lsps[lsp_id].class_index]
-    entry = next(e for e in entries if e[1] == lsp_id)
-    release(state, lsp_id, LspState.COMPLETED)
-    entries.insert(0, entry)
+    retired = {lsp_id: release(state, lsp_id, LspState.COMPLETED)}
+    _refile(entries, {**retired, **entries})  # where it stood, first
+
+
+def _refile(entries, items):
+    """Make the class dict ``entries`` hold ``items``, in their order."""
+    items = dict(items)
+    entries.clear()
+    entries.update(items)
 
 
 class TestStateChecks:
@@ -123,12 +129,13 @@ class TestStateChecks:
 
     @pytest.mark.parametrize("corrupt", [
         lambda s: s.active_by_class[1].clear(),
-        lambda s: s.active_by_class[0].append(s.active_by_class[0][0]),
-        lambda s: s.active_by_class[0].append(s.active_by_class[1].pop()),
-        lambda s: s.active_by_class[0].reverse(),
-        lambda s: replace_lsp(s, 1, admit_time=9.0),  # moved, not re-sorted
+        lambda s: s.active_by_class[0].__setitem__(4, s.active_lsps[3]),
+        lambda s: _refile(s.active_by_class[0], [(4, s.active_lsps[3]), (1, s.active_lsps[1])]),
+        lambda s: s.active_by_class[0].__setitem__(2, s.active_by_class[1].pop(2)),
+        lambda s: _refile(s.active_by_class[0], reversed(s.active_by_class[0].items())),
+        lambda s: replace_lsp(s, 3, admit_time=9.0),  # moved, not re-sorted
         lambda s: _keep_entry_of_released(s, 3),
-    ], ids=["missing", "twice", "wrong_class", "out_of_order", "stale_key", "retired"])
+    ], ids=["missing", "twice", "other_id", "wrong_class", "out_of_order", "stale_key", "retired"])
     def test_class_list_divergence(self, corrupt):
         state = healthy()
         admit(state, 3, 0, when=0.5)  # older than LSP 1, so it sorts first
@@ -287,6 +294,13 @@ def healthy_alone():
     return healthy(), None
 
 
+def older_first_alone():
+    """``healthy`` with LSP 3 admitted before LSP 1, so first in class 0."""
+    state = healthy()
+    admit(state, 3, 0, when=0.5)
+    return state, None
+
+
 def rdm_alone():
     state = single_link_state(
         Model.RDM, bc=(50000, 20000), capacity=50000, demands=(5000, 10000)
@@ -347,9 +361,9 @@ def test_an_equal_copy_in_a_class_list_changed_after_a_passing_call_raises_as_in
     # with the registry.
     state = healthy()
     entries = state.active_by_class[0]
-    entries[0] = entries[0][:2] + (entries[0][2]._replace(),)
+    entries[1] = entries[1]._replace()
     check_all(state)
-    entries[0] = entries[0][:2] + (entries[0][2]._replace(**{field: value}),)
+    entries[1] = entries[1]._replace(**{field: value})
     expected = verdict(_check_state_in_full, state)
     assert expected == "InvariantViolation: class lists disagree with the active registry"
     assert verdict(check_all, state) == expected
@@ -390,7 +404,10 @@ SHADOWED = {
     "path_in_place": (controller_pair, lambda s, f: replace_lsp(s, 1, path=("L1",))),
     "src_host_in_place": (controller_pair, lambda s, f: replace_lsp(s, 1, src_host="B")),
     "class_in_place": (healthy_alone, lambda s, f: replace_lsp(s, 2, class_index=0)),
-    "admit_time_in_place": (healthy_alone, lambda s, f: replace_lsp(s, 1, admit_time=3.0)),
+    "class_dict_reordered": (older_first_alone, lambda s, f: _refile(
+        s.active_by_class[0], reversed(s.active_by_class[0].items()))),
+    # Moved past LSP 1 in time, but not in its class dict.
+    "admit_time_in_place": (older_first_alone, lambda s, f: replace_lsp(s, 3, admit_time=3.0)),
     # The state holds, and the fabric check cannot walk the new route from C;
     # the full check names the owner index, which it reads first.
     "route_not_walkable": (lambda: two_route_pair([("A", 1)]), lambda s, f: (

@@ -22,7 +22,7 @@ from bamsim import (
 )
 from bamsim.checks import check_state
 
-from helpers import admit, mam_admission_caps, oracle_route, single_link_state
+from helpers import admit, mam_admission_caps, oracle_route, replace_lsp, single_link_state
 
 
 def test_unit_conversion_round_trip():
@@ -263,7 +263,7 @@ class TestCommitRelease:
         assert topo.links["L1"].alloc == [0]
         assert topo.links["L2"].alloc == [8]
         assert 2 not in state.active_lsps
-        assert state.active_by_class == [[(0.0, 1, first)]]
+        assert state.active_by_class == [{1: first}]
 
     def test_commit_with_an_admit_time_that_does_not_compare_changes_nothing(self):
         state = single_link_state(Model.MAM, [250, 150, 100], 500, [5, 10, 20])
@@ -272,9 +272,24 @@ class TestCommitRelease:
         with pytest.raises(TypeError):
             commit(state, odd)  # (None, 2) against (0.0, 1)
         assert state.active_lsps == {1: first}
-        assert state.active_by_class[0] == [(0.0, 1, first)]
+        assert list(state.active_by_class[0].items()) == [(1, first)]
         assert state.topology.links["L1"].alloc == [5, 0, 0]
         assert state.counters.admitted == [1, 0, 0]
+
+    def test_an_older_commit_whose_re_sort_cannot_compare_changes_nothing(self):
+        # An LSP older than its class's newest re-sorts the class dict, and
+        # the sort runs before anything changes.
+        state = single_link_state(Model.MAM, [250, 150, 100], 500, [5, 10, 20])
+        admit(state, 1, 0, 0.0)
+        newest = admit(state, 2, 0, 5.0)
+        odd = replace_lsp(state, 1, admit_time=None)
+        older = Lsp(id=3, class_index=0, demand_kbps=5, path=("L1",), src_host="A", admit_time=1.0)
+        with pytest.raises(TypeError):
+            commit(state, older)  # (1.0, 3) sorts against (None, 1)
+        assert state.active_lsps == {1: odd, 2: newest}
+        assert list(state.active_by_class[0].items()) == [(1, odd), (2, newest)]
+        assert state.topology.links["L1"].alloc == [10, 0, 0]
+        assert state.counters.admitted == [2, 0, 0]
 
     def test_release_is_exact_inverse(self):
         state = single_link_state(Model.MAM, [250, 150, 100], 500, [5, 10, 20])

@@ -626,9 +626,10 @@ def tie_runs(draw):
 
 
 class TestLoopMatchesTheHeapLoop:
-    """``simulate`` reads arrivals from the schedule and keeps only timers in
-    its heap; ``helpers.heap_loop_run`` pushes every arrival into one heap.
-    Both must write the same bytes."""
+    """``simulate`` reads arrivals from the schedule, expiries from a FIFO
+    and timed reconfigurations from a list sorted once;
+    ``helpers.heap_loop_run`` pushes every event into one heap.  Both must
+    write the same bytes."""
 
     @pytest.mark.parametrize("seed", [1, 7])
     @pytest.mark.parametrize("name", scenario.bundled_names())
@@ -661,6 +662,18 @@ class TestLoopMatchesTheHeapLoop:
         with mock.patch.object(scenario, "generate_schedule", lambda _scn: forced):
             result = assert_same_bytes_as_the_heap_loop(scn)
         assert [e["kind"] for e in result.journal][2:4] == ["expire", "request"]
+
+    def test_expiries_whose_times_round_together_go_in_id_order(self):
+        # 0.0 + 2**53 and 1.0 + 2**53 round to the same float, so two arrivals
+        # a second apart expire at one time, and in the order they came.
+        scn = parse(TIE.replace("link L1 A B 10", "link L1 A B 20").replace("bc 10", "bc 20")
+                    .replace("lsp_lifetime 50", "lsp_lifetime %r" % 2.0 ** 53))
+        first, second = scenario.generate_schedule(scn)
+        forced = [first._replace(time=0.0), second._replace(time=1.0)]
+        with mock.patch.object(scenario, "generate_schedule", lambda _scn: forced):
+            result = assert_same_bytes_as_the_heap_loop(scn)
+        expired = [(e["time"], e["lsp"]) for e in result.journal if e["kind"] == "expire"]
+        assert expired == [(2.0 ** 53, 1), (2.0 ** 53, 2)]
 
     def test_after_request_reconfig_on_the_last_request(self):
         scn = parse(CUT.replace("after_request 5", "after_request 10"))
