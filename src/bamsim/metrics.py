@@ -1,26 +1,20 @@
-"""Per-request measurement records, derived rates and the event journal.
+"""Per-request measurement records and the event journal.
 
 Every request leaves one MetricsLog row: the observed utilization of the
 watched (bottleneck) link per class plus the cumulative blocked/preempted
 counters at that instant.  The journal is the raw ordered event stream (JSON
 lines) from which every figure can be recounted.  Both logs keep their
 entries as flat cells in one list, not one container per entry, so a run's
-logs give the garbage collector nothing to count or to walk; each builds its
-records afresh when it is read.
+logs give the garbage collector nothing to count or to walk.  They are read
+front to back: ``len``, iteration and ``records`` build each record afresh.
 """
 
 from __future__ import annotations
 
 import json
-from array import array
-from collections import abc
 from json.encoder import encode_basestring_ascii
 from math import inf
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
-
-
-class RateUndefined(Exception):
-    """A ratio whose denominator is zero (no admitted/observed requests)."""
 
 
 class MetricsRecord(NamedTuple):
@@ -67,29 +61,12 @@ def _csv_chunks(n_classes: int, cells: List) -> Iterator[str]:
         yield "".join(lines)
 
 
-class _Cells(abc.Sequence):
-    """A log kept as flat cells in one list rather than one container per
-    entry.  ``_starts()`` gives the cell where each entry starts, and read
-    as a sequence, the log yields the items ``_item(start)`` builds afresh."""
-
-    def __len__(self) -> int:
-        return len(self._starts())
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self._item(start) for start in self._starts()[index]]
-        return self._item(self._starts()[index])
-
-    def __iter__(self) -> Iterator:
-        return map(self._item, self._starts())
-
-
-class MetricsLog(_Cells):
+class MetricsLog:
     """One row per request, appended in request order.  A row is kept as
     ``4 + n_classes`` cells, ``(util_kbps, preempted, request_index,
     sim_time, *blocked)``: the two tuples by reference, so that equal rows
-    can share them, and the blocked counts by value.  Read as a sequence,
-    it yields ``MetricsRecord``s."""
+    can share them, and the blocked counts by value.  Iterated, it yields
+    ``MetricsRecord``s."""
 
     def __init__(self, n_classes: int) -> None:
         self.n_classes = n_classes
@@ -113,13 +90,14 @@ class MetricsLog(_Cells):
         cells.extend((util, preempted, index, time))
         cells.extend(blocked)
 
-    def _starts(self) -> range:
-        return range(0, len(self._cells), self._width)
+    def __len__(self) -> int:
+        return len(self._cells) // self._width
 
-    def _item(self, start: int) -> MetricsRecord:
-        cells = self._cells
-        return MetricsRecord(cells[start + 2], cells[start + 3], cells[start],
-                             tuple(cells[start + 4:start + self._width]), cells[start + 1])
+    def __iter__(self) -> Iterator[MetricsRecord]:
+        cells, width = self._cells, self._width
+        for start in range(0, len(cells), width):
+            yield MetricsRecord(cells[start + 2], cells[start + 3], cells[start],
+                                tuple(cells[start + 4:start + width]), cells[start + 1])
 
     @property
     def records(self) -> List[MetricsRecord]:
@@ -137,32 +115,6 @@ class MetricsLog(_Cells):
         does: one string would hold the whole file a second time."""
         with open(path, "w") as fh:
             fh.writelines(self._chunks())
-
-
-def windowed_blocking(
-    outcomes: Sequence[Tuple[int, bool]], class_index: int, window: int = 100
-) -> float:
-    """Blocking fraction over the trailing `window` requests of one class.
-
-    ``outcomes`` is the request stream in order as (class_index, blocked)
-    pairs.  Raises RateUndefined when the class has no requests yet.
-    """
-    tail: List[bool] = []
-    for ct, blocked in reversed(outcomes):
-        if ct == class_index:
-            tail.append(blocked)
-            if len(tail) == window:
-                break
-    if not tail:
-        raise RateUndefined("no class %d requests observed" % class_index)
-    return sum(tail) / len(tail)
-
-
-def preemption_rate(admitted: Sequence[int], preempted: Sequence[int], class_index: int) -> float:
-    """Preempted-to-admitted ratio for one class."""
-    if admitted[class_index] == 0:
-        raise RateUndefined("no class %d admissions" % class_index)
-    return preempted[class_index] / admitted[class_index]
 
 
 # The journal schema: each event kind's fields, in the order its record holds
@@ -198,43 +150,42 @@ def _event(record: Sequence) -> Dict:
     return {k: list(v) if type(v) is tuple else v for k, v in zip(names, record)}
 
 
-class Journal(_Cells):
+class Journal:
     """The controller's ordered record of events.  ``append`` takes one
     record, ``(kind, *fields)`` as laid out in ``FIELDS``, and keeps its
-    cells back to back.  Read as a sequence, it yields event dicts;
-    ``records`` gives the records as tuples.  Reading a journal with a
-    record of the wrong width for its kind raises ValueError."""
+    cells back to back.  Iterated, it yields event dicts; ``records`` gives
+    the records as tuples.  Reading a journal with a record of the wrong
+    width for its kind raises ValueError."""
 
     def __init__(self) -> None:
         self._cells: List = []
         self.append = self._cells.extend
-        self._scanned = array("q")  # the start cell of every record scanned
-        self._end = 0               # the cell after the last record scanned
 
-    def _starts(self) -> array:
-        """The start cell of every record, scanned on from the last one."""
-        cells, starts, start = self._cells, self._scanned, self._end
+    def _starts(self) -> Iterator[int]:
+        """The start cell of every record, walked from the first; the first
+        cell that starts no whole record raises ValueError."""
+        cells, start = self._cells, 0
         end = len(cells)
         while start < end:
             width = _width(cells[start])
             if width is None or start + width > end:
-                self._end = start
                 raise _misaligned(start)
-            starts.append(start)
+            yield start
             start += width
-        self._end = start
-        return starts
 
-    def _record(self, start: int) -> Tuple:
+    def _records(self) -> Iterator[Tuple]:
         cells = self._cells
-        return tuple(cells[start:start + _WIDTH[cells[start]]])
+        return (tuple(cells[start:start + _WIDTH[cells[start]]]) for start in self._starts())
 
-    def _item(self, start: int) -> Dict:
-        return _event(self._record(start))
+    def __len__(self) -> int:
+        return sum(1 for _ in self._starts())
+
+    def __iter__(self) -> Iterator[Dict]:
+        return map(_event, self._records())
 
     @property
     def records(self) -> List[Tuple]:
-        return list(map(self._record, self._starts()))
+        return list(self._records())
 
 
 def _template(kind: str) -> str:
@@ -316,20 +267,13 @@ def _render(cells: List, encode: Callable) -> Iterator[str]:
         yield "".join(lines)
 
 
-def write_journal(events: Iterable[Dict], path: str) -> None:
-    """One line per event, exactly ``json.dumps(event, sort_keys=True)``.
-
-    A ``Journal`` is rendered from its cells, any other iterable of events
-    through the one sorted-key encoder.  Lines go through the file's buffer
+def write_journal(journal: Journal, path: str) -> None:
+    """One line per event, exactly ``json.dumps(event, sort_keys=True)``,
+    rendered from the journal's cells.  Lines go through the file's buffer
     in chunks, not as one string: that would hold the whole journal a second
     time."""
-    encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w") as fh:
-        if isinstance(events, Journal):
-            fh.writelines(_render(events._cells, encode))
-        else:
-            for event in events:
-                fh.write(encode(event) + "\n")
+        fh.writelines(_render(journal._cells, json.JSONEncoder(sort_keys=True).encode))
 
 
 def _not_an_event(event) -> Optional[str]:
@@ -350,15 +294,15 @@ def _not_an_event(event) -> Optional[str]:
 
 
 def read_journal(path: str) -> List[Dict]:
-    """The events of a journal file.  A line that is not JSON, or not an
-    event, raises ValueError with the path and the line number."""
+    """The events of a journal file.  A line that is not UTF-8, not JSON or
+    not an event raises ValueError with the path and the line number."""
     events = []
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             try:
+                line = line.decode().strip()  # a bad byte is a ValueError of its line
+                if not line:
+                    continue
                 event = json.loads(line)
             except ValueError as exc:
                 raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
@@ -369,7 +313,7 @@ def read_journal(path: str) -> List[Dict]:
     return events
 
 
-def outcomes_from_journal(journal: Sequence[Dict]) -> List[Tuple[int, bool]]:
+def outcomes_from_journal(journal: Iterable[Dict]) -> List[Tuple[int, bool]]:
     """(class, blocked) per request, in stream order, recounted from events."""
     verdicts: Dict[int, bool] = {}
     order: List[Tuple[int, int]] = []  # (lsp id, ct)
@@ -393,7 +337,7 @@ _COUNTERS = {
 }
 
 
-def summarize(journal: Sequence[Dict], n_classes: int = 0) -> Dict[str, List[int]]:
+def summarize(journal: Iterable[Dict], n_classes: int = 0) -> Dict[str, List[int]]:
     """Recount per-class lifecycle totals from an event journal.  The
     totals cover ``n_classes`` classes, or more if the journal names a
     higher class: without the count, a class with no events is left out."""

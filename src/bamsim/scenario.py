@@ -140,8 +140,18 @@ def _bandwidth(token: str, what: str) -> float:
 
 
 def parse_file(path: str) -> Scenario:
-    with open(path) as fh:
-        return parse_text(fh.read(), source=path)
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = data.decode()
+    except OSError as exc:
+        raise ScenarioError("%s: %s" % (path, exc.strerror or exc)) from None
+    except UnicodeDecodeError as exc:
+        # Lines counted as parse_text counts them: the bad byte's is the last.
+        lineno = len((data[:exc.start].decode() + "?").splitlines())
+        raise ParseError("%s:%d: byte 0x%02x is not UTF-8 text (%s)"
+                         % (path, lineno, data[exc.start], exc.reason)) from None
+    return parse_text(text, source=path)
 
 
 def parse_text(text: str, source: str = "<string>") -> Scenario:

@@ -365,6 +365,33 @@ class TestValidate:
         assert "error:" in err and needle in err
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+class TestScenarioFileThatIsNotText:
+    """A scenario path that cannot be read as UTF-8 text is bad input with
+    a location, never a traceback, and run creates no --out directory."""
+
+    def _error(self, command, path, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [command, str(path)] + (["--out", str(out)] if command == "run" else [])
+        assert run_cli(argv) == cli.EXIT_BAD_INPUT
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
+    def test_a_byte_that_is_not_utf8_is_bad_input_at_its_line(self, command, tmp_path, capsys):
+        lines = (resources.files("bamsim") / "scenarios" / "exp1_rdm.scn").read_bytes().splitlines(True)
+        path = tmp_path / "latin1.scn"
+        path.write_bytes(b"".join(lines[:3]) + b"# caf\xe9\n" + b"".join(lines[3:]))
+        err = self._error(command, path, tmp_path, capsys)
+        assert err.startswith("error: %s:4: byte 0xe9 is not UTF-8" % path)
+
+    def test_a_directory_is_bad_input(self, command, tmp_path, capsys):
+        path = tmp_path / "dir.scn"
+        path.mkdir()
+        assert self._error(command, path, tmp_path, capsys).startswith("error: %s: " % path)
+
+
 class TestSummary:
     def test_recounts_saved_journal(self, mini, tmp_path, capsys):
         out = tmp_path / "o"
@@ -413,6 +440,16 @@ class TestSummary:
         assert captured.out == ""
         assert captured.err.startswith("error: %s:3: " % path)
         assert needle in captured.err
+
+    # A Latin-1 byte, a byte that never starts UTF-8, and an encoded surrogate.
+    @pytest.mark.parametrize("bad", [b"caf\xe9", b"\xff", b"\xed\xa0\x80"])
+    def test_a_line_that_is_not_utf8_is_bad_input_at_its_line(self, tmp_path, capsys, bad):
+        path = tmp_path / "j.jsonl"
+        path.write_bytes(b'{"kind": "request", "ct": 0}\n{"kind": "request", "ct": 0, "src": "%s"}\n' % bad)
+        assert run_cli(["summary", str(path)]) == cli.EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: %s:2: " % path)
 
     def test_events_without_a_class_are_not_counted(self, tmp_path, capsys):
         path = tmp_path / "j.jsonl"

@@ -1,7 +1,6 @@
 import json
 import math
 import os
-import random
 import tempfile
 from unittest import mock
 
@@ -14,14 +13,11 @@ from bamsim.metrics import (
     Journal,
     MetricsLog,
     MetricsRecord,
-    RateUndefined,
     csv_header,
     outcomes_from_journal,
-    preemption_rate,
     read_journal,
     render_summary,
     summarize,
-    windowed_blocking,
     write_journal,
 )
 
@@ -96,54 +92,6 @@ class TestCsv:
         assert path.read_text() == log.to_csv()
 
 
-def naive_window(outcomes, ct, window):
-    mine = [b for c, b in outcomes if c == ct][-window:]
-    return sum(mine) / len(mine)
-
-
-class TestRates:
-    def test_windowed_blocking_simple(self):
-        outcomes = [(0, False)] * 6 + [(0, True)] * 2
-        assert windowed_blocking(outcomes, 0, window=4) == 0.5
-        assert windowed_blocking(outcomes, 0, window=8) == 0.25
-
-    def test_window_clips_to_available_history(self):
-        outcomes = [(1, True), (1, False)]
-        assert windowed_blocking(outcomes, 1, window=100) == 0.5
-
-    def test_other_classes_are_invisible(self):
-        outcomes = [(0, True)] * 50 + [(1, False)] * 3
-        assert windowed_blocking(outcomes, 1, window=10) == 0.0
-        assert windowed_blocking(outcomes, 0, window=10) == 1.0
-
-    def test_no_observations_raises(self):
-        with pytest.raises(RateUndefined):
-            windowed_blocking([(0, True)], 1)
-        with pytest.raises(RateUndefined):
-            windowed_blocking([], 0)
-
-    def test_windowed_blocking_matches_naive_recount(self):
-        rng = random.Random(42)
-        for _trial in range(30):
-            outcomes = [
-                (rng.randrange(3), rng.random() < 0.3)
-                for _ in range(rng.randrange(1, 400))
-            ]
-            window = rng.choice([1, 5, 100])
-            for ct in range(3):
-                if not any(c == ct for c, _b in outcomes):
-                    continue
-                assert windowed_blocking(outcomes, ct, window) == pytest.approx(
-                    naive_window(outcomes, ct, window)
-                )
-
-    def test_preemption_rate(self):
-        assert preemption_rate([100, 50], [6, 0], 0) == pytest.approx(0.06)
-        assert preemption_rate([100, 50], [6, 0], 1) == 0.0
-        with pytest.raises(RateUndefined):
-            preemption_rate([0, 5], [0, 0], 0)
-
-
 JOURNAL = [
     {"kind": "request", "time": 0.5, "lsp": 1, "ct": 0},
     {"kind": "admit", "time": 0.5, "lsp": 1, "ct": 0, "path": ["L1"]},
@@ -154,20 +102,39 @@ JOURNAL = [
     {"kind": "preempt", "time": 2.0, "lsp": 1, "ct": 0, "by": 3},
     {"kind": "expire", "time": 300.0, "lsp": 3, "ct": 1},
 ]
+# A run like JOURNAL's, as the controller appends it: full-width records.
+RECORDS = [
+    ("request", 0.5, 1, 0, 5.0, "h1", "h2"),
+    ("admit", 0.5, 1, 0, ("L1",)),
+    ("request", 0.8, 2, 1, 10.0, "h1", "h2"),
+    ("block", 0.8, 2, 1),
+    ("request", 1.1, 3, 1, 10.0, "h1", "h2"),
+    ("admit", 1.1, 3, 1, ("L1",)),
+    ("preempt", 2.0, 1, 0, 3),
+    ("expire", 300.0, 3, 1),
+]
+
+
+def journal_of(records):
+    journal = Journal()
+    for record in records:
+        journal.append(record)
+    return journal
 
 
 class TestJournal:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        write_journal(JOURNAL, str(path))
-        assert read_journal(str(path)) == JOURNAL
+        write_journal(journal_of(RECORDS), str(path))
+        assert read_journal(str(path)) == [oracle_event(r) for r in RECORDS]
 
     def test_serialization_is_key_sorted_and_line_oriented(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        write_journal(JOURNAL, str(path))
+        write_journal(journal_of(RECORDS), str(path))
         lines = path.read_text().splitlines()
-        assert len(lines) == len(JOURNAL)
-        assert lines[0] == '{"ct": 0, "kind": "request", "lsp": 1, "time": 0.5}'
+        assert len(lines) == len(RECORDS)
+        assert lines[0] == ('{"ct": 0, "demand_mbps": 5.0, "dst": "h2", "kind": "request", '
+                            '"lsp": 1, "src": "h1", "time": 0.5}')
         for line in lines:
             parsed = json.loads(line)
             assert line == json.dumps(parsed, sort_keys=True)
@@ -216,34 +183,6 @@ floats = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([-0.0, 0.0, 1e16, 5e-324, 123.456789, math.nan, math.inf, -math.inf]),
 )
-odd_values = st.one_of(st.booleans(), st.none(), floats, ints, texts)
-
-
-def _maybe(strategy, odd_rate=8):
-    """Mostly the controller's own value type, sometimes any other."""
-    return st.integers(0, odd_rate - 1).flatmap(lambda r: odd_values if r == 0 else strategy)
-
-
-def _event(kind, **fields):
-    return st.fixed_dictionaries({"kind": _maybe(st.just(kind)), "time": _maybe(floats), **fields})
-
-
-LSP = {"lsp": _maybe(ints), "ct": _maybe(st.integers(0, 3))}
-controller_events = st.one_of(
-    _event("request", **LSP, demand_mbps=_maybe(floats), src=_maybe(texts), dst=_maybe(texts)),
-    _event("block", **LSP),
-    _event("expire", **LSP),
-    _event("preempt", **LSP, by=st.one_of(ints, st.none())),
-    _event("admit", **LSP, path=_maybe(st.lists(st.one_of(texts, texts, ints), max_size=4))),
-    _event("reconfig", mode=texts, bc_mbps=st.lists(floats, max_size=3),
-           preempted=st.lists(ints, max_size=3)),
-    _event("promote", bc_mbps=st.lists(floats, max_size=3)),
-)
-foreign_events = st.one_of(
-    st.dictionaries(texts, st.one_of(odd_values, st.lists(texts, max_size=3)), max_size=5),
-    st.dictionaries(st.integers(), ints, max_size=3),
-    st.lists(st.one_of(texts, odd_values), max_size=3),
-)
 
 
 def _written(write, *args) -> str:
@@ -252,13 +191,6 @@ def _written(write, *args) -> str:
         write(*args, path)
         with open(path, "rb") as fh:
             return fh.read().decode("ascii")
-
-
-@PROPERTY
-@given(st.lists(st.one_of(controller_events, controller_events, foreign_events), max_size=12))
-def test_journal_lines_are_exactly_json_dumps_with_sorted_keys(events):
-    expected = "".join(json.dumps(e, sort_keys=True) + "\n" for e in events)
-    assert _written(write_journal, events) == expected
 
 
 # Each kind's record fields after the kind, written out here and not read
@@ -356,11 +288,12 @@ def test_journal_reads_as_a_sequence_of_event_dicts():
     journal.append(("request", 0.5, 1, 0, 5.0, "A", "B"))
     journal.append(("admit", 0.5, 1, 0, ("L1", "L2")))
     journal.append(("preempt", 2.0, 1, 0, None))
-    assert journal[1] == {"kind": "admit", "time": 0.5, "lsp": 1, "ct": 0, "path": ["L1", "L2"]}
-    assert journal[-1] == {"kind": "preempt", "time": 2.0, "lsp": 1, "ct": 0, "by": None}
-    assert journal[:2] == [journal[0], journal[1]] == list(journal)[:2]
-    journal[1]["path"].append("L9")  # a view, not the record
+    request, admit, preempt = journal
+    assert admit == {"kind": "admit", "time": 0.5, "lsp": 1, "ct": 0, "path": ["L1", "L2"]}
+    assert preempt == {"kind": "preempt", "time": 2.0, "lsp": 1, "ct": 0, "by": None}
+    admit["path"].append("L9")  # a copy, not the record
     assert journal.records[1] == ("admit", 0.5, 1, 0, ("L1", "L2"))
+    assert list(journal)[1]["path"] == ["L1", "L2"]
 
 
 REQUEST = ("request", 0.5, 1, 0, 5.0, "A", "B")  # cells 0-6
@@ -382,7 +315,7 @@ def test_a_journal_with_a_record_of_the_wrong_width_raises_and_never_shifts(
     for record in records:
         journal.append(record)
     message = "journal cell %d: no whole event record starts here" % cell
-    for read in (len, list, lambda j: j.records, lambda j: j[0], lambda j: j[-1], lambda j: j[:]):
+    for read in (len, list, lambda j: j.records):
         with pytest.raises(ValueError, match=message):
             read(journal)
     path = tmp_path / "j.jsonl"
@@ -394,24 +327,18 @@ def test_a_journal_with_a_record_of_the_wrong_width_raises_and_never_shifts(
 
 
 @PROPERTY
-@given(st.lists(journal_records, max_size=12), st.integers(0, 12), st.data())
-def test_journal_reads_like_the_list_of_its_records(records, split, data):
+@given(st.lists(journal_records, max_size=12), st.integers(0, 12))
+def test_journal_reads_like_the_list_of_its_records(records, split):
     journal = Journal()
     for record in records[:split]:
         journal.append(record)
-    assert len(journal) == len(records[:split])  # the scan resumes from here
+    assert len(journal) == len(records[:split])  # read between appends
+    assert list(journal) == [oracle_event(r) for r in records[:split]]
     for record in records[split:]:
         journal.append(record)
-    events = [oracle_event(r) for r in records]
     assert len(journal) == len(records)
     assert journal.records == records
-    assert list(journal) == events
-    for i in range(-len(records), len(records)):
-        assert journal[i] == events[i]
-    cut = data.draw(st.slices(len(records) + 2))
-    assert journal[cut] == events[cut]
-    with pytest.raises(IndexError):
-        journal[len(records)]
+    assert list(journal) == [oracle_event(r) for r in records]
 
 
 @st.composite
@@ -439,8 +366,8 @@ def test_csv_is_exactly_the_cell_by_cell_rendering(log_spec):
 
 
 @PROPERTY
-@given(metrics_logs(), st.data())
-def test_metrics_log_reads_like_the_list_of_its_records(log_spec, data):
+@given(metrics_logs())
+def test_metrics_log_reads_like_the_list_of_its_records(log_spec):
     n, records = log_spec
     log = MetricsLog(n)
     for record in records:
@@ -448,12 +375,6 @@ def test_metrics_log_reads_like_the_list_of_its_records(log_spec, data):
     assert len(log) == len(records)
     assert log.records == list(log) == records
     assert all(type(r) is MetricsRecord and type(r.blocked) is tuple for r in log)
-    for i in range(-len(records), len(records)):
-        assert log[i] == records[i]
-    cut = data.draw(st.slices(len(records) + 2))
-    assert log[cut] == records[cut]
-    with pytest.raises(IndexError):
-        log[len(records)]
 
 
 @st.composite
