@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import List, Optional, Tuple
 
 from .core import (
@@ -95,16 +96,47 @@ def _choose_victims(state: NetworkState, rows: List[Row]) -> List[Lsp]:
 
     Candidates are scanned lowest class first, then newest first (admit time
     descending, id descending as the tie-break), read backwards from each
-    class's dict in ``state.active_by_class``, which is in age order.  ``left[i]`` is row i's running
-    deficit.  A candidate is tested against the links of its class's open
-    rows only, and the walk leaves a class once none is open.  A pick is
-    charged to every row it serves, open or closed, and keeps their indexes,
-    so ``-left[i]`` ends as row i's spare cover.  One reverse pass then drops
-    each pick that every row it serves can spare, so no member of the result
-    can be removed without reopening a deficit, in O(picks x rows).
+    class's dict in ``state.active_by_class``, which is in age order.
+
+    One row, as most preemptions leave: every LSP of classes lo..hi-1 whose
+    path crosses the row's link is taken until the deficit is covered.  The
+    reverse pass then drops each pick the surplus can spare.
+
+    Two or more rows: ``left[i]`` is row i's running deficit.  A candidate
+    is tested against the links of its class's open rows only, and the walk
+    leaves a class once none is open.  A pick is charged to every row it
+    serves, open or closed, and keeps their indexes, so ``-left[i]`` ends as
+    row i's spare cover.  One reverse pass then drops each pick that every
+    row it serves can spare, so no member of the result can be removed
+    without reopening a deficit, in O(picks x rows).  On one row both walks
+    pick the same set.
     """
     if not rows:
         return []
+    if len(rows) == 1:
+        link_id, lo, hi, deficit = rows[0]
+        if lo >= hi:
+            raise Infeasible("deficit with no eligible class")
+        taken: List[Lsp] = []
+        by_class = state.active_by_class
+        for c in range(lo, hi):
+            if deficit <= 0:
+                break
+            for lsp in reversed(by_class[c].values()):
+                if link_id in lsp.path:
+                    taken.append(lsp)
+                    deficit -= lsp.demand_kbps
+                    if deficit <= 0:
+                        break
+        if deficit > 0:
+            raise Infeasible("eligible LSPs cannot cover the deficit")
+        kept: List[Lsp] = []
+        for lsp in reversed(taken):
+            if lsp.demand_kbps <= -deficit:
+                deficit += lsp.demand_kbps
+            else:
+                kept.append(lsp)
+        return kept[::-1]
     left: List[int] = []
     first, last = rows[0][1], rows[0][2]
     for _lid, lo, hi, deficit in rows:
@@ -149,10 +181,13 @@ def _choose_victims(state: NetworkState, rows: List[Row]) -> List[Lsp]:
     return chosen[::-1]
 
 
+_lsp_id = attrgetter("id")
+
+
 def select_victims(state: NetworkState, rows: List[Row]) -> Tuple[int, ...]:
     """Victim ids for a set of deficit rows; raises Infeasible if no eligible
     combination suffices.  Pure."""
-    return tuple(l.id for l in _choose_victims(state, rows))
+    return tuple(map(_lsp_id, _choose_victims(state, rows)))
 
 
 _GRANT = AdmissionDecision(Verdict.GRANT)

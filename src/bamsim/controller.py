@@ -111,16 +111,21 @@ class Controller:
             self.fabric.record_drop(req)
             journal.append(("block", now, lsp_id, class_index))
             return None
-        for victim_id in decision.victims:
-            victim = release(state, victim_id, LspState.PREEMPTED)
-            self.fabric.remove_by_owner(victim_id)
-            journal.append(("preempt", now, victim_id, victim.class_index, lsp_id))
+        victims = decision.victims
+        if victims:
+            preempted, remove = LspState.PREEMPTED, self.fabric.remove_by_owner
+            for victim_id in victims:
+                victim = release(state, victim_id, preempted)
+                remove(victim_id)
+                journal.append(("preempt", now, victim_id, victim.class_index, lsp_id))
         lsp = Lsp._make((lsp_id, class_index, demand, path, src_host, now))
         commit(state, lsp)
-        match = FlowMatch._make((req.src_ip, req.dst_ip, req.src_port, req.dst_port, "tcp"))
+        # Without FlowMatch.__new__, as install_path builds its rules.
+        match = tuple.__new__(
+            FlowMatch, (req.src_ip, req.dst_ip, req.src_port, req.dst_port, "tcp"))
         self.fabric.install_path(lsp, match)
         journal.append(("admit", now, lsp_id, class_index, path))
-        if decision.victims and bam.promote_pending_if_clear(state):
+        if victims and bam.promote_pending_if_clear(state):
             self._log_promote(now)
         return lsp
 

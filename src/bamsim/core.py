@@ -499,7 +499,7 @@ def release(state: NetworkState, lsp_id: int, reason: LspState) -> Lsp:
     is bumped only for preemptions.  Exact inverse of commit with respect to
     the allocation ledger.
     """
-    if reason not in (LspState.COMPLETED, LspState.PREEMPTED):
+    if reason is not LspState.COMPLETED and reason is not LspState.PREEMPTED:
         raise ValueError("release reason must be Completed or Preempted")
     lsp = state.active_lsps.get(lsp_id)
     if lsp is None:

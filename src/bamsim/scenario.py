@@ -524,23 +524,32 @@ def simulate(
     return RunResult(scn, state, fabric, controller, schedule, metrics)
 
 
-def bundled_names() -> List[str]:
+def _bundled() -> dict:
+    """The bundled scenario files by name, listed from the package data."""
     root = resources.files(__package__) / "scenarios"
-    return sorted(p.name[:-4] for p in root.iterdir() if p.name.endswith(".scn"))
+    return {p.name[:-4]: p for p in root.iterdir() if p.name.endswith(".scn")}
+
+
+def bundled_names() -> List[str]:
+    return sorted(_bundled())
 
 
 def load_bundled(name: str) -> Scenario:
     name = name.removesuffix(".scn")
-    path = resources.files(__package__) / "scenarios" / (name + ".scn")
-    try:
-        text = path.read_text()
-    except (FileNotFoundError, OSError):
-        raise ScenarioError("no bundled scenario named %r" % name) from None
-    return parse_text(text, source="bundled:%s" % name)
+    files = _bundled()
+    if name not in files:
+        raise ScenarioError("no bundled scenario named %r (bundled: %s)"
+                            % (name, ", ".join(sorted(files))))
+    return parse_text(files[name].read_text(), source="bundled:%s" % name)
 
 
 def load(path_or_name: str) -> Scenario:
-    """A filesystem path, or the name of a bundled scenario."""
+    """A filesystem path, or the name of a bundled scenario.  An argument
+    that names no file is looked up among the bundled names only."""
     if os.path.exists(path_or_name):
         return parse_file(path_or_name)
-    return load_bundled(path_or_name)
+    name, files = path_or_name.removesuffix(".scn"), _bundled()
+    if name not in files:
+        raise ScenarioError("no such file: %s (bundled scenarios: %s)"
+                            % (path_or_name, ", ".join(sorted(files))))
+    return parse_text(files[name].read_text(), source="bundled:%s" % name)

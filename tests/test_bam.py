@@ -491,7 +491,8 @@ class TestVictimOrderMatchesTheSort:
         from bamsim import CapacityViolation, Lsp
 
         rng = random.Random(4127)
-        seen = {"victims": 0, "infeasible": 0, "reconfig_victims": 0, "multi_row": 0}
+        seen = {"victims": 0, "infeasible": 0, "reconfig_victims": 0,
+                "single_row": 0, "multi_row": 0}
 
         def compare(state, rows, where):
             expected = self.outcome(choose_victims_by_sort, state, rows)
@@ -500,7 +501,15 @@ class TestVictimOrderMatchesTheSort:
                 seen["infeasible"] += 1
             else:
                 seen["victims"] += len(expected)
+                seen["single_row"] += len(rows) == 1
                 seen["multi_row"] += len(rows) > 1
+            if len(rows) > 1:
+                # Each row alone too, on the same state: the one-row cover
+                # against the sort on the deficits the other calls draw.
+                for row in rows:
+                    alone = self.outcome(choose_victims_by_sort, state, [row])
+                    assert self.outcome(_choose_victims, state, [row]) == alone, (where, row)
+                    seen["single_row"] += alone != "infeasible"
 
         for trial in range(60):
             state, paths = six_link_rdm_state(rng)
@@ -547,12 +556,14 @@ class TestVictimOrderMatchesTheSort:
                 # lists are checked here.
                 _check_class_lists(state)
         # The comparison must have covered real evictions and refusals, and
-        # feasible calls whose rows the running totals and the prune share.
+        # feasible calls of both walks: the one-row cover, and the running
+        # totals and prune that several rows share.
         assert seen["victims"] > 100 and seen["infeasible"] > 100
-        assert seen["reconfig_victims"] > 100 and seen["multi_row"] > 20
+        assert seen["reconfig_victims"] > 100
+        assert seen["single_row"] > 100 and seen["multi_row"] > 20
 
-    # Hand-built cases of the walk's running totals and its one-pass prune
-    # on hosts A-B-C, links L1 = A-B and L2 = B-C, two classes: the LSPs as
+    # Hand-built cases of both walks, the one-row cover and the running
+    # totals of several rows, and of their one-pass prune on hosts A-B-C, links L1 = A-B and L2 = B-C, two classes: the LSPs as
     # (id, class, demand, path) in admission order, the rows, and the
     # victims, which the sort must pick as well.
     CASES = {
@@ -575,6 +586,23 @@ class TestVictimOrderMatchesTheSort:
         "rows_on_two_links_of_one_path": (
             [(1, 0, 10, ("L1",)), (2, 1, 10, ("L1", "L2"))],
             [("L1", 0, 2, 10), ("L2", 1, 2, 10)], (2,)),
+        # One row: class 0 leaves 2 of the 12 open, so class 1's 10 is
+        # taken; its 8 spare drop the older class-0 pick, not the newer.
+        "one_row_prune_drops_a_middle_pick": (
+            [(1, 0, 5, ("L1",)), (2, 0, 5, ("L1",)), (3, 1, 10, ("L1",))],
+            [("L1", 0, 2, 12)], (2, 3)),
+        "one_row_with_no_eligible_class": (
+            [(1, 0, 10, ("L1",)), (2, 1, 10, ("L1",))],
+            [("L1", 1, 1, 10)], "infeasible"),
+        # LSP 2 does not cross L1, so 10 of the 20 stay uncovered.
+        "one_row_left_uncovered": (
+            [(1, 0, 10, ("L1",)), (2, 1, 10, ("L2",))],
+            [("L1", 0, 2, 20)], "infeasible"),
+        # The picks add up to the deficit exactly: none can be spared.  LSP
+        # 3, the newest of class 0, does not cross L1 and is passed over.
+        "one_row_covered_exactly": (
+            [(1, 0, 10, ("L1",)), (2, 1, 10, ("L1",)), (3, 0, 10, ("L2",))],
+            [("L1", 0, 2, 20)], (1, 2)),
     }
 
     def test_an_out_of_order_commit_re_sorts_its_class(self):

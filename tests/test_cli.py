@@ -249,6 +249,22 @@ class TestValidate:
         assert run_cli(["validate", mini]) == cli.EXIT_OK
         assert "ok (30 requests over 2 cycles)" in capsys.readouterr().out
 
+    def test_a_missing_file_is_not_taken_for_a_bundled_name(self, tmp_path, capsys):
+        missing = tmp_path / "no" / "such" / "x.scn"
+        assert run_cli(["validate", str(missing)]) == cli.EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: no such file: %s " % missing)
+        assert all(name in err for name in scenario.bundled_names())
+
+    def test_a_path_is_not_completed_with_the_suffix(self, mini, capsys):
+        # mini.scn exists, mini does not: the argument names no file, and a
+        # path is never joined onto the bundled scenarios' directory.
+        stem = mini.removesuffix(".scn")
+        assert run_cli(["validate", stem]) == cli.EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: no such file: %s " % stem)
+
     def test_cost_follows_the_request_count_not_the_cycle_count(self, tmp_path):
         # A billion cycles, 770 requests: the schedule must not visit every
         # cycle.  In a subprocess, so that a regression times out instead of

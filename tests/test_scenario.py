@@ -484,13 +484,17 @@ class TestSimulate:
         assert result.state.counters.blocked == [0]
         assert result.state.counters.completed == [2]
 
-    def test_bundled_scenarios_enumerate_and_load(self):
+    def test_bundled_scenarios_enumerate_and_load(self, tmp_path):
         names = scenario.bundled_names()
         assert names == ["exp1_mam", "exp1_rdm", "exp2_hard", "exp2_soft"]
         scn = scenario.load("exp1_mam")
         assert scn.run.stop == sum(d.count for d in scn.demands)
         with pytest.raises(ScenarioError):
             scenario.load_bundled("exp9_missing")
+        # A path is no bundled name, even where path + ".scn" is a file.
+        (tmp_path / "mini.scn").write_text(MINI)
+        with pytest.raises(ScenarioError, match="no bundled scenario"):
+            scenario.load_bundled(str(tmp_path / "mini"))
 
     def test_load_prefers_filesystem_paths(self, tmp_path):
         p = tmp_path / "mini.scn"
