@@ -20,12 +20,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .core import (
+    PREEMPTED,
     BcConfig,
     Lsp,
-    LspState,
     NetworkState,
     Plan,
     release,
@@ -43,12 +43,17 @@ class ReconfigMode(enum.Enum):
     SOFT = "soft"
 
 
+# The members per-event code reads, as module constants: see core.PREEMPTED.
+GRANT_WITH_PREEMPTION, DENY, SOFT = Verdict.GRANT_WITH_PREEMPTION, Verdict.DENY, ReconfigMode.SOFT
+
+
 class Infeasible(Exception):
     """No victim set drawn from eligible LSPs can clear the deficits."""
 
 
-@dataclass(frozen=True)
-class AdmissionDecision:
+class AdmissionDecision(NamedTuple):
+    """A verdict and, for GrantWithPreemption, the ids of the LSPs to evict."""
+
     verdict: Verdict
     victims: Tuple[int, ...] = ()
 
@@ -191,7 +196,7 @@ def select_victims(state: NetworkState, rows: List[Row]) -> Tuple[int, ...]:
 
 
 _GRANT = AdmissionDecision(Verdict.GRANT)
-_DENY = AdmissionDecision(Verdict.DENY)
+_DENY = AdmissionDecision(DENY)
 
 
 def decide(
@@ -202,7 +207,9 @@ def decide(
     No deficit row: Grant.  A row no lower class can serve, as is every row
     where admission evicts nothing (MAM): Deny.  Otherwise lower classes
     borrow headroom this class is entitled to: GrantWithPreemption with a
-    minimal victim set, or Deny when no eligible set clears the rows.
+    minimal victim set, or Deny when no eligible set clears the rows.  Grant
+    and Deny return shared decisions; a preemption's is built with
+    ``tuple.__new__``, which skips the NamedTuple's Python-level ``__new__``.
     """
     rows = _deficit_rows(state.tables().admission[class_index][path], demand_kbps)
     if not rows:
@@ -214,7 +221,7 @@ def decide(
         victims = select_victims(state, rows)
     except Infeasible:
         return _DENY
-    return AdmissionDecision(Verdict.GRANT_WITH_PREEMPTION, victims)
+    return tuple.__new__(AdmissionDecision, (GRANT_WITH_PREEMPTION, victims))
 
 
 def reconfigure(state: NetworkState, new_config: BcConfig, mode: ReconfigMode) -> List[Lsp]:
@@ -231,14 +238,14 @@ def reconfigure(state: NetworkState, new_config: BcConfig, mode: ReconfigMode) -
     within its limits.  Returns [].
     """
     state.check_config(new_config)
-    if mode is ReconfigMode.SOFT:
+    if mode is SOFT:
         state.pending_soft_bc = new_config
         promote_pending_if_clear(state)
         return []
     state.bc_config = new_config
     state.pending_soft_bc = None
     rows = _deficit_rows(state.tables().current[tuple(state.topology.links)], 0)
-    return [release(state, lsp.id, LspState.PREEMPTED) for lsp in _choose_victims(state, rows)]
+    return [release(state, lsp.id, PREEMPTED) for lsp in _choose_victims(state, rows)]
 
 
 def promote_pending_if_clear(state: NetworkState) -> bool:

@@ -13,9 +13,11 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import bam
+from .bam import DENY
 from .core import (
+    COMPLETED,
+    PREEMPTED,
     Lsp,
-    LspState,
     NetworkState,
     NoRoute,
     commit,
@@ -106,23 +108,23 @@ class Controller:
         state.counters.requested[class_index] += 1
         journal.append(("request", now, lsp_id, class_index, demand_mbps, src_host, dst_host))
         decision = bam.decide(state, path, class_index, demand)
-        if decision.verdict is bam.Verdict.DENY:
+        if decision.verdict is DENY:
             state.counters.blocked[class_index] += 1
             self.fabric.record_drop(req)
             journal.append(("block", now, lsp_id, class_index))
             return None
         victims = decision.victims
         if victims:
-            preempted, remove = LspState.PREEMPTED, self.fabric.remove_by_owner
+            remove = self.fabric.remove_by_owner
             for victim_id in victims:
-                victim = release(state, victim_id, preempted)
+                victim = release(state, victim_id, PREEMPTED)
                 remove(victim_id)
                 journal.append(("preempt", now, victim_id, victim.class_index, lsp_id))
-        lsp = Lsp._make((lsp_id, class_index, demand, path, src_host, now))
+        # Without the NamedTuples' Python-level __new__, as install_path builds its rules.
+        new = tuple.__new__
+        lsp = new(Lsp, (lsp_id, class_index, demand, path, src_host, now))
         commit(state, lsp)
-        # Without FlowMatch.__new__, as install_path builds its rules.
-        match = tuple.__new__(
-            FlowMatch, (req.src_ip, req.dst_ip, req.src_port, req.dst_port, "tcp"))
+        match = new(FlowMatch, (req.src_ip, req.dst_ip, req.src_port, req.dst_port, "tcp"))
         self.fabric.install_path(lsp, match)
         journal.append(("admit", now, lsp_id, class_index, path))
         if victims and bam.promote_pending_if_clear(state):
@@ -132,7 +134,7 @@ class Controller:
     def handle_expiry(self, lsp_id: int, now: float) -> Lsp:
         """Natural completion at end of lifetime; ``release`` raises
         UnknownLsp if the LSP is not active."""
-        lsp = release(self.state, lsp_id, LspState.COMPLETED)
+        lsp = release(self.state, lsp_id, COMPLETED)
         self.fabric.remove_by_owner(lsp_id)
         self.journal.append(("expire", now, lsp_id, lsp.class_index))
         if bam.promote_pending_if_clear(self.state):
@@ -151,7 +153,7 @@ class Controller:
             tuple(mbps(v) for v in event.config.values_kbps or ()),
             tuple(v.id for v in preempted),
         ))
-        if event.mode is bam.ReconfigMode.SOFT and self.state.pending_soft_bc is None:
+        if event.mode is bam.SOFT and self.state.pending_soft_bc is None:
             self._log_promote(now)
         return preempted
 

@@ -63,6 +63,11 @@ class LspState(enum.Enum):
     COMPLETED = "Completed"
 
 
+# The members per-event code reads.  On CPython 3.10 and 3.11, reading a
+# member through its class runs Python code (~100 ns); a global read is ~8.
+PREEMPTED, COMPLETED = LspState.PREEMPTED, LspState.COMPLETED
+
+
 @dataclass(frozen=True)
 class TrafficClass:
     """A class type (CT): the fixed per-LSP bandwidth demand.  A class's
@@ -495,11 +500,16 @@ def release(state: NetworkState, lsp_id: int, reason: LspState) -> Lsp:
     """Return an active LSP's bandwidth on every path link, retire it and
     return its record.
 
-    ``reason`` must be Completed or Preempted; the per-class preempted counter
-    is bumped only for preemptions.  Exact inverse of commit with respect to
-    the allocation ledger.
+    ``reason`` must be ``LspState.COMPLETED`` or ``LspState.PREEMPTED``, and
+    picks the per-class counter the release bumps; any other value raises
+    ValueError before anything changes.  Exact inverse of commit with
+    respect to the allocation ledger.
     """
-    if reason is not LspState.COMPLETED and reason is not LspState.PREEMPTED:
+    if reason is PREEMPTED:
+        counter = state.counters.preempted
+    elif reason is COMPLETED:
+        counter = state.counters.completed
+    else:
         raise ValueError("release reason must be Completed or Preempted")
     lsp = state.active_lsps.get(lsp_id)
     if lsp is None:
@@ -511,8 +521,5 @@ def release(state: NetworkState, lsp_id: int, reason: LspState) -> Lsp:
         assert alloc[c] >= 0, "negative allocation on %s" % link.id
     del state.active_lsps[lsp_id]
     del state.active_by_class[c][lsp_id]
-    if reason is LspState.PREEMPTED:
-        state.counters.preempted[c] += 1
-    else:
-        state.counters.completed[c] += 1
+    counter[c] += 1
     return lsp

@@ -417,12 +417,12 @@ def generate_schedule(scn: Scenario) -> List[LspRequest]:
             fields += [entry_fields] * per_cycle
     # By time, then generation order: the sort is stable.
     order = sorted(range(len(times)), key=times.__getitem__)
-    make = LspRequest._make  # without the NamedTuple's Python-level __new__
+    new = tuple.__new__  # without the NamedTuple's Python-level __new__
     schedule: List[LspRequest] = []
     for position, i in enumerate(order, start=1):
         src_ip, dst_ip, lo, span = fields[i]
         schedule.append(
-            make((position, times[i], src_ip, dst_ip, 20000 + position, lo + position % span))
+            new(LspRequest, (position, times[i], src_ip, dst_ip, 20000 + position, lo + position % span))
         )
     return schedule
 

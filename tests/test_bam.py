@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from bamsim import (
+    AdmissionDecision,
     BcConfig,
     InvalidBc,
     LspState,
@@ -196,6 +197,26 @@ class TestCheckRdm:
         decision = decide(state, PATH, 1, 10)
         assert decision.verdict is Verdict.GRANT_WITH_PREEMPTION
         assert sorted(decision.victims) == [99, 100]
+
+    def test_decisions_are_immutable_admission_decisions(self):
+        state = single_link_state(Model.RDM, [500, 250, 100], 500, [5, 10, 20])
+        grant = decide(state, PATH, 1, 10)
+        fill(state, 0, 100, first_id=1)  # 500
+        preempt = decide(state, PATH, 1, 10)
+        deny = decide(state, PATH, 0, 5)  # class 0 has no lower class to evict
+        for decision, verdict in ((grant, Verdict.GRANT), (preempt, Verdict.GRANT_WITH_PREEMPTION),
+                                  (deny, Verdict.DENY)):
+            assert type(decision) is AdmissionDecision
+            assert decision.verdict is verdict
+            assert decision == AdmissionDecision(verdict, decision.victims)
+            assert type(decision.victims) is tuple
+            assert all(type(v) is int for v in decision.victims)
+            with pytest.raises(AttributeError):
+                decision.verdict = Verdict.GRANT
+            with pytest.raises(AttributeError):
+                decision.victims = ()
+        assert grant.victims == () and deny.victims == ()
+        assert preempt == AdmissionDecision(Verdict.GRANT_WITH_PREEMPTION, (100, 99))
 
     def test_decision_is_pure(self):
         state = single_link_state(Model.RDM, [500, 250, 100], 500, [5, 10, 20])

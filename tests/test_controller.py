@@ -3,6 +3,7 @@ from importlib import resources
 import pytest
 
 from bamsim import (
+    AdmissionDecision,
     BcConfig,
     ClassificationFailure,
     Classifier,
@@ -17,9 +18,10 @@ from bamsim import (
     TrafficClass,
     UnknownLsp,
     ValidationError,
+    Verdict,
     parse_text,
 )
-from bamsim import cli
+from bamsim import bam, cli
 
 PORT_RULES = [(30000, 30999, 0), (31000, 31999, 1), (32000, 32999, 2)]
 
@@ -128,6 +130,19 @@ class TestHandleRequest:
         assert ctl.fabric.drops[0] is denied  # the request itself, no key string
         assert not any(isinstance(d, str) for d in ctl.fabric.drops)
         assert kinds(ctl) == ["request", "admit", "request", "block"]
+
+    def test_a_deny_from_a_replaced_decide_blocks(self, monkeypatch):
+        # The deny test reads the verdict, not the identity of bam's shared
+        # decision: a decide wrapped or replaced may build its own.
+        ctl = mk_controller(Model.MAM, (250000, 150000, 100000))
+        monkeypatch.setattr(bam, "decide", lambda *args: AdmissionDecision(Verdict.DENY))
+        denied = request(ctl, 1, "HS1", 30001, 1.0)
+        assert ctl.handle_request(denied) is None
+        assert kinds(ctl) == ["request", "block"]
+        assert ctl.state.active_lsps == {} and ctl.state.counters.admitted == [0, 0, 0]
+        assert ctl.state.counters.blocked == [1, 0, 0]
+        assert ctl.state.topology.links["L1"].alloc == [0, 0, 0]
+        assert ctl.fabric.rule_count() == 0 and ctl.fabric.drops == [denied]
 
     def test_grant_with_preemption_evicts_victims_first(self):
         ctl = mk_controller(Model.RDM, (500000, 250000, 100000))
