@@ -9,10 +9,12 @@ by evicting lower-class LSPs that are borrowing from its slice.
 Both models are data here: rows of ``core.constraint_table``, laid out per
 path as cached plans (``core.Plans``) that one kernel, ``_deficit_rows``,
 turns into the deficit rows a request or a new config leaves.  Decisions
-are pure: ``decide`` and ``select_victims`` never touch the allocation
-ledger.  ``reconfigure`` is the one mutating entry point and applies a new
-constraint vector either immediately (hard, evicting whatever no longer
-fits) or lazily (soft, draining by attrition).
+are pure with respect to the ledger: ``decide`` and ``select_victims``
+never touch it; ``decide`` only has each admission plan cache remember its
+last binding row, the row that denied last.  ``reconfigure`` is the one
+mutating entry point and applies a new constraint vector either
+immediately (hard, evicting whatever no longer fits) or lazily (soft,
+draining by attrition).
 """
 
 from __future__ import annotations
@@ -202,7 +204,8 @@ _DENY = AdmissionDecision(DENY)
 def decide(
     state: NetworkState, path: Tuple[str, ...], class_index: int, demand_kbps: int
 ) -> AdmissionDecision:
-    """Verdict for a request across its whole path.  Pure.
+    """Verdict for a request across its whole path.  Pure with respect to
+    the ledger.
 
     No deficit row: Grant.  A row no lower class can serve, as is every row
     where admission evicts nothing (MAM): Deny.  Otherwise lower classes
@@ -210,12 +213,35 @@ def decide(
     minimal victim set, or Deny when no eligible set clears the rows.  Grant
     and Deny return shared decisions; a preemption's is built with
     ``tuple.__new__``, which skips the NamedTuple's Python-level ``__new__``.
+
+    The class's plan cache keeps the row that denied last as ``binding``.
+    Any unservable row in breach denies, so while that one lies on the path
+    and still breaches, Deny needs no pass; once it does not, it is dropped.
+    New tables start with none.
     """
-    rows = _deficit_rows(state.tables().admission[class_index][path], demand_kbps)
+    # NetworkState.tables() inlined while neither config changed: the call
+    # alone costs about a quarter of a repeated deny.
+    current, pending, tables = state._tables
+    if current is not state.bc_config or pending is not state.pending_soft_bc:
+        tables = state.tables()
+    plans = tables.admission[class_index]
+    binding = plans.binding
+    if binding is not None:
+        link_id, alloc, held, _lo, _top, cap = binding
+        if link_id in path and held(alloc) + demand_kbps > cap:
+            return _DENY
+        plans.binding = None
+    plan = plans[path]
+    rows = _deficit_rows(plan, demand_kbps)
     if not rows:
         return _GRANT
-    _link_id, lo, hi, _deficit = rows[-1]
+    link_id, lo, hi, _deficit = rows[-1]
     if lo >= hi:
+        # The pass stopped at the plan's first unservable row in breach.
+        for row in plan:
+            if row[0] == link_id and row[3] == row[4] and row[2](row[1]) + demand_kbps > row[5]:
+                plans.binding = row
+                break
         return _DENY
     try:
         victims = select_victims(state, rows)

@@ -367,7 +367,8 @@ class Plans(Memo):
     """A constraint table and its plans by path, each built on the path's
     first use, in which a row's victims are its classes below ``below``.
     Admission walks the request's path; reconfiguration and promotion walk
-    every link, in topology order, and may evict any class."""
+    every link, in topology order, and may evict any class.  ``binding`` is
+    the plan row that denied admission last, or None: see ``bam.decide``."""
 
     def __init__(self, topology: Topology, table: Table, below: int) -> None:
         links = topology.links
@@ -375,6 +376,7 @@ class Plans(Memo):
             (lid, links[lid].alloc, held, lo, max(lo, min(hi, below)), cap)
             for lid in path for held, lo, hi, cap, _name in table[lid]))
         self.table = table
+        self.binding = None
 
 
 class Tables(NamedTuple):
@@ -404,7 +406,8 @@ class NetworkState:
     active_lsps: Dict[int, Lsp] = field(init=False, default_factory=dict)
     counters: Counters = field(init=False)
     active_by_class: List[Dict[int, Lsp]] = field(init=False, repr=False)
-    # (bc_config, pending_soft_bc, Tables): see tables().
+    # (bc_config, pending_soft_bc, Tables): see tables(), whose identity
+    # test bam.decide repeats inline.
     _tables: Tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

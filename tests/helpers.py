@@ -93,10 +93,11 @@ def plant(fabric: Fabric, rule: FlowRule) -> None:
     fabric._by_owner.setdefault(rule.owner, []).append(slot)
 
 
-def fill(state: NetworkState, class_index: int, count: int, first_id: int, t0: float = 0.0) -> List[Lsp]:
+def fill(state: NetworkState, class_index: int, count: int, first_id: int, t0: float = 0.0,
+         path: Tuple[str, ...] = ("L1",)) -> List[Lsp]:
     """Admit `count` LSPs of one class with increasing ids and admit times."""
     return [
-        admit(state, first_id + i, class_index, t0 + i)
+        admit(state, first_id + i, class_index, t0 + i, path)
         for i in range(count)
     ]
 

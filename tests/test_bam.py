@@ -845,9 +845,20 @@ class TestDecideMatchesTheFitChecks:
                     d = state.classes[c].max_lsp_kbps if rng.random() < 0.7 else rng.randint(1, 12)
                     where = (trial, step, path, c, d)
                     expected = decide_before(state, path, c, d)
+                    plans = state.tables().admission[c]
+                    kept = plans.binding
                     decision = decide(state, path, c, d)
                     assert (decision.verdict.value, decision.victims) == expected, where
                     seen[expected[0]] += 1
+                    if kept is not None:
+                        # The row that denied last answers while it lies on
+                        # the path and still breaches; otherwise it is stale.
+                        link_id, alloc, held, _lo, _top, cap = kept
+                        if link_id in path and held(alloc) + d > cap:
+                            assert expected[0] == "Deny" and plans.binding is kept, where
+                            seen["remembered"] += 1
+                        else:
+                            seen["stale"] += 1
                     view = state.tables().admission[c].table
                     for lid in path:
                         link = links[lid]
@@ -877,6 +888,7 @@ class TestDecideMatchesTheFitChecks:
         assert min(seen["Grant"], seen["GrantWithPreemption"], seen["blocked"]) > 200, seen
         assert seen["walk Deny"] > 20 and seen["capacity rows"] > 500, seen
         assert seen["dominated rows"] > 5, seen
+        assert seen["remembered"] > 100 and seen["stale"] > 100, seen
         # Every way the tables change must have come up.
         assert min(seen["hard"], seen["soft"], seen["promoted"], seen["held"]) > 50, seen
         assert seen["reconfig preemptions"] > 50, seen
@@ -1014,6 +1026,128 @@ def test_admission_caps_follow_every_config_change():
     assert decide(state, PATH, 0, 5).verdict is Verdict.DENY
     state.pending_soft_bc = None
     assert decide(state, PATH, 0, 5).verdict is Verdict.GRANT
+
+
+TWO_LINKS = ("LA", "LB")
+
+
+def two_link_state(model, bc):
+    """Hosts A and B joined through switch S by LA (A-S) and LB (S-B), each
+    of 100 kbps, under three classes of 5, 10 and 20 kbps."""
+    from bamsim import NetworkState, Topology, TrafficClass
+
+    topo = Topology()
+    topo.add_host("A")
+    topo.add_host("B")
+    topo.add_switch("S")
+    topo.add_link("LA", "A", "S", 100)
+    topo.add_link("LB", "S", "B", 100)
+    topo.freeze()
+    classes = [TrafficClass(5), TrafficClass(10), TrafficClass(20)]
+    return NetworkState(topo, classes, BcConfig(model, values_kbps=bc))
+
+
+def binding(state, class_index):
+    """The plan row the class's admission plans remember, or None."""
+    return state.tables().admission[class_index].binding
+
+
+def decided(state, path, class_index, demand_kbps):
+    """``decide``'s verdict and victims, checked against the fit checks."""
+    decision = decide(state, path, class_index, demand_kbps)
+    expected = decide_before(state, path, class_index, demand_kbps)
+    assert (decision.verdict.value, decision.victims) == expected
+    return expected
+
+
+class TestRememberedDenyRow:
+    """``decide`` keeps the row that denied last on the class's admission
+    plans and denies from it while it lies on the path and still breaches.
+    Every verdict here is the one the fit checks give."""
+
+    @pytest.mark.parametrize("model", [Model.MAM, Model.RDM])
+    def test_releases_on_the_binding_link_until_the_request_fits(self, model):
+        state = two_link_state(model, (50, 30, 20))
+        held = fill(state, 0, 10, first_id=1, path=("LA",))  # 50 of 50
+        assert decided(state, TWO_LINKS, 0, 12) == ("Deny", ())
+        verdicts = []
+        for lsp in held[:3]:
+            release(state, lsp.id, LspState.COMPLETED)
+            verdicts.append(decided(state, TWO_LINKS, 0, 12)[0])
+        assert verdicts == ["Deny", "Deny", "Grant"]  # 45 + 12, 40 + 12, 35 + 12
+
+    @pytest.mark.parametrize("model", [Model.MAM, Model.RDM])
+    def test_a_breach_on_another_link_of_the_path_still_denies(self, model):
+        state = two_link_state(model, (50, 30, 20))
+        on_a = fill(state, 0, 10, first_id=1, path=("LA",))
+        on_b = fill(state, 0, 10, first_id=100, path=("LB",))
+        assert decided(state, TWO_LINKS, 0, 5) == ("Deny", ())
+        assert binding(state, 0)[0] == "LA"  # the first breach on the path
+        release(state, on_a[0].id, LspState.COMPLETED)
+        assert decided(state, TWO_LINKS, 0, 5) == ("Deny", ())
+        assert binding(state, 0)[0] == "LB"
+        assert decided(state, ("LA",), 0, 5) == ("Grant", ())  # LB is off this path
+        assert binding(state, 0) is None
+        release(state, on_b[0].id, LspState.COMPLETED)
+        assert decided(state, TWO_LINKS, 0, 5) == ("Grant", ())
+
+    def test_a_servable_breach_before_the_denying_row_is_not_remembered(self):
+        state = two_link_state(Model.RDM, (100, 50, 20))
+        fill(state, 0, 20, first_id=1, path=("LA",))  # 100 of LA's 100: class 0 may be evicted
+        on_b = fill(state, 1, 5, first_id=100, path=("LB",))  # 50 of LB's 50 for classes 1 and up
+        assert decided(state, TWO_LINKS, 1, 10) == ("Deny", ())
+        link_id, _alloc, _held, lo, top, _cap = binding(state, 1)
+        assert (link_id, lo, top) == ("LB", 1, 1)
+        release(state, on_b[0].id, LspState.COMPLETED)
+        assert decided(state, TWO_LINKS, 1, 10) == ("GrantWithPreemption", (20, 19))
+
+    def test_a_class_0_deny_does_not_deny_a_higher_class(self):
+        state = two_link_state(Model.RDM, (100, 50, 20))
+        fill(state, 0, 20, first_id=1, path=TWO_LINKS)  # both links full of class 0
+        assert decided(state, TWO_LINKS, 0, 5) == ("Deny", ())
+        verdict, victims = decided(state, TWO_LINKS, 2, 20)
+        assert (verdict, victims) == ("GrantWithPreemption", (20, 19, 18, 17))
+
+    @pytest.mark.parametrize("model", [Model.MAM, Model.RDM])
+    @pytest.mark.parametrize("change", ["hard", "soft", "promotion", "assignment"])
+    def test_every_config_change_that_raises_the_cap_grants(self, model, change):
+        state = two_link_state(model, (70, 20, 10))
+        fill(state, 0, 14, first_id=1, path=("LA",))  # class 0 holds 70 on LA
+        class_1 = fill(state, 1, 1, first_id=100, path=("LB",))  # class 1 holds 10 on LB
+        raised = BcConfig(model, values_kbps=(90, 20, 10))
+        if change == "promotion":
+            # A pending raise that also cuts class 1 below its 10 on LB waits;
+            # meanwhile the tighter of both configs still denies.
+            reconfigure(state, BcConfig(model, values_kbps=(90, 5, 5)), ReconfigMode.SOFT)
+            assert state.pending_soft_bc is not None
+        assert decided(state, TWO_LINKS, 0, 5) == ("Deny", ())  # 70 + 5 on LA
+        if change == "hard":
+            assert reconfigure(state, raised, ReconfigMode.HARD) == []
+        elif change == "soft":
+            assert reconfigure(state, raised, ReconfigMode.SOFT) == []
+            assert state.bc_config is raised  # nothing breaches it: promoted at once
+        elif change == "promotion":
+            release(state, class_1[0].id, LspState.COMPLETED)
+            assert promote_pending_if_clear(state)
+        else:
+            state.bc_config = raised
+        assert decided(state, TWO_LINKS, 0, 5) == ("Grant", ())
+
+    @pytest.mark.parametrize("model", [Model.MAM, Model.RDM])
+    def test_a_repeated_deny_makes_no_pass_over_the_plan(self, monkeypatch, model):
+        import bamsim.bam as bam_module
+
+        passes = []
+        real = bam_module._deficit_rows
+        monkeypatch.setattr(bam_module, "_deficit_rows",
+                            lambda plan, demand: passes.append(demand) or real(plan, demand))
+        state = two_link_state(model, (50, 30, 20))
+        fill(state, 0, 10, first_id=1, path=("LA",))
+        assert decide(state, TWO_LINKS, 0, 5).verdict is Verdict.DENY
+        assert passes == [5]
+        for demand in (5, 5, 1, 30):
+            assert decide(state, TWO_LINKS, 0, demand).verdict is Verdict.DENY
+        assert passes == [5]
 
 
 def check_fabric_by_rebuild(state, fabric):
