@@ -3,7 +3,7 @@
 ``check_all`` runs after every simulation event in tests, so it keeps a
 *shadow* of its last passing call on the state (``_check_shadow``): the
 registry's records as that call read them, the ledger and class lists they
-imply, and copies of the fabric's rule table and owner index.  Each call
+imply, and copies of the fabric's records and conflict index.  Each call
 reads the registry once and takes the delta from the recorded read: the
 LSPs added and removed since.  Records are immutable, so each kept key must
 still hold the very record it held, and an LSP replaced under its key is
@@ -14,16 +14,17 @@ structure whole with them, at C speed:
   compared with ``==``, then their key orders with the copy's, kept as
   lists.  The rows of the current constraint table and the counter
   identities still run on every call, on every link and class;
-- ``check_fabric``: the rule table and the owner index.
+- ``check_fabric``: the fabric's records and its conflict index.
 
 A check with no copies, or whose copies disagree, runs its full check, so a
 failure always carries the full check's message.  If that passes, the
-disagreement was legal (an owner's slots reordered, say), and the check
-copies what it just verified into the shadow, with the registry's own LSPs
-in the class lists.  ``check_all`` passes the shadow to both checks and
-stores it only once both pass.  A check called without a shadow, as a lone
-``check_state`` or ``check_fabric`` is, runs in full.  The shadow assumes
-only that the topology is fixed once frozen.
+disagreement was legal (two LSPs of one match installed in the reverse of
+their commit order, say), and the check copies what it just verified into
+the shadow, with the registry's own LSPs in the class lists.  ``check_all``
+passes the shadow to both checks and stores it only once both pass.  A
+check called without a shadow, as a lone ``check_state`` or
+``check_fabric`` is, runs in full.  The shadow assumes only that the
+topology is fixed once frozen.
 
 The full checks: the ledger must equal a recount of the registry and breach
 no row of the current config's constraint table, the table admission and
@@ -32,8 +33,10 @@ attrition drains it.  The current config still holds: admission under a
 pending config takes the tighter of the two rows, releases only lower the
 ledger, a hard reconfiguration evicts down to its table, and a soft one is
 promoted only once the ledger breaches none of its rows.  The class lists
-are checked without sorting, the fabric's owner index in one pass over the
-index, and each distinct route's switches are counted once per call.
+are checked without sorting, and the fabric's records in one pass that
+recounts the conflict index and the rule count.  No check walks a route or
+reads the route cache: the per-switch rules are a view of the records, and
+a route of n links programs n - 1 of them.
 """
 
 from __future__ import annotations
@@ -149,49 +152,47 @@ def _check_class_lists(state: NetworkState) -> None:
 
 
 def check_fabric(state: NetworkState, fabric: Fabric, shadow: Optional[_Shadow] = None) -> None:
-    """Every active LSP holds exactly one rule per on-path switch; no rule
-    belongs to a retired LSP; the owner index lists exactly the table's
-    slots under their owners."""
-    if shadow is not None and shadow.holds(state, fabric):
+    """One fabric record per active LSP and none for a retired one, each
+    with its LSP's route and demand and its route's rule count; the conflict
+    index files each record's owner under its match, in record order; the
+    fabric's running rule count is the records' sum."""
+    if shadow is not None and shadow.holds(fabric):
         return
     _check_fabric_in_full(state, fabric)
     if shadow is not None:
-        shadow.rules = dict(fabric._rules)
-        shadow.by_owner = {owner: list(slots) for owner, slots in fabric._by_owner.items()}
+        shadow.fabric = dict(fabric._records)
+        shadow.holders = {match: owners[:] for match, owners in fabric._holders.items()}
+        shadow.rules = fabric._count
 
 
 def _check_fabric_in_full(state: NetworkState, fabric: Fabric) -> None:
-    rules = fabric._rules
-    by_owner = fabric._by_owner
-    # The index matches the table iff each indexed slot holds a rule of that
-    # owner, and the indexed slots are distinct and as many as the rules.
-    indexed = 0
-    for owner, slots in by_owner.items():
-        indexed += len(slots)
-        for slot in slots:
-            rule = rules.get(slot)
-            if rule is None or rule.owner != owner:
-                _fail("fabric owner index disagrees with the rule table")
-    if indexed != len(rules) or len(set(chain.from_iterable(by_owner.values()))) != indexed:
-        _fail("fabric owner index disagrees with the rule table")
     active = state.active_lsps
-    for owner, slots in by_owner.items():
-        if slots and owner not in active:
-            if owner is None:  # blocked flows never land in a table
-                _fail("switch %s holds a rule with no owner LSP" % slots[0][0])
-            _fail("rule owner %d is not an active LSP" % owner)
-    # Interior-switch count per (path, src_host) route, from the topology;
-    # local to this call, so nothing needs invalidating.
-    switch_count: Dict[Tuple[Tuple[str, ...], str], int] = {}
-    switches_on = state.topology.switches_on
-    for lsp in active.values():
-        route = (lsp.path, lsp.src_host)
-        expected = switch_count.get(route)
-        if expected is None:
-            expected = switch_count[route] = len(switches_on(*route))
-        held = len(by_owner.get(lsp.id, ()))  # the index matches the table by now
-        if held != expected:
-            _fail("LSP %d holds %d rules, path has %d switches" % (lsp.id, held, expected))
+    records = fabric._records
+    holders: Dict[object, List[int]] = {}
+    for owner, (route, match, rate, rules) in records.items():
+        lsp = active.get(owner)
+        if lsp is None:
+            _fail("fabric record owner %r is not an active LSP" % (owner,))
+        if route != (lsp.path, lsp.src_host):
+            _fail("LSP %r fabric record route %r != its route %r" % (owner, route, (lsp.path, lsp.src_host)))
+        if rate != lsp.demand_kbps:
+            _fail("LSP %r fabric record rate %r != its demand %r" % (owner, rate, lsp.demand_kbps))
+        if rules != _rules_on(lsp.path):
+            _fail("LSP %r fabric record counts %r rules != %r on its route" % (owner, rules, _rules_on(lsp.path)))
+        holders.setdefault(match, []).append(owner)
+    if len(records) != len(active):  # every record is an active LSP's, so one is missing
+        _fail("LSP %r holds no fabric record" % next(i for i in active if i not in records))
+    if holders != fabric._holders:
+        _fail("fabric conflict index disagrees with the records")
+    total = sum(record[3] for record in records.values())
+    if total != fabric._count:
+        _fail("fabric rule count %r != %d rules in the records" % (fabric._count, total))
+
+
+def _rules_on(path) -> int:
+    # n links have n - 1 interior nodes, each a switch with one rule (the
+    # fabric takes no other route); not read from the route cache it checks.
+    return len(path) - 1 if path else 0
 
 
 def check_all(state: NetworkState, fabric: Optional[Fabric] = None) -> None:
@@ -201,7 +202,7 @@ def check_all(state: NetworkState, fabric: Optional[Fabric] = None) -> None:
     state._check_shadow = None
     shadow.move(state.active_lsps)
     if fabric is None:
-        shadow.rules = None  # the fabric copies would stand at an older read
+        shadow.fabric = None  # the fabric copies would stand at an older read
     check_state(state, shadow)
     if fabric is not None:
         check_fabric(state, fabric, shadow)
@@ -221,18 +222,18 @@ _FIRST = (float("-inf"), 0)
 class _Shadow:
     """What the last passing ``check_all`` verified: the registry's keys and,
     aligned with them, its records, in order; the ledger and class lists
-    that registry implies; and copies of the fabric's rule table and owner
-    index (``rules`` is None when that call had no fabric).  ``delta`` holds
+    that registry implies; and copies of the fabric's records and conflict
+    index (``fabric`` is None when that call had no fabric).  ``delta`` holds
     the records removed and added since, or None when the registry did not
     move as commit and release move it.
 
     Demands are integral kbps, so the running sums are exactly the recount.
     Every record must be ``_plain``.  An added LSP must also have a class in
     range, a path over known links, and an age key above its class's newest,
-    so that it appends.  Its rules are taken from the fabric only if they are
-    as many as its route has switches, each is indexed under its owner, and
-    none takes a slot already held.  Otherwise the copies disagree and the
-    full check decides."""
+    so that it appends.  Its fabric record is taken only if it holds the
+    LSP's route, demand and rule count, and its owner is filed under the
+    record's match.
+    Otherwise the copies disagree and the full check decides."""
 
     def __init__(self) -> None:
         self.keys: Optional[List[int]] = None
@@ -241,10 +242,9 @@ class _Shadow:
         self.ledger: Dict[str, List[int]] = {}
         self.lists: List[Dict[int, Lsp]] = []
         self.orders: List[List[int]] = []  # the keys of ``lists``, in order
-        self.rules: Optional[dict] = None
-        self.by_owner: dict = {}
-        # Interior-switch count per route; the topology is fixed.
-        self.switches: Dict[Tuple[Tuple[str, ...], str], int] = {}
+        self.fabric: Optional[dict] = None
+        self.holders: dict = {}
+        self.rules = 0  # the fabric's running rule count
 
     def move(self, active: Dict[int, Lsp]) -> None:
         """Read the registry and take the delta from the recorded read.
@@ -296,33 +296,27 @@ class _Shadow:
                 ledger[lid][c] += demand
         return True
 
-    def holds(self, state: NetworkState, fabric: Fabric) -> bool:
-        if self.delta is None or self.rules is None:
+    def holds(self, fabric: Fabric) -> bool:
+        if self.delta is None or self.fabric is None:
             return False
         removed, added = self.delta
-        rules, by_owner = self.rules, self.by_owner
+        records, holders = self.fabric, self.holders
         for lsp in removed:
-            for slot in by_owner.pop(lsp.id, ()):
-                del rules[slot]
-        live_rules, live_index = fabric._rules, fabric._by_owner
-        for owner, _c, _demand, path, src_host, _admit_time in added:
-            route = (path, src_host)
-            expected = self.switches.get(route)
-            if expected is None:
-                try:
-                    expected = len(state.topology.switches_on(path, src_host))
-                except (KeyError, ValueError):  # no such route: the full check says how
-                    return False
-                self.switches[route] = expected
-            slots = live_index.get(owner)
-            if len(slots or ()) != expected:
+            _route, match, _rate, rules = records.pop(lsp.id)
+            owners = holders.pop(match)
+            if len(owners) > 1:  # as remove_by_owner keeps a shared match
+                owners.remove(lsp.id)
+                holders[match] = owners
+            self.rules -= rules
+        live = fabric._records
+        for lsp_id, _c, demand, path, src_host, _admit_time in added:
+            record = live.get(lsp_id)
+            if record is None:
                 return False
-            if slots is None:
-                continue
-            by_owner[owner] = list(slots)
-            for slot in slots:
-                rule = live_rules.get(slot)
-                if rule is None or rule.owner != owner or slot in rules:
-                    return False
-                rules[slot] = rule
-        return live_rules == rules and live_index == by_owner
+            route, match, rate, rules = record
+            if rate != demand or route != (path, src_host) or rules != _rules_on(path):
+                return False
+            records[lsp_id] = record
+            holders.setdefault(match, []).append(lsp_id)
+            self.rules += rules
+        return live == records and fabric._holders == holders and fabric._count == self.rules

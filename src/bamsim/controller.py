@@ -120,7 +120,7 @@ class Controller:
                 victim = release(state, victim_id, PREEMPTED)
                 remove(victim_id)
                 journal.append(("preempt", now, victim_id, victim.class_index, lsp_id))
-        # Without the NamedTuples' Python-level __new__, as install_path builds its rules.
+        # Without the NamedTuples' Python-level __new__.
         new = tuple.__new__
         lsp = new(Lsp, (lsp_id, class_index, demand, path, src_host, now))
         commit(state, lsp)

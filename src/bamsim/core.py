@@ -243,12 +243,6 @@ class Topology:
             nodes.append(self.links[link_id].other_end(nodes[-1]))
         return nodes
 
-    def switches_on(self, path: Sequence[str], src: str) -> List[str]:
-        """Interior switches traversed by a path (endpoints excluded)."""
-        interior = self.nodes_on(path, src)[1:-1]
-        switches = set(self.switches)
-        return [n for n in interior if n in self._adjacency and n in switches]
-
     def shortest_path(self, src: str, dst: str) -> Tuple[str, ...]:
         """Deterministic minimum-hop route between two nodes as link ids.
 

@@ -1,24 +1,28 @@
 """Emulated switch fabric: the flow-rule tables the controller programs.
 
-Admitting an LSP installs exactly one forwarding rule on every switch along
-its path, keyed by the flow's match tuple, owned by the LSP and rate-limited
-to its demand.  ``install_path`` is the only way a rule gets into a table.
-Tearing an LSP down (completion or preemption) removes its rules by owner,
-through an owner -> slots index that ``install_path`` keeps, so teardown
-costs the LSP's path length, not the table size.  A blocked request never
-lands in a table; the request itself is kept as an ephemeral drop record so
-the deny history stays inspectable.
+An admitted LSP has one forwarding rule on every interior switch of its
+path, matched on the flow's match tuple, owned by the LSP and rate-limited
+to its demand.  Those rules follow from the LSP's route ``(path,
+src_host)``, match and demand, so the fabric keeps only that intent: one
+record per LSP, ``owner -> (route, match, rate, rules)``, and a conflict
+index from each match to its owners, in install order.  A grant and a
+teardown touch one record and one index entry and build no per-switch
+object.  ``lookup``, ``rules_on``, ``owner_rules`` and ``dump`` derive the
+per-switch ``FlowRule``s from the records and ``Topology.route_hops``.  A
+blocked request never lands in a table; the request itself is kept as an
+ephemeral drop record so the deny history stays inspectable.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional
 
 from .core import Lsp, Topology, UnknownSwitch, mbps
 
 
 class RuleConflict(Exception):
-    """A different rule already occupies this (switch, match) slot."""
+    """Another owner's rule occupies a (switch, match) slot of the route, or
+    the owner already holds rules."""
 
 
 class FlowMatch(NamedTuple):
@@ -44,64 +48,77 @@ class FlowRule(NamedTuple):
     owner: int
 
 
-Slot = Tuple[str, str]  # (switch id, match key)
-
-
 class Fabric:
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
-        self._rules: Dict[Slot, FlowRule] = {}
-        self._by_owner: Dict[int, List[Slot]] = {}
+        self._records: Dict[int, tuple] = {}  # owner -> ((path, src host), match, rate in kbps, rules)
+        self._holders: Dict[FlowMatch, List[int]] = {}  # match -> owners, in install order
+        self._count = 0  # the per-switch rules the records program
         self.drops: list = []  # blocked requests, as the controller passed them
 
-    def _check_switch(self, switch: str) -> None:
+    def rule_count(self) -> int:
+        return self._count
+
+    def _table(self) -> List[FlowRule]:
+        """Every rule the records program, in (switch, match key) order."""
+        hops = self.topology.route_hops
+        rules = [FlowRule(switch, match, port, rate, owner)
+                 for owner, (route, match, rate, _rules) in self._records.items() for switch, port in hops[route]]
+        return sorted(rules, key=lambda rule: (rule.switch_id, rule.match.key()))
+
+    def rules_on(self, switch: str) -> List[FlowRule]:
         if switch not in self.topology.switches:
             raise UnknownSwitch(switch)
-
-    def rule_count(self) -> int:
-        return len(self._rules)
+        return [rule for rule in self._table() if rule.switch_id == switch]
 
     def lookup(self, switch: str, match: FlowMatch) -> Optional[FlowRule]:
         """Pure read; None signals a table miss."""
-        self._check_switch(switch)
-        return self._rules.get((switch, match.key()))
-
-    def rules_on(self, switch: str) -> List[FlowRule]:
-        self._check_switch(switch)
-        return [r for (sw, _m), r in sorted(self._rules.items()) if sw == switch]
+        return next((rule for rule in self.rules_on(switch) if rule.match == match), None)
 
     def owner_rules(self, owner: int) -> List[FlowRule]:
-        return [self._rules[slot] for slot in sorted(self._by_owner.get(owner, ()))]
+        return [rule for rule in self._table() if rule.owner == owner]
 
-    def install_path(self, lsp: Lsp, match: FlowMatch) -> List[FlowRule]:
-        """One forwarding rule per switch on the LSP's path, all or nothing.
-
-        Each switch forwards toward the next link of the path; the out port
-        is the switch's port on that link.  The route's hops come from the
-        topology's cache, and every slot is tested before any rule is written.
-        """
-        owner, rate = lsp.id, lsp.demand_kbps
+    def install_path(self, lsp: Lsp, match: FlowMatch) -> int:
+        """One forwarding rule per interior switch of the LSP's path, each
+        toward the path's next link, all or nothing; returns how many.  An
+        owner already installed, or a match that another owner holds on a
+        switch of the route, raises ``RuleConflict`` and writes nothing; the
+        latter names the first such switch on the route."""
+        owner, _c, rate, path, src_host, _admit_time = lsp
         if owner is None:
             raise ValueError("forward rules must carry an owner LSP")
-        key, table, new = match.key(), self._rules, tuple.__new__
-        slots, rules = [], []
-        for switch, port in self.topology.route_hops[lsp.path, lsp.src_host]:
-            slot = (switch, key)
-            if slot in table:
-                raise RuleConflict("%s already has a rule for %s" % slot)
-            slots.append(slot)
-            rules.append(new(FlowRule, (switch, match, port, rate, owner)))  # without FlowRule.__new__
-        table.update(zip(slots, rules))
-        self._by_owner.setdefault(owner, []).extend(slots)
+        route = path, src_host
+        hops = self.topology.route_hops[route]
+        records = self._records
+        if owner in records:
+            raise RuleConflict("LSP %d already holds rules" % owner)
+        holders = self._holders.setdefault(match, [])
+        if holders:  # a shared match: refused where the routes share a switch
+            held = {switch for other in holders for switch, _port in self.topology.route_hops[records[other][0]]}
+            for switch, _port in hops:
+                if switch in held:
+                    raise RuleConflict("%s already has a rule for %s" % (switch, match.key()))
+        holders.append(owner)
+        rules = len(hops)
+        records[owner] = route, match, rate, rules
+        self._count += rules
         return rules
 
     def remove_by_owner(self, lsp_id: int) -> int:
-        """Drop every rule owned by an LSP; returns how many were removed
-        (the number of switches the LSP occupied)."""
-        slots = self._by_owner.pop(lsp_id, ())
-        for slot in slots:
-            del self._rules[slot]
-        return len(slots)
+        """Retire an LSP's rules; returns how many per-switch rules it held,
+        0 for an owner with none."""
+        record = self._records.pop(lsp_id, None)
+        if record is None:
+            return 0
+        # The record keeps its rule count: a teardown that looked its route
+        # up again would pay a cold read of the route cache.
+        _route, match, _rate, rules = record
+        holders = self._holders.pop(match)
+        if len(holders) > 1:  # a shared match: the other owners keep it
+            holders.remove(lsp_id)
+            self._holders[match] = holders
+        self._count -= rules
+        return rules
 
     def record_drop(self, request) -> None:
         """Log a deny: blocked flows get no persistent rule, only an
@@ -110,10 +127,5 @@ class Fabric:
 
     def dump(self) -> str:
         """Stable textual table: switch, match, action, rate (Mbps), owner."""
-        lines = []
-        for (switch, key), rule in sorted(self._rules.items()):
-            lines.append(
-                "%s\t%s\tfwd:%d\t%g\t%s"
-                % (switch, key, rule.out_port, mbps(rule.rate_kbps), rule.owner)
-            )
-        return "\n".join(lines)
+        return "\n".join("%s\t%s\tfwd:%d\t%g\t%s" % (rule.switch_id, rule.match.key(), rule.out_port,
+                                                     mbps(rule.rate_kbps), rule.owner) for rule in self._table())

@@ -219,8 +219,11 @@ def _parse_line(scn: Scenario, section: str, tok: List[str]) -> None:
             raise ScenarioError("unknown classes directive %r" % key)
         if tok[2] != "rate" or tok[4] != "ports":
             raise ScenarioError("expected: class <i> rate <mbps> ports <lo>-<hi>")
-        lo, hi = tok[5].split("-", 1)
-        scn.classes.append(ClassSpec(int(tok[1]), _bandwidth(tok[3], "class %s rate" % tok[1]), int(lo), int(hi)))
+        lo, hi = map(int, tok[5].split("-", 1))
+        if not 0 <= lo <= hi <= 65535:  # the classifier matches OpenFlow's 16-bit tp_dst
+            raise ValidationError("class %s ports %d-%d %s" % (
+                tok[1], lo, hi, "are an empty range" if lo > hi else "are outside 0-65535, OpenFlow's 16-bit tp_dst"))
+        scn.classes.append(ClassSpec(int(tok[1]), _bandwidth(tok[3], "class %s rate" % tok[1]), lo, hi))
     elif section == "bc":
         if key == "model":
             if tok[1] not in ("MAM", "RDM"):
@@ -296,9 +299,6 @@ def _validate(scn: Scenario) -> None:
     scn.classes.sort(key=lambda c: c.index)
     if [c.index for c in scn.classes] != list(range(len(scn.classes))):
         raise ValidationError("%s: class indices must be 0..n-1" % src)
-    for c in scn.classes:
-        if c.port_lo > c.port_hi:
-            raise ValidationError("%s: class %d has an empty port range" % (src, c.index))
     link_ids = {lid for lid, _a, _b, _cap in scn.links}
     if scn.bottleneck is not None and scn.bottleneck not in link_ids:
         raise ValidationError("%s: bottleneck %s is not a link" % (src, scn.bottleneck))

@@ -22,7 +22,7 @@ from bamsim import (
     scenario,
 )
 from bamsim.controller import Classifier, Controller
-from bamsim.fabric import Fabric, FlowRule
+from bamsim.fabric import Fabric, FlowMatch
 from bamsim.metrics import MetricsLog, MetricsRecord
 
 
@@ -84,13 +84,13 @@ def put_in_place(state: NetworkState, lsp_id: int, new):
     return new
 
 
-def plant(fabric: Fabric, rule: FlowRule) -> None:
-    """Write a rule straight into a fabric's table and owner index, checking
-    nothing, as a corrupted table could hold it.  ``Fabric.install_path``
-    writes only an LSP's own rules, on its own path."""
-    slot = (rule.switch_id, rule.match.key())
-    fabric._rules[slot] = rule
-    fabric._by_owner.setdefault(rule.owner, []).append(slot)
+def plant(fabric: Fabric, owner, route, match: FlowMatch, rate, rules) -> None:
+    """Write a record straight into a fabric's records and conflict index,
+    leaving its rule count as it is and checking nothing, as a corrupted
+    fabric could hold it.  ``Fabric.install_path`` writes only an LSP's own
+    record, once, with the LSP's route and demand."""
+    fabric._records[owner] = (route, match, rate, rules)
+    fabric._holders.setdefault(match, []).append(owner)
 
 
 def fill(state: NetworkState, class_index: int, count: int, first_id: int, t0: float = 0.0,

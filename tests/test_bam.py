@@ -32,7 +32,7 @@ from bamsim.checks import (
 )
 from bamsim.controller import Classifier, Controller, LspRequest
 from bamsim.core import Plans, constraint_table
-from bamsim.fabric import Fabric, FlowRule
+from bamsim.fabric import Fabric, FlowMatch, FlowRule
 
 from helpers import (
     admission_vector,
@@ -1151,26 +1151,57 @@ class TestRememberedDenyRow:
 
 
 def check_fabric_by_rebuild(state, fabric):
-    """check_fabric as it was before the per-call route memo and the
-    one-pass owner-index check: two slot -> owner maps compared whole, a
-    Counter of rules per owner, and a path walk for every active LSP.  Kept
-    here as the reference the cheaper check must agree with."""
-    rules = fabric._rules
-    owner_of = {slot: rule.owner for slot, rule in rules.items()}
-    indexed = {slot: owner for owner, slots in fabric._by_owner.items() for slot in slots}
-    if indexed != owner_of or sum(map(len, fabric._by_owner.values())) != len(rules):
-        raise InvariantViolation("fabric owner index disagrees with the rule table")
-    per_owner = Counter(owner_of.values())
-    for owner in per_owner:
-        if owner not in state.active_lsps:
-            raise InvariantViolation("rule owner %d is not an active LSP" % owner)
-    for lsp in state.active_lsps.values():
-        expected = len(state.topology.switches_on(lsp.path, lsp.src_host))
-        if per_owner[lsp.id] != expected:
-            raise InvariantViolation(
-                "LSP %d holds %d rules, path has %d switches"
-                % (lsp.id, per_owner[lsp.id], expected)
-            )
+    """check_fabric as a rebuild, kept as the reference the package's check
+    must agree with: every record names an active LSP and holds its route,
+    its demand and as many rules as the route has interior nodes, walked
+    here from the route's source over the links' endpoints; every active LSP
+    holds a record; the conflict index equals one rebuilt match by match,
+    each match's owners in record order; and the running rule count is the
+    records' sum.  On a fabric that passes, the per-switch views must also
+    be the rules the walks program, with ports numbered as the topology
+    numbers them."""
+    active, records, links = state.active_lsps, fabric._records, state.topology.links
+
+    def walk(path, node):
+        """(interior node, link it leaves by) along a route."""
+        hops = []
+        for lid, out in zip(path, path[1:]):
+            link = links[lid]
+            node = link.b if node == link.a else link.a
+            hops.append((node, out))
+        return hops
+
+    for owner, (route, match, rate, rules) in records.items():
+        if owner not in active:
+            raise InvariantViolation("fabric record owner %r is not an active LSP" % (owner,))
+        lsp = active[owner]
+        if route != (lsp.path, lsp.src_host):
+            raise InvariantViolation("LSP %r fabric record route %r != its route %r"
+                                     % (owner, route, (lsp.path, lsp.src_host)))
+        if rate != lsp.demand_kbps:
+            raise InvariantViolation("LSP %r fabric record rate %r != its demand %r"
+                                     % (owner, rate, lsp.demand_kbps))
+        interior = len(walk(lsp.path, lsp.src_host))
+        if rules != interior:
+            raise InvariantViolation("LSP %r fabric record counts %r rules != %r on its route"
+                                     % (owner, rules, interior))
+    missing = [lsp_id for lsp_id in active if lsp_id not in records]
+    if missing:
+        raise InvariantViolation("LSP %r holds no fabric record" % missing[0])
+    matches = {record[1] for record in records.values()}
+    index = {match: [owner for owner, record in records.items() if record[1] == match] for match in matches}
+    if fabric._holders != index:
+        raise InvariantViolation("fabric conflict index disagrees with the records")
+    table = []
+    for owner, ((path, src), match, rate, _rules) in records.items():
+        for node, out in walk(path, src):
+            ports = sorted(lid for lid, link in links.items() if node in (link.a, link.b))
+            table.append(FlowRule(node, match, ports.index(out) + 1, rate, owner))
+    if fabric._count != len(table):
+        raise InvariantViolation("fabric rule count %r != %d rules in the records" % (fabric._count, len(table)))
+    for switch in state.topology.switches:
+        on = sorted((rule for rule in table if rule.switch_id == switch), key=lambda rule: rule.match.key())
+        assert fabric.rules_on(switch) == on, switch
 
 
 def check_class_lists_by_sort(state):
@@ -1186,75 +1217,110 @@ def check_class_lists_by_sort(state):
         raise InvariantViolation("class lists disagree with the active registry")
 
 
-def _owned_slots(fabric, rng):
-    owners = sorted(o for o, slots in fabric._by_owner.items() if slots)
-    return (owners, fabric._by_owner[rng.choice(owners)]) if owners else (owners, None)
+def _some_owner(fabric, rng):
+    return rng.choice(sorted(fabric._records)) if fabric._records else None
 
 
-def _drop_rule(state, fabric, rng):
-    _owners, slots = _owned_slots(fabric, rng)
-    if slots:
-        del fabric._rules[slots.pop(rng.randrange(len(slots)))]
+def _drop_record(state, fabric, rng):
+    """A record gone, with its index entry or without."""
+    owner = _some_owner(fabric, rng)
+    if owner is not None:
+        if rng.random() < 0.5:
+            fabric.remove_by_owner(owner)
+        else:
+            del fabric._records[owner]
 
 
-def _lose_rule(state, fabric, rng):
-    if fabric._rules:
-        del fabric._rules[rng.choice(sorted(fabric._rules))]
-
-
-def _lose_slot(state, fabric, rng):
-    _owners, slots = _owned_slots(fabric, rng)
-    if slots:
-        slots.pop(rng.randrange(len(slots)))
-
-
-def _duplicate_rule(state, fabric, rng):
-    """An extra, consistently indexed rule on a switch off the LSP's path."""
-    for owner in rng.sample(sorted(state.active_lsps), len(state.active_lsps)):
-        lsp = state.active_lsps[owner]
-        off_path = sorted(set(state.topology.switches) - set(
-            state.topology.switches_on(lsp.path, lsp.src_host)))
-        if off_path:
-            match = fabric.owner_rules(owner)[0].match
-            plant(fabric, FlowRule(rng.choice(off_path), match, 1, lsp.demand_kbps, owner))
-            return
-
-
-def _duplicate_slot(state, fabric, rng):
-    _owners, slots = _owned_slots(fabric, rng)
-    if slots:
-        slots.append(rng.choice(slots))
-
-
-def _overwrite_slot(state, fabric, rng):
-    """Same index length, one slot listed twice and one rule unlisted."""
-    owners = [o for o, slots in fabric._by_owner.items() if len(slots) > 1]
-    if owners:
-        slots = fabric._by_owner[rng.choice(owners)]
-        slots[0] = slots[1]
-
-
-def _empty_owner_entry(state, fabric, rng):
-    """An owner key with no slots: the rebuild never sees it, so it passes."""
-    fabric._by_owner[max(fabric._by_owner, default=0) + 1] = []
-
-
-def _move_slot(state, fabric, rng):
-    owners, slots = _owned_slots(fabric, rng)
-    if slots:
-        slot = slots.pop(rng.randrange(len(slots)))
-        fabric._by_owner.setdefault(rng.choice(owners + [max(owners) + 1]), []).append(slot)
-
-
-def _reorder_slots(state, fabric, rng):
-    _owners, slots = _owned_slots(fabric, rng)
-    if slots:
-        slots.reverse()
-
-
-def _orphan_rules(state, fabric, rng):
+def _orphan_record(state, fabric, rng):
     if state.active_lsps:
         release(state, rng.choice(sorted(state.active_lsps)), LspState.COMPLETED)
+
+
+def _unowned_record(state, fabric, rng):
+    """A copy of a record, filed in the index, under an id no LSP has."""
+    owner = _some_owner(fabric, rng)
+    if owner is not None:
+        plant(fabric, max([*fabric._records, *state.active_lsps]) + 1, *fabric._records[owner])
+
+
+def _reroute_record(state, fabric, rng):
+    """A record holding its path cut short, or reversed."""
+    owner = _some_owner(fabric, rng)
+    if owner is not None:
+        (path, src), match, rate, rules = fabric._records[owner]
+        fabric._records[owner] = (rng.choice([path[:-1], path[::-1]]), src), match, rate, rules
+
+
+def _miscount_record(state, fabric, rng):
+    """A record's rate or rule count moved, or the fabric's running count."""
+    owner = _some_owner(fabric, rng)
+    if owner is not None:
+        route, match, rate, rules = fabric._records[owner]
+        step = rng.choice([-1, 1, 1000])
+        what = rng.choice(["rate", "rules", "count"])
+        if what == "count":
+            fabric._count += step
+        else:
+            fabric._records[owner] = route, match, rate + step * (what == "rate"), rules + step * (what == "rules")
+
+
+def _unfile(fabric, owner):
+    """Take an owner out of its match's entry, and the entry with it once empty."""
+    match = fabric._records[owner][1]
+    fabric._holders[match].remove(owner)
+    if not fabric._holders[match]:
+        del fabric._holders[match]
+
+
+def _drop_holder(state, fabric, rng):
+    owner = _some_owner(fabric, rng)
+    if owner is not None:
+        _unfile(fabric, owner)
+
+
+def _extra_holder(state, fabric, rng):
+    """An owner filed twice, an id no record has added to an entry, or an
+    empty entry under a match no record has."""
+    owner = _some_owner(fabric, rng)
+    if owner is not None:
+        extra = rng.choice([owner, max(fabric._records) + 1, None])
+        if extra is None:
+            fabric._holders[FlowMatch("10.9.9.9", "10.9.9.9", 1, 1)] = []
+        else:
+            fabric._holders[rng.choice(list(fabric._holders))].append(extra)
+
+
+def _move_holder(state, fabric, rng):
+    """An owner filed under another record's match, or a match no record has."""
+    owner = _some_owner(fabric, rng)
+    if owner is not None:
+        _unfile(fabric, owner)
+        others = [record[1] for other, record in fabric._records.items() if other != owner]
+        match = rng.choice(others + [FlowMatch("10.9.9.9", "10.9.9.9", 1, 1)])
+        fabric._holders.setdefault(match, []).append(owner)
+
+
+def _reorder_holders(state, fabric, rng):
+    """A later record moved onto an earlier one's match, filed before it."""
+    owners = list(fabric._records)
+    if len(owners) > 1:
+        first, later = sorted(rng.sample(range(len(owners)), 2))
+        first, later = owners[first], owners[later]
+        _unfile(fabric, later)
+        route, _match, rate, rules = fabric._records[later]
+        match = fabric._records[first][1]
+        fabric._records[later] = route, match, rate, rules
+        holders = fabric._holders[match]
+        holders.insert(holders.index(first), later)
+
+
+def _copy_record(state, fabric, rng):
+    """An equal copy of a record: both checks compare records by value, so
+    this passes."""
+    owner = _some_owner(fabric, rng)
+    if owner is not None:
+        (path, src), match, rate, rules = fabric._records[owner]
+        fabric._records[owner] = ((*path,), src), match, rate, rules
 
 
 def _class_entries(state, rng):
@@ -1357,9 +1423,9 @@ def _copy_entry_lsp(state, fabric, rng):
 
 CORRUPTIONS = [
     None,
-    # rule table and owner index
-    _drop_rule, _lose_rule, _lose_slot, _duplicate_rule, _duplicate_slot, _overwrite_slot,
-    _empty_owner_entry, _move_slot, _reorder_slots, _orphan_rules,
+    # fabric records and conflict index
+    _drop_record, _orphan_record, _unowned_record, _reroute_record, _miscount_record,
+    _drop_holder, _extra_holder, _move_holder, _reorder_holders, _copy_record,
     # class lists
     _drop_entry, _duplicate_entry, _move_entry_to_other_class, _swap_entries, _swap_tied_entries,
     _move_admit_time,
@@ -1372,8 +1438,8 @@ class TestChecksMatchTheRebuild:
     message, exactly where the rebuild-and-compare checks do.  The states
     come from a controller driven at random over routes of one to three
     switches, under MAM or RDM with hard and soft reconfigurations, and then
-    get at most one corruption of the rule table, the owner index or the
-    class lists."""
+    get at most one corruption of the fabric's records, its conflict index
+    or the class lists."""
 
     @staticmethod
     def verdict(check, *args):

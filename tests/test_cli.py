@@ -311,6 +311,20 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "error: %s:10: class 1 ports 30000-30999 overlap class 0" % bad in err
 
+    @pytest.mark.parametrize("ports, reason", [
+        ("31999-31000", "are an empty range"),
+        ("99990-200000", "are outside 0-65535, OpenFlow's 16-bit tp_dst"),
+    ], ids=["empty", "beyond_16_bits"])
+    def test_a_port_range_that_does_not_fit_tp_dst_is_bad_input_at_its_line(self, tmp_path, capsys, ports, reason):
+        text = MINI.replace("ports 31000-31999", "ports " + ports)
+        bad = tmp_path / "bad.scn"
+        bad.write_text(text)
+        lineno = text.splitlines().index("class 1 rate 10 ports " + ports) + 1
+        for command in (["validate", str(bad)], ["run", str(bad), "--quiet", "--out", str(tmp_path / "out")]):
+            assert run_cli(command) == cli.EXIT_BAD_INPUT
+            assert "error: %s:%d: class 1 ports %s %s" % (bad, lineno, ports, reason) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     # (line replaced, its replacement, message, line the message cites if
     # not the replacement's own).  Non-finite numbers once validated and then
     # ran to "Infinity" in the journal, exited 3 mid-run, or crashed validate.

@@ -165,8 +165,8 @@ class TestTopology:
         topo = self.line()
         path = topo.shortest_path("HS1", "DST")
         assert topo.nodes_on(path, "HS1") == ["HS1", "S1", "S2", "S3", "DST"]
-        assert topo.switches_on(path, "HS1") == ["S1", "S2", "S3"]
-        assert topo.switches_on(("L3", "L6"), "HS3") == ["S3"]
+        assert [switch for switch, _port in topo.route_hops[path, "HS1"]] == ["S1", "S2", "S3"]
+        assert [switch for switch, _port in topo.route_hops[("L3", "L6"), "HS3"]] == ["S3"]
 
     def test_no_route_between_components(self):
         topo = Topology()

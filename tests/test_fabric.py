@@ -69,9 +69,10 @@ def test_match_and_rule_are_immutable(record, attr, value):
 class TestInstallLookup:
     def test_install_then_lookup(self):
         fabric = Fabric(line_topology())
-        [rule] = fabric.install_path(lsp_on(1, ("L1", "L4"), "HS1"), MATCH)  # S1 only
-        assert rule == FlowRule("S1", MATCH, 2, 5000, owner=1)
-        assert fabric.lookup("S1", MATCH) is rule
+        assert fabric.install_path(lsp_on(1, ("L1", "L4"), "HS1"), MATCH) == 1  # S1 only
+        rule = FlowRule("S1", MATCH, 2, 5000, owner=1)
+        assert fabric.lookup("S1", MATCH) == rule and fabric.owner_rules(1) == [rule]
+        assert fabric.lookup("S2", MATCH) is None
         assert fabric.rule_count() == 1
 
     def test_lookup_miss_returns_none(self):
@@ -91,7 +92,7 @@ class TestInstallLookup:
         with pytest.raises(RuleConflict):
             fabric.install_path(lsp_on(2, ("L1", "L4", "L2"), "HS1"), MATCH)  # S1, S2
         # same match on another switch is a different slot
-        fabric.install_path(lsp_on(1, ("L2", "L5"), "HS2"), MATCH)  # S2
+        fabric.install_path(lsp_on(3, ("L2", "L5"), "HS2"), MATCH)  # S2
         assert fabric.rule_count() == 2
 
 
@@ -104,7 +105,8 @@ class TestInstallPath:
     def test_one_rule_per_interior_switch(self):
         topo = line_topology()
         fabric = Fabric(topo)
-        rules = fabric.install_path(self.lsp(topo), MATCH)
+        assert fabric.install_path(self.lsp(topo), MATCH) == 3
+        rules = fabric.owner_rules(7)
         assert [r.switch_id for r in rules] == ["S1", "S2", "S3"]
         # each hop forwards onto the next link of the path
         assert rules[0].out_port == topo.port_of("S1", "L4")
@@ -129,7 +131,7 @@ class TestInstallPath:
         fabric = Fabric(topo)
         with pytest.raises(ValueError, match="forward rules must carry an owner LSP"):
             fabric.install_path(self.lsp(topo)._replace(id=None), MATCH)
-        assert fabric.rule_count() == 0 and fabric._by_owner == {}
+        assert fabric.rule_count() == 0 and fabric._records == fabric._holders == {}
 
     def test_remove_by_owner(self):
         topo = line_topology()
@@ -138,6 +140,55 @@ class TestInstallPath:
         assert fabric.remove_by_owner(7) == 3
         assert fabric.rule_count() == 0
         assert fabric.remove_by_owner(7) == 0  # idempotent
+
+
+class TestRuleConflict:
+    """A conflict is another active owner with the same match on a switch
+    of the new route; a refused install writes nothing."""
+
+    def test_the_same_match_on_disjoint_routes_installs(self):
+        topo = line_topology()
+        fabric = Fabric(topo)
+        assert fabric.install_path(lsp_on(1, ("L1", "L4"), "HS1"), MATCH) == 1  # S1
+        assert fabric.install_path(lsp_on(2, ("L3", "L6"), "HS3", 1000), MATCH) == 1  # S3
+        assert fabric.lookup("S1", MATCH).owner == 1 and fabric.lookup("S3", MATCH).owner == 2
+        assert fabric.lookup("S2", MATCH) is None and fabric.rule_count() == 2
+        assert fabric.remove_by_owner(1) == 1
+        assert fabric.lookup("S1", MATCH) is None and fabric.lookup("S3", MATCH).owner == 2
+        with pytest.raises(RuleConflict, match="S3 already has a rule"):
+            fabric.install_path(lsp_on(3, ("L2", "L5", "L6"), "HS2"), MATCH)  # S2, S3
+        assert fabric.install_path(lsp_on(3, ("L1", "L4", "L2"), "HS1"), MATCH) == 2  # S1, S2
+
+    @pytest.mark.parametrize("path, src, first", [
+        (("L1", "L4", "L5", "L6"), "HS1", "S2"),  # S1, S2, S3
+        (("L6", "L5", "L4", "L1"), "DST", "S3"),  # S3, S2, S1
+    ], ids=["forward", "backward"])
+    def test_the_same_match_on_overlapping_routes_names_the_first_shared_switch(self, path, src, first):
+        topo = line_topology()
+        fabric = Fabric(topo)
+        fabric.install_path(lsp_on(1, ("L2", "L5", "L6"), "HS2"), MATCH)  # S2, S3
+        other = FlowMatch("10.0.0.2", "10.0.0.4", 20002, 30002)
+        fabric.install_path(lsp_on(2, ("L1", "L4", "L5", "L6"), "HS1"), other)  # S1, S2, S3
+        before = snapshot(topo, fabric)
+        for _attempt in range(2):
+            with pytest.raises(RuleConflict) as err:
+                fabric.install_path(lsp_on(3, path, src), MATCH)
+            assert str(err.value) == "%s already has a rule for %s" % (first, MATCH.key())
+            assert snapshot(topo, fabric) == before
+
+    def test_reinstalling_an_active_owner_raises_and_writes_nothing(self):
+        topo = line_topology()
+        fabric = Fabric(topo)
+        fabric.install_path(lsp_on(1, ("L1", "L4"), "HS1"), MATCH)  # S1
+        before = snapshot(topo, fabric)
+        other = FlowMatch("10.0.0.3", "10.0.0.4", 20003, 30003)
+        for path, src, match in [(("L1", "L4"), "HS1", MATCH), (("L3", "L6"), "HS3", other)]:
+            with pytest.raises(RuleConflict, match="LSP 1 already holds rules"):
+                fabric.install_path(lsp_on(1, path, src), match)
+            assert snapshot(topo, fabric) == before
+        fabric.remove_by_owner(1)
+        assert fabric.install_path(lsp_on(1, ("L3", "L6"), "HS3"), other) == 1  # retired: free again
+        assert fabric.owner_rules(1) == [FlowRule("S3", other, topo.port_of("S3", "L6"), 5000, 1)]
 
 
 def test_drops_are_ephemeral():
@@ -174,6 +225,8 @@ class TestOwnerIndex:
                 for r in fabric.rules_on(sw) if r.owner == owner]
 
     def test_random_installs_and_removals_agree_with_a_scan(self):
+        # An owner is installed once, so each install takes a fresh id and
+        # each removal any id used so far, retired ones included.
         rng = random.Random(4127)
         topo = line_topology()
         switches = sorted(topo.switches)
@@ -181,16 +234,18 @@ class TestOwnerIndex:
         routes = [(topo.shortest_path(a, b), a) for a in hosts for b in hosts if a != b]
         for _trial in range(30):
             fabric = Fabric(topo)
-            owners = range(1, 7)
+            owners = [1]
             for _step in range(60):
-                owner = rng.choice(owners)
                 if rng.random() < 0.7:
+                    owner = owners[-1]
+                    owners.append(owner + 1)
                     path, src = rng.choice(routes)
                     try:
                         fabric.install_path(lsp_on(owner, path, src, 1000), rng.choice(self.MATCHES))
                     except RuleConflict:
                         pass
                 else:
+                    owner = rng.choice(owners)
                     expected = len(self.scan(fabric, owner))
                     assert fabric.remove_by_owner(owner) == expected
                     assert self.scan(fabric, owner) == []
@@ -241,8 +296,8 @@ def named_state(name: str) -> NetworkState:
 
 
 def snapshot(topo: Topology, fabric: Fabric):
-    return (dict(fabric._rules), {o: list(s) for o, s in fabric._by_owner.items()},
-            {lid: list(link.alloc) for lid, link in topo.links.items()})
+    return (dict(fabric._records), {m: list(o) for m, o in fabric._holders.items()},
+            fabric.rule_count(), fabric.dump(), {lid: list(link.alloc) for lid, link in topo.links.items()})
 
 
 class TestRouteCaches:
@@ -258,11 +313,11 @@ class TestRouteCaches:
             lsp = Lsp(n, 0, 1000, path, src, 0.0)
             for _use in range(2):  # the second use reads the cache
                 assert topo.route_hops[path, src] == expected
-                rules = fabric.install_path(lsp, match)
-                assert [(r.switch_id, r.out_port) for r in rules] == list(expected)
+                assert fabric.install_path(lsp, match) == len(expected)
+                rules = fabric.owner_rules(n)
+                assert [(r.switch_id, r.out_port) for r in rules] == sorted(expected)
                 assert all(type(r) is FlowRule and r.match == match and r.rate_kbps == 1000
                            and r.owner == n for r in rules)
-                assert fabric.owner_rules(n) == sorted(rules)
                 assert fabric.remove_by_owner(n) == len(expected)
             assert topo.path_links[path] == tuple(topo.links[lid] for lid in path)
             checked += 1

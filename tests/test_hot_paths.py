@@ -9,15 +9,19 @@ constants (``core.PREEMPTED``, ``bam.DENY``, ...) and builds its records
 with ``tuple.__new__``.  A name in a function's ``co_names`` is a global or
 attribute it reads, so these tests catch a member read through its class, or
 a ``_make``, that slips back into a hot path.
+
+A grant and a teardown also build no per-switch rule and format no match
+key: the fabric keeps one record per LSP, and its per-switch tables are a
+view built only when read.
 """
 
 import types
 
 import pytest
 
-from bamsim import bam, core, scenario
+from bamsim import bam, checks, core, scenario
 from bamsim.controller import Controller
-from bamsim.fabric import Fabric
+from bamsim.fabric import Fabric, FlowMatch, FlowRule
 
 HOT_PATHS = {
     "Controller.handle_request": Controller.handle_request,
@@ -55,3 +59,55 @@ def test_the_constants_are_the_public_members():
     assert bam.GRANT_WITH_PREEMPTION is bam.Verdict.GRANT_WITH_PREEMPTION
     assert bam.DENY is bam.Verdict.DENY
     assert bam.SOFT is bam.ReconfigMode.SOFT
+
+
+@pytest.mark.parametrize("name", scenario.bundled_names())
+def test_a_checked_run_formats_no_match_key(name, monkeypatch):
+    def refuse(match):
+        raise AssertionError("FlowMatch.key called on a per-event path")
+
+    monkeypatch.setattr(FlowMatch, "key", refuse)
+    result = scenario.simulate(scenario.load(name), on_event=lambda kind, state, fabric: checks.check_all(state, fabric))
+    assert len(result.journal) > 0
+
+
+class _Half(Exception):
+    pass
+
+
+def _reachable(root, skip):
+    """Every object held by ``root`` through dicts, lists and tuples (tuple
+    subclasses included), except the objects in ``skip``."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or any(obj is other for other in skip):
+            continue
+        seen.add(id(obj))
+        yield obj
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+
+
+@pytest.mark.parametrize("name", scenario.bundled_names())
+def test_the_fabric_of_a_half_finished_run_holds_no_flow_rule(name):
+    events = []
+    scenario.simulate(scenario.load(name), on_event=lambda kind, state, fabric: events.append(kind))
+    total = len(events)
+    seen = []
+
+    def stop_halfway(kind, state, fabric):
+        seen.append(fabric)
+        if len(seen) == total // 2:
+            raise _Half
+
+    with pytest.raises(_Half):
+        scenario.simulate(scenario.load(name), on_event=stop_halfway)
+    fabric = seen[-1]
+    assert fabric.rule_count() > 0
+    held = list(_reachable(vars(fabric), skip=[fabric.topology]))
+    assert any(type(obj) is FlowMatch for obj in held)
+    assert not any(isinstance(obj, FlowRule) for obj in held)

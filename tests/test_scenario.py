@@ -243,6 +243,23 @@ class TestValidation:
             "<test>:%d: class 1 ports %s overlap class 0 ports 30000-30999" % (lineno, ports)
         )
 
+    @pytest.mark.parametrize("ports, reason", [
+        ("31999-31000", "are an empty range"),
+        ("99990-200000", "are outside 0-65535, OpenFlow's 16-bit tp_dst"),
+        ("65000-65536", "are outside 0-65535, OpenFlow's 16-bit tp_dst"),
+        ("70000-69999", "are an empty range"),
+    ], ids=["empty", "far_above", "one_above", "empty_above"])
+    def test_a_port_range_that_does_not_fit_tp_dst_names_its_line(self, ports, reason):
+        text = MINI.replace("ports 31000-31999", "ports " + ports)
+        lineno = text.splitlines().index("class 1 rate 10 ports " + ports) + 1
+        with pytest.raises(ValidationError) as err:
+            parse(text)
+        assert str(err.value) == "<test>:%d: class 1 ports %s %s" % (lineno, ports, reason)
+
+    def test_the_widest_port_ranges_are_accepted(self):
+        text = MINI.replace("ports 30000-30999", "ports 0-0").replace("ports 31000-31999", "ports 1-65535")
+        assert [(c.port_lo, c.port_hi) for c in parse(text).classes] == [(0, 0), (1, 65535)]
+
     def test_adjacent_and_reordered_port_ranges_are_accepted(self):
         text = MINI.replace("class 0 rate 5 ports 30000-30999", "class 0 rate 5 ports 31000-31999")
         scn = parse(text.replace("class 1 rate 10 ports 31000-31999", "class 1 rate 10 ports 29000-30999"))
