@@ -18,13 +18,13 @@ structure whole with them, at C speed:
 
 A check with no copies, or whose copies disagree, runs its full check, so a
 failure always carries the full check's message.  If that passes, the
-disagreement was legal (two LSPs of one match installed in the reverse of
-their commit order, say), and the check copies what it just verified into
-the shadow, with the registry's own LSPs in the class lists.  ``check_all``
-passes the shadow to both checks and stores it only once both pass.  A
-check called without a shadow, as a lone ``check_state`` or
-``check_fabric`` is, runs in full.  The shadow assumes only that the
-topology is fixed once frozen.
+disagreement was legal (an LSP committed by hand behind its class's newest,
+or a record holding an equal copy of its LSP, say), and the check copies
+what it just verified into the shadow, with the registry's own LSPs in the
+class lists.  ``check_all`` passes the shadow to both checks and stores it
+only once both pass.  A check called without a shadow, as a lone
+``check_state`` or ``check_fabric`` is, runs in full.  The shadow assumes
+only that the topology is fixed once frozen.
 
 The full checks: the ledger must equal a recount of the registry and breach
 no row of the current config's constraint table, the table admission and
@@ -34,9 +34,10 @@ pending config takes the tighter of the two rows, releases only lower the
 ledger, a hard reconfiguration evicts down to its table, and a soft one is
 promoted only once the ledger breaches none of its rows.  The class lists
 are checked without sorting, and the fabric's records in one pass that
-recounts the conflict index and the rule count.  No check walks a route or
-reads the route cache: the per-switch rules are a view of the records, and
-a route of n links programs n - 1 of them.
+recounts the conflict index and the rule count.  A record holds its LSP, so
+it is checked against the registry's LSP, not field by field.  No check
+walks a route or reads the route cache: the per-switch rules are a view of
+the records, and a route of n links programs n - 1 of them.
 """
 
 from __future__ import annotations
@@ -153,38 +154,38 @@ def _check_class_lists(state: NetworkState) -> None:
 
 def check_fabric(state: NetworkState, fabric: Fabric, shadow: Optional[_Shadow] = None) -> None:
     """One fabric record per active LSP and none for a retired one, each
-    with its LSP's route and demand and its route's rule count; the conflict
-    index files each record's owner under its match, in record order; the
-    fabric's running rule count is the records' sum."""
+    holding the registry's LSP and its route's rule count; no two records
+    share a match, and the conflict index files each record's owner under
+    its match; the fabric's running rule count is the records' sum."""
     if shadow is not None and shadow.holds(fabric):
         return
     _check_fabric_in_full(state, fabric)
     if shadow is not None:
         shadow.fabric = dict(fabric._records)
-        shadow.holders = {match: owners[:] for match, owners in fabric._holders.items()}
+        shadow.holders = dict(fabric._holders)
         shadow.rules = fabric._count
 
 
 def _check_fabric_in_full(state: NetworkState, fabric: Fabric) -> None:
     active = state.active_lsps
     records = fabric._records
-    holders: Dict[object, List[int]] = {}
-    for owner, (route, match, rate, rules) in records.items():
-        lsp = active.get(owner)
-        if lsp is None:
+    holders: Dict[object, int] = {}
+    for owner, (lsp, match, rules) in records.items():
+        registered = active.get(owner)
+        if registered is None:
             _fail("fabric record owner %r is not an active LSP" % (owner,))
-        if route != (lsp.path, lsp.src_host):
-            _fail("LSP %r fabric record route %r != its route %r" % (owner, route, (lsp.path, lsp.src_host)))
-        if rate != lsp.demand_kbps:
-            _fail("LSP %r fabric record rate %r != its demand %r" % (owner, rate, lsp.demand_kbps))
+        if lsp is not registered and lsp != registered:
+            _fail("LSP %r fabric record holds another LSP %r" % (owner, lsp))
         if rules != _rules_on(lsp.path):
             _fail("LSP %r fabric record counts %r rules != %r on its route" % (owner, rules, _rules_on(lsp.path)))
-        holders.setdefault(match, []).append(owner)
+        holder = holders.setdefault(match, owner)
+        if holder != owner:
+            _fail("LSP %r fabric record shares its match with LSP %r" % (owner, holder))
     if len(records) != len(active):  # every record is an active LSP's, so one is missing
         _fail("LSP %r holds no fabric record" % next(i for i in active if i not in records))
     if holders != fabric._holders:
         _fail("fabric conflict index disagrees with the records")
-    total = sum(record[3] for record in records.values())
+    total = sum(record[2] for record in records.values())
     if total != fabric._count:
         _fail("fabric rule count %r != %d rules in the records" % (fabric._count, total))
 
@@ -230,10 +231,9 @@ class _Shadow:
     Demands are integral kbps, so the running sums are exactly the recount.
     Every record must be ``_plain``.  An added LSP must also have a class in
     range, a path over known links, and an age key above its class's newest,
-    so that it appends.  Its fabric record is taken only if it holds the
-    LSP's route, demand and rule count, and its owner is filed under the
-    record's match.
-    Otherwise the copies disagree and the full check decides."""
+    so that it appends.  Its fabric record is taken only if it holds that
+    very LSP and its route's rule count, under a match no other record
+    holds.  Otherwise the copies disagree and the full check decides."""
 
     def __init__(self) -> None:
         self.keys: Optional[List[int]] = None
@@ -302,21 +302,18 @@ class _Shadow:
         removed, added = self.delta
         records, holders = self.fabric, self.holders
         for lsp in removed:
-            _route, match, _rate, rules = records.pop(lsp.id)
-            owners = holders.pop(match)
-            if len(owners) > 1:  # as remove_by_owner keeps a shared match
-                owners.remove(lsp.id)
-                holders[match] = owners
+            _lsp, match, rules = records.pop(lsp.id)
+            del holders[match]
             self.rules -= rules
         live = fabric._records
-        for lsp_id, _c, demand, path, src_host, _admit_time in added:
-            record = live.get(lsp_id)
+        for lsp in added:
+            record = live.get(lsp.id)
             if record is None:
                 return False
-            route, match, rate, rules = record
-            if rate != demand or route != (path, src_host) or rules != _rules_on(path):
+            held, match, rules = record
+            if held is not lsp or rules != _rules_on(lsp.path) or match in holders:
                 return False
-            records[lsp_id] = record
-            holders.setdefault(match, []).append(lsp_id)
+            records[lsp.id] = record
+            holders[match] = lsp.id
             self.rules += rules
         return live == records and fabric._holders == holders and fabric._count == self.rules

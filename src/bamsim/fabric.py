@@ -2,15 +2,16 @@
 
 An admitted LSP has one forwarding rule on every interior switch of its
 path, matched on the flow's match tuple, owned by the LSP and rate-limited
-to its demand.  Those rules follow from the LSP's route ``(path,
-src_host)``, match and demand, so the fabric keeps only that intent: one
-record per LSP, ``owner -> (route, match, rate, rules)``, and a conflict
-index from each match to its owners, in install order.  A grant and a
-teardown touch one record and one index entry and build no per-switch
-object.  ``lookup``, ``rules_on``, ``owner_rules`` and ``dump`` derive the
-per-switch ``FlowRule``s from the records and ``Topology.route_hops``.  A
-blocked request never lands in a table; the request itself is kept as an
-ephemeral drop record so the deny history stays inspectable.
+to its demand.  Those rules follow from the LSP, so the fabric keeps only
+that intent: one record per LSP, ``owner -> (lsp, match, rules)``, holding
+the registry's own ``Lsp``, and a conflict index from each match to its one
+owner, as an MPLS ingress maps each flow to one LSP, whatever the route.  A
+grant and a teardown touch one record and one index entry and build no
+per-switch object.  ``lookup``, ``rules_on``, ``owner_rules`` and ``dump``
+derive the per-switch ``FlowRule``s from the records and
+``Topology.route_hops``.  A blocked request never lands in a table; the
+request itself is kept as an ephemeral drop record so the deny history
+stays inspectable.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from .core import Lsp, Topology, UnknownSwitch, mbps
 
 
 class RuleConflict(Exception):
-    """Another owner's rule occupies a (switch, match) slot of the route, or
-    the owner already holds rules."""
+    """The match is held by another active LSP, or the owner already holds
+    rules."""
 
 
 class FlowMatch(NamedTuple):
@@ -51,8 +52,8 @@ class FlowRule(NamedTuple):
 class Fabric:
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
-        self._records: Dict[int, tuple] = {}  # owner -> ((path, src host), match, rate in kbps, rules)
-        self._holders: Dict[FlowMatch, List[int]] = {}  # match -> owners, in install order
+        self._records: Dict[int, tuple] = {}  # owner -> (lsp, match, rules)
+        self._holders: Dict[FlowMatch, int] = {}  # match -> its owner
         self._count = 0  # the per-switch rules the records program
         self.drops: list = []  # blocked requests, as the controller passed them
 
@@ -62,8 +63,9 @@ class Fabric:
     def _table(self) -> List[FlowRule]:
         """Every rule the records program, in (switch, match key) order."""
         hops = self.topology.route_hops
-        rules = [FlowRule(switch, match, port, rate, owner)
-                 for owner, (route, match, rate, _rules) in self._records.items() for switch, port in hops[route]]
+        rules = [FlowRule(switch, match, port, lsp.demand_kbps, owner)
+                 for owner, (lsp, match, _rules) in self._records.items()
+                 for switch, port in hops[lsp.path, lsp.src_host]]
         return sorted(rules, key=lambda rule: (rule.switch_id, rule.match.key()))
 
     def rules_on(self, switch: str) -> List[FlowRule]:
@@ -81,26 +83,19 @@ class Fabric:
     def install_path(self, lsp: Lsp, match: FlowMatch) -> int:
         """One forwarding rule per interior switch of the LSP's path, each
         toward the path's next link, all or nothing; returns how many.  An
-        owner already installed, or a match that another owner holds on a
-        switch of the route, raises ``RuleConflict`` and writes nothing; the
-        latter names the first such switch on the route."""
-        owner, _c, rate, path, src_host, _admit_time = lsp
+        owner already installed, or a match that another owner holds, raises
+        ``RuleConflict`` and writes nothing; the latter names that owner."""
+        owner, _c, _demand, path, src_host, _admit_time = lsp
         if owner is None:
             raise ValueError("forward rules must carry an owner LSP")
-        route = path, src_host
-        hops = self.topology.route_hops[route]
+        rules = len(self.topology.route_hops[path, src_host])
         records = self._records
         if owner in records:
             raise RuleConflict("LSP %d already holds rules" % owner)
-        holders = self._holders.setdefault(match, [])
-        if holders:  # a shared match: refused where the routes share a switch
-            held = {switch for other in holders for switch, _port in self.topology.route_hops[records[other][0]]}
-            for switch, _port in hops:
-                if switch in held:
-                    raise RuleConflict("%s already has a rule for %s" % (switch, match.key()))
-        holders.append(owner)
-        rules = len(hops)
-        records[owner] = route, match, rate, rules
+        holder = self._holders.setdefault(match, owner)
+        if holder != owner:
+            raise RuleConflict("LSP %d already has a rule for %s" % (holder, match.key()))
+        records[owner] = lsp, match, rules
         self._count += rules
         return rules
 
@@ -112,11 +107,8 @@ class Fabric:
             return 0
         # The record keeps its rule count: a teardown that looked its route
         # up again would pay a cold read of the route cache.
-        _route, match, _rate, rules = record
-        holders = self._holders.pop(match)
-        if len(holders) > 1:  # a shared match: the other owners keep it
-            holders.remove(lsp_id)
-            self._holders[match] = holders
+        _lsp, match, rules = record
+        del self._holders[match]
         self._count -= rules
         return rules
 

@@ -75,6 +75,7 @@ class DemandEntry:
     class_index: int
     count: int
     start_cycle: int = 0
+    line: int = 0  # its flows line in the source, which rejections name; 0 if built in code
 
 
 @dataclass
@@ -171,7 +172,7 @@ def parse_text(text: str, source: str = "<string>") -> Scenario:
             raise ParseError("%s:%d: content before any section" % (source, lineno))
         tok = line.split()
         try:
-            _parse_line(scn, section, tok)
+            _parse_line(scn, section, tok, lineno)
         except ValidationError as exc:
             raise ValidationError("%s:%d: %s" % (source, lineno, exc)) from None
         except (ScenarioError, ValueError, IndexError) as exc:
@@ -201,7 +202,7 @@ def parse_text(text: str, source: str = "<string>") -> Scenario:
     return scn
 
 
-def _parse_line(scn: Scenario, section: str, tok: List[str]) -> None:
+def _parse_line(scn: Scenario, section: str, tok: List[str], lineno: int) -> None:
     key = tok[0]
     if section == "topology":
         if key == "node":
@@ -268,7 +269,7 @@ def _parse_line(scn: Scenario, section: str, tok: List[str]) -> None:
             raise ScenarioError("unknown demand directive %r" % key)
         if tok[3] != "class" or tok[5] != "count":
             raise ScenarioError("expected: flows <src> <dst> class <c> count <n> [start_cycle <k>]")
-        entry = DemandEntry(tok[1], tok[2], int(tok[4]), int(tok[6]))
+        entry = DemandEntry(tok[1], tok[2], int(tok[4]), int(tok[6]), line=lineno)
         if len(tok) > 7:
             if tok[7] != "start_cycle":
                 raise ScenarioError("expected start_cycle, got %r" % tok[7])
@@ -306,18 +307,17 @@ def _validate(scn: Scenario) -> None:
         if lid not in link_ids:
             raise ValidationError("%s: bc links reference unknown link %s" % (src, lid))
     for d in scn.demands:
+        at = "%s:%d" % (src, d.line)
         if d.src not in hosts or d.dst not in hosts:
-            raise ValidationError("%s: demand endpoints must be hosts" % src)
+            raise ValidationError("%s: demand endpoints must be hosts" % at)
         if d.src == d.dst:
-            raise ValidationError(
-                "%s: demand %s -> %s has the same source and destination" % (src, d.src, d.dst)
-            )
+            raise ValidationError("%s: demand %s -> %s has the same source and destination" % (at, d.src, d.dst))
         if not 0 <= d.class_index < scn.n_classes:
-            raise ValidationError("%s: demand references unknown class %d" % (src, d.class_index))
+            raise ValidationError("%s: demand references unknown class %d" % (at, d.class_index))
         if d.count < 0:
-            raise ValidationError("%s: demand count must be >= 0" % src)
+            raise ValidationError("%s: demand count must be >= 0" % at)
         if not 0 <= d.start_cycle < scn.run.cycles:
-            raise ValidationError("%s: start_cycle %d outside run" % (src, d.start_cycle))
+            raise ValidationError("%s: start_cycle %d outside run" % (at, d.start_cycle))
     if scn.run.cycles < 1 or scn.run.cycle_length <= 0 or scn.run.lsp_lifetime <= 0:
         raise ValidationError("%s: run parameters out of range" % src)
     total = sum(d.count for d in scn.demands)
@@ -363,9 +363,10 @@ def build(scn: Scenario) -> Tuple[NetworkState, Fabric, List[bam.ReconfigEvent]]
         try:
             topo.route_hops[topo.shortest_path(d.src, d.dst), d.src]
         except NoRoute:
-            raise ValidationError("%s: no route for demand %s -> %s" % (scn.source, d.src, d.dst)) from None
+            raise ValidationError("%s:%d: no route for demand %s -> %s" % (scn.source, d.line, d.src, d.dst)) from None
         except UnknownSwitch as host:  # a host has no flow table to forward with
-            raise ValidationError("%s: demand %s -> %s crosses host %s" % (scn.source, d.src, d.dst, host)) from None
+            raise ValidationError("%s:%d: demand %s -> %s crosses host %s"
+                                  % (scn.source, d.line, d.src, d.dst, host)) from None
     classes = [TrafficClass(kbps(c.rate_mbps)) for c in scn.classes]
     try:
         state = NetworkState(topo, classes, _bc_config(scn, scn.bc_mbps, scn.bc_percent))

@@ -84,13 +84,14 @@ def put_in_place(state: NetworkState, lsp_id: int, new):
     return new
 
 
-def plant(fabric: Fabric, owner, route, match: FlowMatch, rate, rules) -> None:
+def plant(fabric: Fabric, owner, lsp, match: FlowMatch, rules) -> None:
     """Write a record straight into a fabric's records and conflict index,
     leaving its rule count as it is and checking nothing, as a corrupted
-    fabric could hold it.  ``Fabric.install_path`` writes only an LSP's own
-    record, once, with the LSP's route and demand."""
-    fabric._records[owner] = (route, match, rate, rules)
-    fabric._holders.setdefault(match, []).append(owner)
+    fabric could hold it: the match's index entry names ``owner`` from now
+    on.  ``Fabric.install_path`` writes only an LSP's own record, once,
+    under a match no other LSP holds."""
+    fabric._records[owner] = (lsp, match, rules)
+    fabric._holders[match] = owner
 
 
 def fill(state: NetworkState, class_index: int, count: int, first_id: int, t0: float = 0.0,

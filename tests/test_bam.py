@@ -1152,14 +1152,14 @@ class TestRememberedDenyRow:
 
 def check_fabric_by_rebuild(state, fabric):
     """check_fabric as a rebuild, kept as the reference the package's check
-    must agree with: every record names an active LSP and holds its route,
-    its demand and as many rules as the route has interior nodes, walked
-    here from the route's source over the links' endpoints; every active LSP
-    holds a record; the conflict index equals one rebuilt match by match,
-    each match's owners in record order; and the running rule count is the
-    records' sum.  On a fabric that passes, the per-switch views must also
-    be the rules the walks program, with ports numbered as the topology
-    numbers them."""
+    must agree with: every record names an active LSP, holds that LSP (or an
+    equal copy) and as many rules as its route has interior nodes, walked
+    here from the route's source over the links' endpoints, and shares its
+    match with no record before it; every active LSP holds a record; the
+    conflict index equals one rebuilt match by match; and the running rule
+    count is the records' sum.  On a fabric that passes, the per-switch
+    views must also be the rules the walks program, with ports numbered as
+    the topology numbers them."""
     active, records, links = state.active_lsps, fabric._records, state.topology.links
 
     def walk(path, node):
@@ -1171,32 +1171,29 @@ def check_fabric_by_rebuild(state, fabric):
             hops.append((node, out))
         return hops
 
-    for owner, (route, match, rate, rules) in records.items():
+    items = list(records.items())
+    for i, (owner, (lsp, match, rules)) in enumerate(items):
         if owner not in active:
             raise InvariantViolation("fabric record owner %r is not an active LSP" % (owner,))
-        lsp = active[owner]
-        if route != (lsp.path, lsp.src_host):
-            raise InvariantViolation("LSP %r fabric record route %r != its route %r"
-                                     % (owner, route, (lsp.path, lsp.src_host)))
-        if rate != lsp.demand_kbps:
-            raise InvariantViolation("LSP %r fabric record rate %r != its demand %r"
-                                     % (owner, rate, lsp.demand_kbps))
+        if not (lsp is active[owner] or lsp == active[owner]):
+            raise InvariantViolation("LSP %r fabric record holds another LSP %r" % (owner, lsp))
         interior = len(walk(lsp.path, lsp.src_host))
         if rules != interior:
             raise InvariantViolation("LSP %r fabric record counts %r rules != %r on its route"
                                      % (owner, rules, interior))
+        earlier = [other for other, record in items[:i] if record[1] == match]
+        if earlier:
+            raise InvariantViolation("LSP %r fabric record shares its match with LSP %r" % (owner, earlier[0]))
     missing = [lsp_id for lsp_id in active if lsp_id not in records]
     if missing:
         raise InvariantViolation("LSP %r holds no fabric record" % missing[0])
-    matches = {record[1] for record in records.values()}
-    index = {match: [owner for owner, record in records.items() if record[1] == match] for match in matches}
-    if fabric._holders != index:
+    if fabric._holders != {record[1]: owner for owner, record in items}:
         raise InvariantViolation("fabric conflict index disagrees with the records")
     table = []
-    for owner, ((path, src), match, rate, _rules) in records.items():
-        for node, out in walk(path, src):
+    for owner, (lsp, match, _rules) in items:
+        for node, out in walk(lsp.path, lsp.src_host):
             ports = sorted(lid for lid, link in links.items() if node in (link.a, link.b))
-            table.append(FlowRule(node, match, ports.index(out) + 1, rate, owner))
+            table.append(FlowRule(node, match, ports.index(out) + 1, lsp.demand_kbps, owner))
     if fabric._count != len(table):
         raise InvariantViolation("fabric rule count %r != %d rules in the records" % (fabric._count, len(table)))
     for switch in state.topology.switches:
@@ -1243,84 +1240,80 @@ def _unowned_record(state, fabric, rng):
         plant(fabric, max([*fabric._records, *state.active_lsps]) + 1, *fabric._records[owner])
 
 
-def _reroute_record(state, fabric, rng):
-    """A record holding its path cut short, or reversed."""
+def _swap_record_lsp(state, fabric, rng):
+    """A record holding another LSP: another active one, or a copy of its
+    own with its path cut short or reversed, another source or another
+    demand."""
     owner = _some_owner(fabric, rng)
     if owner is not None:
-        (path, src), match, rate, rules = fabric._records[owner]
-        fabric._records[owner] = (rng.choice([path[:-1], path[::-1]]), src), match, rate, rules
+        lsp, match, rules = fabric._records[owner]
+        others = [state.active_lsps[i] for i in sorted(state.active_lsps) if i != owner]
+        other = rng.choice([
+            rng.choice(others) if others else lsp._replace(path=lsp.path[:-1]),
+            lsp._replace(path=rng.choice([lsp.path[:-1], lsp.path[::-1]])),
+            lsp._replace(src_host=rng.choice([host for host in "ABCD" if host != lsp.src_host])),
+            lsp._replace(demand_kbps=lsp.demand_kbps + rng.choice([-1, 1, 1000])),
+        ])
+        fabric._records[owner] = other, match, rules
 
 
 def _miscount_record(state, fabric, rng):
-    """A record's rate or rule count moved, or the fabric's running count."""
+    """A record's rule count moved, or the fabric's running count."""
     owner = _some_owner(fabric, rng)
     if owner is not None:
-        route, match, rate, rules = fabric._records[owner]
+        lsp, match, rules = fabric._records[owner]
         step = rng.choice([-1, 1, 1000])
-        what = rng.choice(["rate", "rules", "count"])
-        if what == "count":
+        if rng.random() < 0.5:
             fabric._count += step
         else:
-            fabric._records[owner] = route, match, rate + step * (what == "rate"), rules + step * (what == "rules")
-
-
-def _unfile(fabric, owner):
-    """Take an owner out of its match's entry, and the entry with it once empty."""
-    match = fabric._records[owner][1]
-    fabric._holders[match].remove(owner)
-    if not fabric._holders[match]:
-        del fabric._holders[match]
+            fabric._records[owner] = lsp, match, rules + step
 
 
 def _drop_holder(state, fabric, rng):
     owner = _some_owner(fabric, rng)
     if owner is not None:
-        _unfile(fabric, owner)
+        del fabric._holders[fabric._records[owner][1]]
 
 
 def _extra_holder(state, fabric, rng):
-    """An owner filed twice, an id no record has added to an entry, or an
-    empty entry under a match no record has."""
+    """An entry under a match no record has, naming a record's owner or an
+    id no record has."""
     owner = _some_owner(fabric, rng)
     if owner is not None:
-        extra = rng.choice([owner, max(fabric._records) + 1, None])
-        if extra is None:
-            fabric._holders[FlowMatch("10.9.9.9", "10.9.9.9", 1, 1)] = []
-        else:
-            fabric._holders[rng.choice(list(fabric._holders))].append(extra)
+        extra = rng.choice([owner, max(fabric._records) + 1])
+        fabric._holders[FlowMatch("10.9.9.9", "10.9.9.9", 1, 1)] = extra
 
 
 def _move_holder(state, fabric, rng):
-    """An owner filed under another record's match, or a match no record has."""
+    """An owner's entry moved under another record's match, or a match no
+    record has."""
     owner = _some_owner(fabric, rng)
     if owner is not None:
-        _unfile(fabric, owner)
+        del fabric._holders[fabric._records[owner][1]]
         others = [record[1] for other, record in fabric._records.items() if other != owner]
-        match = rng.choice(others + [FlowMatch("10.9.9.9", "10.9.9.9", 1, 1)])
-        fabric._holders.setdefault(match, []).append(owner)
+        fabric._holders[rng.choice(others + [FlowMatch("10.9.9.9", "10.9.9.9", 1, 1)])] = owner
 
 
-def _reorder_holders(state, fabric, rng):
-    """A later record moved onto an earlier one's match, filed before it."""
+def _share_match(state, fabric, rng):
+    """Two records on one match: a record moved onto another's, its own
+    entry dropped, and the match filed under either of the two."""
     owners = list(fabric._records)
     if len(owners) > 1:
-        first, later = sorted(rng.sample(range(len(owners)), 2))
-        first, later = owners[first], owners[later]
-        _unfile(fabric, later)
-        route, _match, rate, rules = fabric._records[later]
-        match = fabric._records[first][1]
-        fabric._records[later] = route, match, rate, rules
-        holders = fabric._holders[match]
-        holders.insert(holders.index(first), later)
+        owner, holder = rng.sample(owners, 2)
+        lsp, match, rules = fabric._records[owner]
+        held = fabric._records[holder][1]
+        del fabric._holders[match]
+        fabric._records[owner] = lsp, held, rules
+        fabric._holders[held] = rng.choice([owner, holder])
 
 
 def _copy_record(state, fabric, rng):
-    """An equal copy of a record: both checks compare records by value, so
-    this passes."""
+    """A record holding an equal copy of its LSP: both checks take an equal
+    LSP for the registry's, so this passes."""
     owner = _some_owner(fabric, rng)
     if owner is not None:
-        (path, src), match, rate, rules = fabric._records[owner]
-        fabric._records[owner] = ((*path,), src), match, rate, rules
+        lsp, match, rules = fabric._records[owner]
+        fabric._records[owner] = lsp._replace(path=(*lsp.path,)), match, rules
 
 
 def _class_entries(state, rng):
@@ -1424,8 +1417,8 @@ def _copy_entry_lsp(state, fabric, rng):
 CORRUPTIONS = [
     None,
     # fabric records and conflict index
-    _drop_record, _orphan_record, _unowned_record, _reroute_record, _miscount_record,
-    _drop_holder, _extra_holder, _move_holder, _reorder_holders, _copy_record,
+    _drop_record, _orphan_record, _unowned_record, _swap_record_lsp, _miscount_record,
+    _drop_holder, _extra_holder, _move_holder, _share_match, _copy_record,
     # class lists
     _drop_entry, _duplicate_entry, _move_entry_to_other_class, _swap_entries, _swap_tied_entries,
     _move_admit_time,

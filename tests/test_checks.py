@@ -15,7 +15,7 @@ from bamsim.checks import (
     check_state,
 )
 from bamsim.controller import Classifier, Controller, LspRequest
-from bamsim.fabric import Fabric, FlowMatch
+from bamsim.fabric import Fabric, FlowMatch, RuleConflict
 
 from helpers import admit, plant, put_in_place, replace_lsp, single_link_state
 
@@ -197,13 +197,19 @@ def two_route_pair(requests):
     return state, fabric
 
 
-def _misfile(state, fabric):
-    """LSP 2's record moved onto LSP 1's match, filed before LSP 1."""
-    route, _match, rate, rules = fabric._records[2]
-    match = fabric._records[1][1]
-    del fabric._holders[fabric._records[2][1]]
-    fabric._records[2] = route, match, rate, rules
-    fabric._holders[match] = [2, 1]
+def _hold(fabric, owner, lsp):
+    """Make ``owner``'s fabric record hold ``lsp``."""
+    _lsp, match, rules = fabric._records[owner]
+    fabric._records[owner] = lsp, match, rules
+
+
+def _share(fabric, owner, holder):
+    """Move ``owner``'s record onto ``holder``'s match, and its index entry
+    with it."""
+    lsp, match, rules = fabric._records[owner]
+    held = fabric._records[holder][1]
+    fabric._records[owner] = lsp, held, rules
+    fabric._holders[held] = fabric._holders.pop(match)
 
 
 def _matches(fabric):
@@ -211,6 +217,7 @@ def _matches(fabric):
 
 
 _INDEX = "fabric conflict index disagrees with the records"
+_LSP_2 = Lsp(2, 0, 5000, ("L4", "L3"), "C", 2.0)
 
 # (corrupt, message) on ``two_route_pair([("A", 1), ("C", 2)])``: the
 # records and the conflict index, one fault at a time.
@@ -218,23 +225,28 @@ FABRIC_CORRUPTIONS = {
     "record_missing": (lambda s, f: f._records.pop(1), "LSP 1 holds no fabric record"),
     "record_retired": (lambda s, f: release(s, 2, LspState.COMPLETED), "fabric record owner 2 is not an active LSP"),
     "record_unowned": (lambda s, f: plant(f, 9, *f._records[1]), "fabric record owner 9 is not an active LSP"),
-    "wrong_route": (lambda s, f: f._records.__setitem__(1, (f._records[2][0], *f._records[1][1:])),
-                    "LSP 1 fabric record route (('L4', 'L3'), 'C') != its route (('L1', 'L2', 'L3'), 'A')"),
-    "wrong_source": (lambda s, f: f._records.__setitem__(2, ((("L4", "L3"), "B"), *f._records[2][1:])),
-                     "LSP 2 fabric record route (('L4', 'L3'), 'B') != its route (('L4', 'L3'), 'C')"),
-    "wrong_rate": (lambda s, f: f._records.__setitem__(2, (*f._records[2][:2], 5001, f._records[2][3])),
-                   "LSP 2 fabric record rate 5001 != its demand 5000"),
-    "wrong_rule_count": (lambda s, f: f._records.__setitem__(1, (*f._records[1][:3], 3)),
+    "record_holds_another_lsp": (lambda s, f: _hold(f, 1, s.active_lsps[2]),
+                                 "LSP 1 fabric record holds another LSP %r" % (_LSP_2,)),
+    "record_holds_a_rerouted_copy": (lambda s, f: _hold(f, 2, _LSP_2._replace(path=("L4",))),
+                                     "LSP 2 fabric record holds another LSP %r" % (_LSP_2._replace(path=("L4",)),)),
+    "record_holds_a_copy_from_another_source": (
+        lambda s, f: _hold(f, 2, _LSP_2._replace(src_host="B")),
+        "LSP 2 fabric record holds another LSP %r" % (_LSP_2._replace(src_host="B"),)),
+    "record_holds_a_rerated_copy": (lambda s, f: _hold(f, 2, _LSP_2._replace(demand_kbps=5001)),
+                                    "LSP 2 fabric record holds another LSP %r" % (_LSP_2._replace(demand_kbps=5001),)),
+    "wrong_rule_count": (lambda s, f: f._records.__setitem__(1, (*f._records[1][:2], 3)),
                          "LSP 1 fabric record counts 3 rules != 2 on its route"),
     "rule_count_drift": (lambda s, f: setattr(f, "_count", f._count + 1), "fabric rule count 4 != 3 rules in the records"),
     "entry_missing": (lambda s, f: f._holders.pop(_matches(f)[0]), _INDEX),
-    "entry_extra": (lambda s, f: f._holders[_matches(f)[1]].append(9), _INDEX),
-    "entry_twice": (lambda s, f: f._holders[_matches(f)[1]].append(2), _INDEX),
-    "entry_under_another_owner": (lambda s, f: f._holders.__setitem__(_matches(f)[0], [2]), _INDEX),
+    "entry_extra": (lambda s, f: f._holders.__setitem__(FlowMatch("10.0.0.9", "10.0.0.2", 1, 2), 9), _INDEX),
+    "entry_twice": (lambda s, f: f._holders.__setitem__(FlowMatch("10.0.0.9", "10.0.0.2", 1, 2), 2), _INDEX),
+    "entry_under_another_owner": (lambda s, f: f._holders.__setitem__(_matches(f)[0], 2), _INDEX),
     "entry_under_another_match": (lambda s, f: f._holders.__setitem__(
         FlowMatch("10.0.0.9", "10.0.0.2", 1, 2), f._holders.pop(_matches(f)[0])), _INDEX),
-    "entry_empty": (lambda s, f: f._holders.__setitem__(FlowMatch("10.0.0.9", "10.0.0.2", 1, 2), []), _INDEX),
-    "entry_order": (_misfile, _INDEX),
+    "shared_match_filed_under_the_later": (lambda s, f: _share(f, 2, 1),
+                                           "LSP 2 fabric record shares its match with LSP 1"),
+    "shared_match_filed_under_the_earlier": (lambda s, f: (_share(f, 2, 1), f._holders.__setitem__(_matches(f)[0], 1)),
+                                             "LSP 2 fabric record shares its match with LSP 1"),
 }
 
 
@@ -259,7 +271,7 @@ class TestFabricChecks:
         # can only be planted, as a corrupted fabric would hold it.
         state, fabric, _events = scenario.build(scenario.load("exp1_rdm"))
         match = FlowMatch("10.0.0.1", "10.0.0.4", 20001, 30001)
-        plant(fabric, None, (("L1", "L4"), "HS1"), match, 0, 1)
+        plant(fabric, None, Lsp(None, 0, 0, ("L1", "L4"), "HS1", 0.0), match, 1)
         with pytest.raises(InvariantViolation, match="fabric record owner None is not an active LSP"):
             check_fabric(state, fabric)
 
@@ -279,26 +291,30 @@ class TestFabricChecks:
         assert str(err.value) == message
 
     def test_second_lsp_on_a_route_is_held_to_its_own_record(self):
-        # LSP 1's record is right first; LSP 2 on the same route must still
-        # be held to its own route and demand.
+        # LSP 1's record is right first; LSP 2 on the same route, with the
+        # same demand, must still hold itself, not LSP 1 or a changed copy.
         state, fabric = two_route_pair([("A", 1), ("A", 2)])
         check_fabric(state, fabric)
-        route, match, rate, rules = fabric._records[2]
-        fabric._records[2] = route, match, rate // 2, rules
-        with pytest.raises(InvariantViolation, match="LSP 2 fabric record rate 2500 != its demand 5000"):
-            check_fabric(state, fabric)
+        lsp = state.active_lsps[2]
+        for other in (state.active_lsps[1], lsp._replace(demand_kbps=2500)):
+            _hold(fabric, 2, other)
+            with pytest.raises(InvariantViolation) as err:
+                check_fabric(state, fabric)
+            assert str(err.value) == "LSP 2 fabric record holds another LSP %r" % (other,)
+        _hold(fabric, 2, lsp._replace())  # an equal copy is its LSP
+        check_fabric(state, fabric)
 
     @pytest.mark.parametrize("order", [("A", "C"), ("C", "A")], ids=["long_first", "short_first"])
     def test_each_record_keeps_its_own_route(self, order):
         # A -> B crosses S1 and S2, C -> B only S2.  Records swapped between
-        # the two LSPs fail at the first record; a record dropped fails at
-        # its LSP.
+        # the two LSPs fail at the first record, whichever route it holds; a
+        # record dropped fails at its LSP.
         state, fabric = two_route_pair([(order[0], 1), (order[1], 2)])
         check_fabric(state, fabric)
         records = fabric._records
         first, second = records[1], records[2]
         records[1], records[2] = second, first
-        with pytest.raises(InvariantViolation, match=r"LSP 1 fabric record route \(\('L%s" % (4 if order[0] == "A" else 1)):
+        with pytest.raises(InvariantViolation, match=r"LSP 1 fabric record holds another LSP Lsp\(id=2, "):
             check_fabric(state, fabric)
         records[1], records[2] = first, second
         short = 1 if order[0] == "C" else 2
@@ -384,11 +400,12 @@ def _more_demand(state, _fabric):
     replace_lsp(state, 1, demand_kbps=state.active_lsps[1].demand_kbps + 1)
 
 
-def test_a_shared_match_installed_out_of_commit_order_passes_through_the_full_check(monkeypatch):
-    # Routes that end at a switch program no rule, so two of them may share a
-    # match.  Installed in the reverse of their commit order, their owners
-    # sit in the conflict index in install order, which the shadow, adding
-    # in commit order, does not predict: the full check decides, and passes.
+def test_a_shared_match_is_refused_on_install_and_fails_the_check_when_planted(monkeypatch):
+    # Routes that end at a switch program no rule, yet a match has one owner
+    # whatever the routes: the second install raises and writes nothing.  A
+    # record planted on the held match, as a corrupted fabric could hold it,
+    # is one the shadow of a passing call may not adopt: the full check
+    # decides, with the message it gives on a fresh state.
     from bamsim import checks
 
     state, fabric = two_route_pair([("A", 1)])
@@ -400,12 +417,17 @@ def test_a_shared_match_installed_out_of_commit_order_passes_through_the_full_ch
     match = FlowMatch("10.0.0.9", "10.0.0.2", 20007, 30007)
     for lsp in (first, second):
         _commit(state, lsp)
-    for lsp in (second, first):
-        assert fabric.install_path(lsp, match) == 0
-    check_all(state, fabric)
-    assert entered == [1] and fabric._holders[match] == [8, 7]
-    check_all(state, fabric)
-    assert entered == [1]
+    assert fabric.install_path(first, match) == 0
+    before = dict(fabric._records), dict(fabric._holders), fabric.rule_count()
+    with pytest.raises(RuleConflict) as err:
+        fabric.install_path(second, match)
+    assert str(err.value) == "LSP 7 already has a rule for tcp/10.0.0.9:20007->10.0.0.2:30007"
+    assert (dict(fabric._records), dict(fabric._holders), fabric.rule_count()) == before
+    plant(fabric, 8, second, match, 0)
+    expected = verdict(_check_fabric_in_full, state, fabric)
+    assert expected == "InvariantViolation: LSP 8 fabric record shares its match with LSP 7"
+    entered.clear()
+    assert verdict(check_all, state, fabric) == expected and entered == [1]
 
 
 def test_a_legal_release_of_a_float_demand_raises_as_the_recount_does():
@@ -476,16 +498,19 @@ SHADOWED = {
     # An LSP added since the passing call, with its record changed after
     # install_path wrote it: the shadow must check each field it adopts.
     "added_record_rerouted": (lambda: two_route_pair([("A", 1)]), lambda s, f: _readmit_from_c(
-        s, f, lambda route, match, rate, rules: ((("L4",), "C"), match, rate, rules))),
+        s, f, lambda lsp, match, rules: (lsp._replace(path=("L4",)), match, rules))),
     "added_record_rerated": (lambda: two_route_pair([("A", 1)]), lambda s, f: _readmit_from_c(
-        s, f, lambda route, match, rate, rules: (route, match, rate + 1, rules))),
+        s, f, lambda lsp, match, rules: (lsp._replace(demand_kbps=lsp.demand_kbps + 1), match, rules))),
     "added_record_miscounted": (lambda: two_route_pair([("A", 1)]), lambda s, f: (_readmit_from_c(
-        s, f, lambda route, match, rate, rules: (route, match, rate, rules + 1)), setattr(f, "_count", f._count + 1))),
+        s, f, lambda lsp, match, rules: (lsp, match, rules + 1)), setattr(f, "_count", f._count + 1))),
+    "added_record_on_a_held_match": (lambda: two_route_pair([("A", 1)]), lambda s, f: _readmit_from_c(
+        s, f, lambda lsp, match, rules: (lsp, f._records[1][1], rules))),
     # The state holds, and the new route cannot be walked from C.  No
-    # fabric check walks a route, so the record's rate is what fails.
+    # fabric check walks a route, so the record's LSP, planted with another
+    # demand, is what fails.
     "route_not_walkable": (lambda: two_route_pair([("A", 1)]), lambda s, f: (
         _commit(s, Lsp(7, 0, 5000, ("L1", "L2", "L3"), "C", 7.0)),
-        plant(f, 7, (("L1", "L2", "L3"), "C"), FlowMatch("10.0.0.3", "10.0.0.2", 20007, 30007), 1, 2))),
+        plant(f, 7, Lsp(7, 0, 1, ("L1", "L2", "L3"), "C", 7.0), FlowMatch("10.0.0.3", "10.0.0.2", 20007, 30007), 2))),
 }
 
 
@@ -533,6 +558,13 @@ def _admit(state, fabric, lsp):
 def _commit(state, lsp):
     state.counters.requested[lsp.class_index] += 1
     commit(state, lsp)
+
+
+def _admit_with_an_equal_copy(state, fabric):
+    """Admit LSP 7 from C; its fabric record holds an equal copy of it."""
+    _commit_from_c(state, fabric, 7, 5000)
+    if fabric is not None:
+        _hold(fabric, 7, state.active_lsps[7]._replace())
 
 
 def _register(lsp):
@@ -597,6 +629,8 @@ UNADOPTED = {
                        "InvariantViolation: class lists disagree"),
     "key_at_the_walk_start": (lambda s, f: _commit(s, Lsp(0, 0, 5000, _A_TO_B, "A", float("-inf"))),
                               lambda s, f: None, "InvariantViolation: class lists disagree"),
+    # A record that holds an equal copy, not the registry's LSP itself.
+    "equal_copy_in_a_record": (_admit_with_an_equal_copy, lambda s, f: None, "pass"),
     # A route that ends at a switch has no interior switch, so the LSP's
     # record programs no rule.
     "no_interior_switch": (lambda s, f: _admit(s, f, Lsp(7, 0, 5000, ("L4",), "C", 7.0)), lambda s, f: None, "pass"),

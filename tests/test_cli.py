@@ -225,7 +225,8 @@ class TestRun:
         path.write_text(HOST_TRANSIT)
         code = run_cli(["run", str(path), "--quiet", "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_BAD_INPUT
-        assert "error: %s: demand A -> C crosses host B" % path in capsys.readouterr().err
+        lineno = HOST_TRANSIT.splitlines().index("flows A C class 0 count 3") + 1
+        assert "error: %s:%d: demand A -> C crosses host B" % (path, lineno) in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_overlapping_port_ranges_are_bad_input(self, tmp_path, capsys):
@@ -302,7 +303,17 @@ class TestValidate:
         path = tmp_path / "transit.scn"
         path.write_text(HOST_TRANSIT)
         assert run_cli(["validate", str(path)]) == cli.EXIT_BAD_INPUT
-        assert "error: %s: demand A -> C crosses host B" % path in capsys.readouterr().err
+        lineno = HOST_TRANSIT.splitlines().index("flows A C class 0 count 3") + 1
+        assert "error: %s:%d: demand A -> C crosses host B" % (path, lineno) in capsys.readouterr().err
+
+    def test_a_demand_rejection_names_its_line_and_is_bad_input(self, tmp_path, capsys):
+        bad = tmp_path / "q.scn"
+        bad.write_text(MINI.replace("flows A B class 1", "flows A X class 1"))
+        lineno = MINI.splitlines().index("flows A B class 1 count 10") + 1
+        assert run_cli(["validate", str(bad)]) == cli.EXIT_BAD_INPUT == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s:%d: demand endpoints must be hosts\n" % (bad, lineno)
 
     def test_overlapping_port_ranges_are_bad_input(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"

@@ -86,14 +86,17 @@ class TestInstallLookup:
         with pytest.raises(UnknownSwitch):
             fabric.rules_on("S9")
 
-    def test_conflicting_slot_rejected(self):
+    def test_conflicting_match_rejected(self):
         fabric = Fabric(line_topology())
         fabric.install_path(lsp_on(1, ("L1", "L4"), "HS1"), MATCH)  # S1
         with pytest.raises(RuleConflict):
             fabric.install_path(lsp_on(2, ("L1", "L4", "L2"), "HS1"), MATCH)  # S1, S2
-        # same match on another switch is a different slot
-        fabric.install_path(lsp_on(3, ("L2", "L5"), "HS2"), MATCH)  # S2
-        assert fabric.rule_count() == 2
+        # a match has one owner, on any switch
+        with pytest.raises(RuleConflict):
+            fabric.install_path(lsp_on(3, ("L2", "L5"), "HS2"), MATCH)  # S2
+        assert fabric.rule_count() == 1
+        fabric.remove_by_owner(1)
+        assert fabric.install_path(lsp_on(3, ("L2", "L5"), "HS2"), MATCH) == 1
 
 
 class TestInstallPath:
@@ -143,27 +146,16 @@ class TestInstallPath:
 
 
 class TestRuleConflict:
-    """A conflict is another active owner with the same match on a switch
-    of the new route; a refused install writes nothing."""
+    """A conflict is another active owner holding the same match, whatever
+    either route; a refused install writes nothing."""
 
-    def test_the_same_match_on_disjoint_routes_installs(self):
-        topo = line_topology()
-        fabric = Fabric(topo)
-        assert fabric.install_path(lsp_on(1, ("L1", "L4"), "HS1"), MATCH) == 1  # S1
-        assert fabric.install_path(lsp_on(2, ("L3", "L6"), "HS3", 1000), MATCH) == 1  # S3
-        assert fabric.lookup("S1", MATCH).owner == 1 and fabric.lookup("S3", MATCH).owner == 2
-        assert fabric.lookup("S2", MATCH) is None and fabric.rule_count() == 2
-        assert fabric.remove_by_owner(1) == 1
-        assert fabric.lookup("S1", MATCH) is None and fabric.lookup("S3", MATCH).owner == 2
-        with pytest.raises(RuleConflict, match="S3 already has a rule"):
-            fabric.install_path(lsp_on(3, ("L2", "L5", "L6"), "HS2"), MATCH)  # S2, S3
-        assert fabric.install_path(lsp_on(3, ("L1", "L4", "L2"), "HS1"), MATCH) == 2  # S1, S2
-
-    @pytest.mark.parametrize("path, src, first", [
-        (("L1", "L4", "L5", "L6"), "HS1", "S2"),  # S1, S2, S3
-        (("L6", "L5", "L4", "L1"), "DST", "S3"),  # S3, S2, S1
-    ], ids=["forward", "backward"])
-    def test_the_same_match_on_overlapping_routes_names_the_first_shared_switch(self, path, src, first):
+    @pytest.mark.parametrize("path, src", [
+        (("L1", "L4", "L5", "L6"), "HS1"),  # S1, S2, S3: overlapping, forward
+        (("L6", "L5", "L4", "L1"), "DST"),  # S3, S2, S1: overlapping, backward
+        (("L1", "L4"), "HS1"),  # S1: disjoint
+        (("L3",), "HS3"),  # no switch: ends at S3
+    ], ids=["overlapping_forward", "overlapping_backward", "disjoint", "switchless"])
+    def test_the_same_match_on_any_route_names_its_owner(self, path, src):
         topo = line_topology()
         fabric = Fabric(topo)
         fabric.install_path(lsp_on(1, ("L2", "L5", "L6"), "HS2"), MATCH)  # S2, S3
@@ -173,8 +165,11 @@ class TestRuleConflict:
         for _attempt in range(2):
             with pytest.raises(RuleConflict) as err:
                 fabric.install_path(lsp_on(3, path, src), MATCH)
-            assert str(err.value) == "%s already has a rule for %s" % (first, MATCH.key())
+            assert str(err.value) == "LSP 1 already has a rule for %s" % MATCH.key()
             assert snapshot(topo, fabric) == before
+        assert fabric.remove_by_owner(1) == 2
+        assert fabric.install_path(lsp_on(3, path, src), MATCH) == len(path) - 1  # retired: free again
+        assert fabric._holders == {other: 2, MATCH: 3}
 
     def test_reinstalling_an_active_owner_raises_and_writes_nothing(self):
         topo = line_topology()
@@ -226,34 +221,47 @@ class TestOwnerIndex:
 
     def test_random_installs_and_removals_agree_with_a_scan(self):
         # An owner is installed once, so each install takes a fresh id and
-        # each removal any id used so far, retired ones included.
+        # each removal any id used so far, retired ones included.  A model
+        # of the active owners' matches says when an install must raise:
+        # exactly when another active owner holds its match.
         rng = random.Random(4127)
         topo = line_topology()
         switches = sorted(topo.switches)
         hosts = sorted(topo.hosts)
         routes = [(topo.shortest_path(a, b), a) for a in hosts for b in hosts if a != b]
+        refused = 0
         for _trial in range(30):
             fabric = Fabric(topo)
             owners = [1]
+            held = {}  # active owner -> its match
             for _step in range(60):
                 if rng.random() < 0.7:
                     owner = owners[-1]
                     owners.append(owner + 1)
                     path, src = rng.choice(routes)
+                    match = rng.choice(self.MATCHES)
+                    holders = [other for other, taken in held.items() if taken == match]
                     try:
-                        fabric.install_path(lsp_on(owner, path, src, 1000), rng.choice(self.MATCHES))
-                    except RuleConflict:
-                        pass
+                        fabric.install_path(lsp_on(owner, path, src, 1000), match)
+                    except RuleConflict as err:
+                        assert str(err) == "LSP %d already has a rule for %s" % (holders[0], match.key())
+                        refused += 1
+                    else:
+                        assert holders == []
+                        held[owner] = match
                 else:
                     owner = rng.choice(owners)
                     expected = len(self.scan(fabric, owner))
                     assert fabric.remove_by_owner(owner) == expected
                     assert self.scan(fabric, owner) == []
                     assert fabric.remove_by_owner(owner) == 0  # idempotent
+                    held.pop(owner, None)
                 for o in owners:
                     assert fabric.owner_rules(o) == self.scan(fabric, o)
                 total = sum(len(fabric.rules_on(sw)) for sw in switches)
                 assert fabric.rule_count() == total
+                assert fabric._holders == {match: owner for owner, match in held.items()}
+        assert refused > 300, refused
 
 
 def ring_with_chords() -> Topology:
@@ -296,7 +304,7 @@ def named_state(name: str) -> NetworkState:
 
 
 def snapshot(topo: Topology, fabric: Fabric):
-    return (dict(fabric._records), {m: list(o) for m, o in fabric._holders.items()},
+    return (dict(fabric._records), dict(fabric._holders),
             fabric.rule_count(), fabric.dump(), {lid: list(link.alloc) for lid, link in topo.links.items()})
 
 
@@ -323,19 +331,19 @@ class TestRouteCaches:
             checked += 1
         assert checked > 0 and fabric.rule_count() == 0
 
-    def test_conflict_on_a_cached_route_names_the_first_slot_and_writes_nothing(self):
+    def test_conflict_on_a_cached_route_names_the_holder_and_writes_nothing(self):
         topo = line_topology()
         fabric = Fabric(topo)
         first = TestInstallPath().lsp(topo)
         fabric.install_path(first, MATCH)
         fabric.remove_by_owner(first.id)
         fabric.install_path(lsp_on(98, ("L3", "L6"), "HS3", 1000), MATCH)  # S3
-        fabric.install_path(lsp_on(99, ("L2", "L5"), "HS2", 1000), MATCH)  # S2
+        fabric.install_path(lsp_on(99, ("L2", "L5"), "HS2", 1000), FlowMatch("10.0.0.2", "10.0.0.4", 1, 2))  # S2
         before = snapshot(topo, fabric)
         for _attempt in range(2):
             with pytest.raises(RuleConflict) as err:
                 fabric.install_path(first, MATCH)
-            assert str(err.value) == "S2 already has a rule for tcp/10.0.0.1:20001->10.0.0.4:30001"
+            assert str(err.value) == "LSP 98 already has a rule for tcp/10.0.0.1:20001->10.0.0.4:30001"
             assert snapshot(topo, fabric) == before
 
     def test_failing_routes_raise_every_time_and_are_not_cached(self):

@@ -100,14 +100,20 @@ def test_the_fabric_of_a_half_finished_run_holds_no_flow_rule(name):
     seen = []
 
     def stop_halfway(kind, state, fabric):
-        seen.append(fabric)
+        seen.append((state, fabric))
         if len(seen) == total // 2:
             raise _Half
 
     with pytest.raises(_Half):
         scenario.simulate(scenario.load(name), on_event=stop_halfway)
-    fabric = seen[-1]
+    state, fabric = seen[-1]
     assert fabric.rule_count() > 0
-    held = list(_reachable(vars(fabric), skip=[fabric.topology]))
+    # Each record holds the registry's very LSP, not a copy of its fields.
+    assert [record[0] for record in fabric._records.values()] == list(state.active_lsps.values())
+    assert all(record[0] is state.active_lsps[owner] for owner, record in fabric._records.items())
+    held = list(_reachable(vars(fabric), skip=[fabric.topology, fabric.drops]))
     assert any(type(obj) is FlowMatch for obj in held)
     assert not any(isinstance(obj, FlowRule) for obj in held)
+    # One owner per match: no list of owners, nor any other list, besides
+    # the drop log.
+    assert not any(isinstance(obj, list) for obj in held)

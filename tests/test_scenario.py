@@ -272,6 +272,40 @@ class TestValidation:
         )
         assert parse(text).reconfigs[0].after_request == after
 
+    SECOND_FLOWS = "flows A B class 1 count 6 start_cycle 1"
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("flows A B", "flows A SW", "demand endpoints must be hosts"),
+        ("flows A B", "flows B B", "demand B -> B has the same source and destination"),
+        ("class 1 count", "class 7 count", "demand references unknown class 7"),
+        ("count 6", "count -1", "demand count must be >= 0"),
+        ("start_cycle 1", "start_cycle 3", "start_cycle 3 outside run"),
+    ], ids=["endpoints", "same_endpoints", "class", "count", "start_cycle"])
+    def test_a_demand_rejection_names_its_flows_line(self, old, new, message):
+        # The second flows line is the bad one, so a message naming the
+        # first, or the section, is caught.
+        text = MINI.replace(self.SECOND_FLOWS, self.SECOND_FLOWS.replace(old, new))
+        lineno = MINI.splitlines().index(self.SECOND_FLOWS) + 1
+        with pytest.raises(ValidationError) as err:
+            parse(text)
+        assert str(err.value) == "<test>:%d: %s" % (lineno, message)
+
+    @pytest.mark.parametrize("topology, flows, message", [
+        ("node C host", "flows A C class 1", "no route for demand A -> C"),
+        # A -> D over host C (L0, L01) ties with the route over SW (L1,
+        # L02), and the link-id tie-break takes C, which holds no flow table.
+        ("node C host\nnode D host\nlink L0 A C 100\nlink L01 C D 100\nlink L02 SW D 100",
+         "flows A D class 1", "demand A -> D crosses host C"),
+    ], ids=["no_route", "crosses_host"])
+    def test_a_route_rejection_names_its_flows_line(self, topology, flows, message):
+        line = self.SECOND_FLOWS.replace("flows A B class 1", flows)
+        text = MINI.replace("node SW switch", "node SW switch\n" + topology).replace(self.SECOND_FLOWS, line)
+        lineno = text.splitlines().index(line) + 1
+        scn = parse(text)
+        with pytest.raises(ValidationError) as err:
+            scenario.build(scn)
+        assert str(err.value) == "<test>:%d: %s" % (lineno, message)
+
     def test_demand_without_a_route_is_a_validation_error(self):
         text = MINI.replace("node SW switch", "node SW switch\nnode C host").replace(
             "flows A B class 1", "flows A C class 1"
@@ -287,7 +321,8 @@ class TestValidation:
         scn = parse(text)
         with pytest.raises(ValidationError) as err:
             scenario.build(scn)
-        assert str(err.value) == "<test>: demand A -> B crosses host C"
+        lineno = text.splitlines().index("flows A B class 0 count 12 start_cycle 0") + 1
+        assert str(err.value) == "<test>:%d: demand A -> B crosses host C" % lineno
 
     def test_bc_over_capacity_is_a_validation_error(self):
         scn = parse(MINI.replace("bc 50 50", "bc 150 50"))
