@@ -34,10 +34,11 @@ pending config takes the tighter of the two rows, releases only lower the
 ledger, a hard reconfiguration evicts down to its table, and a soft one is
 promoted only once the ledger breaches none of its rows.  The class lists
 are checked without sorting, and the fabric's records in one pass that
-recounts the conflict index and the rule count.  A record holds its LSP, so
-it is checked against the registry's LSP, not field by field.  No check
-walks a route or reads the route cache: the per-switch rules are a view of
-the records, and a route of n links programs n - 1 of them.
+recounts the conflict index and, from each record's route, the rule count.
+A record holds its LSP, so it is checked against the registry's LSP, not
+field by field.  No check walks a route or reads the route cache: the
+per-switch rules are a view of the records, and a route of n >= 1 links
+programs n - 1 of them.
 """
 
 from __future__ import annotations
@@ -154,9 +155,9 @@ def _check_class_lists(state: NetworkState) -> None:
 
 def check_fabric(state: NetworkState, fabric: Fabric, shadow: Optional[_Shadow] = None) -> None:
     """One fabric record per active LSP and none for a retired one, each
-    holding the registry's LSP and its route's rule count; no two records
-    share a match, and the conflict index files each record's owner under
-    its match; the fabric's running rule count is the records' sum."""
+    holding the registry's LSP; no two records share a match, and the
+    conflict index files each record's owner under its match; the fabric's
+    running rule count is the sum over the records' routes."""
     if shadow is not None and shadow.holds(fabric):
         return
     _check_fabric_in_full(state, fabric)
@@ -170,14 +171,14 @@ def _check_fabric_in_full(state: NetworkState, fabric: Fabric) -> None:
     active = state.active_lsps
     records = fabric._records
     holders: Dict[object, int] = {}
-    for owner, (lsp, match, rules) in records.items():
+    total = 0
+    for owner, (lsp, match) in records.items():
         registered = active.get(owner)
         if registered is None:
             _fail("fabric record owner %r is not an active LSP" % (owner,))
         if lsp is not registered and lsp != registered:
             _fail("LSP %r fabric record holds another LSP %r" % (owner, lsp))
-        if rules != _rules_on(lsp.path):
-            _fail("LSP %r fabric record counts %r rules != %r on its route" % (owner, rules, _rules_on(lsp.path)))
+        total += _rules_on(lsp.path)
         holder = holders.setdefault(match, owner)
         if holder != owner:
             _fail("LSP %r fabric record shares its match with LSP %r" % (owner, holder))
@@ -185,7 +186,6 @@ def _check_fabric_in_full(state: NetworkState, fabric: Fabric) -> None:
         _fail("LSP %r holds no fabric record" % next(i for i in active if i not in records))
     if holders != fabric._holders:
         _fail("fabric conflict index disagrees with the records")
-    total = sum(record[2] for record in records.values())
     if total != fabric._count:
         _fail("fabric rule count %r != %d rules in the records" % (fabric._count, total))
 
@@ -232,8 +232,8 @@ class _Shadow:
     Every record must be ``_plain``.  An added LSP must also have a class in
     range, a path over known links, and an age key above its class's newest,
     so that it appends.  Its fabric record is taken only if it holds that
-    very LSP and its route's rule count, under a match no other record
-    holds.  Otherwise the copies disagree and the full check decides."""
+    very LSP, under a match no other record holds.  Otherwise the copies
+    disagree and the full check decides."""
 
     def __init__(self) -> None:
         self.keys: Optional[List[int]] = None
@@ -302,18 +302,17 @@ class _Shadow:
         removed, added = self.delta
         records, holders = self.fabric, self.holders
         for lsp in removed:
-            _lsp, match, rules = records.pop(lsp.id)
-            del holders[match]
-            self.rules -= rules
+            del holders[records.pop(lsp.id)[1]]
+            self.rules -= _rules_on(lsp.path)
         live = fabric._records
         for lsp in added:
             record = live.get(lsp.id)
             if record is None:
                 return False
-            held, match, rules = record
-            if held is not lsp or rules != _rules_on(lsp.path) or match in holders:
+            held, match = record
+            if held is not lsp or match in holders:
                 return False
             records[lsp.id] = record
             holders[match] = lsp.id
-            self.rules += rules
+            self.rules += _rules_on(lsp.path)
         return live == records and fabric._holders == holders and fabric._count == self.rules

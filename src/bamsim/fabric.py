@@ -3,12 +3,13 @@
 An admitted LSP has one forwarding rule on every interior switch of its
 path, matched on the flow's match tuple, owned by the LSP and rate-limited
 to its demand.  Those rules follow from the LSP, so the fabric keeps only
-that intent: one record per LSP, ``owner -> (lsp, match, rules)``, holding
-the registry's own ``Lsp``, and a conflict index from each match to its one
+that intent: one record per LSP, ``owner -> (lsp, match)``, holding the
+registry's own ``Lsp``, and a conflict index from each match to its one
 owner, as an MPLS ingress maps each flow to one LSP, whatever the route.  A
 grant and a teardown touch one record and one index entry and build no
-per-switch object.  ``lookup``, ``rules_on``, ``owner_rules`` and ``dump``
-derive the per-switch ``FlowRule``s from the records and
+per-switch object; a route of n >= 1 links programs n - 1 rules, and a
+running count keeps their sum.  ``lookup``, ``rules_on``, ``owner_rules``
+and ``dump`` derive the per-switch ``FlowRule``s from the records and
 ``Topology.route_hops``.  A blocked request never lands in a table; the
 request itself is kept as an ephemeral drop record so the deny history
 stays inspectable.
@@ -52,7 +53,7 @@ class FlowRule(NamedTuple):
 class Fabric:
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
-        self._records: Dict[int, tuple] = {}  # owner -> (lsp, match, rules)
+        self._records: Dict[int, tuple] = {}  # owner -> (lsp, match)
         self._holders: Dict[FlowMatch, int] = {}  # match -> its owner
         self._count = 0  # the per-switch rules the records program
         self.drops: list = []  # blocked requests, as the controller passed them
@@ -60,25 +61,26 @@ class Fabric:
     def rule_count(self) -> int:
         return self._count
 
-    def _table(self) -> List[FlowRule]:
-        """Every rule the records program, in (switch, match key) order."""
+    def _table(self, records: Dict[int, tuple]) -> List[FlowRule]:
+        """Every rule ``records`` program, in (switch, match key) order."""
         hops = self.topology.route_hops
         rules = [FlowRule(switch, match, port, lsp.demand_kbps, owner)
-                 for owner, (lsp, match, _rules) in self._records.items()
+                 for owner, (lsp, match) in records.items()
                  for switch, port in hops[lsp.path, lsp.src_host]]
         return sorted(rules, key=lambda rule: (rule.switch_id, rule.match.key()))
 
     def rules_on(self, switch: str) -> List[FlowRule]:
         if switch not in self.topology.switches:
             raise UnknownSwitch(switch)
-        return [rule for rule in self._table() if rule.switch_id == switch]
+        return [rule for rule in self._table(self._records) if rule.switch_id == switch]
 
     def lookup(self, switch: str, match: FlowMatch) -> Optional[FlowRule]:
         """Pure read; None signals a table miss."""
         return next((rule for rule in self.rules_on(switch) if rule.match == match), None)
 
     def owner_rules(self, owner: int) -> List[FlowRule]:
-        return [rule for rule in self._table() if rule.owner == owner]
+        records = self._records
+        return self._table({owner: records[owner]} if owner in records else {})
 
     def install_path(self, lsp: Lsp, match: FlowMatch) -> int:
         """One forwarding rule per interior switch of the LSP's path, each
@@ -95,7 +97,7 @@ class Fabric:
         holder = self._holders.setdefault(match, owner)
         if holder != owner:
             raise RuleConflict("LSP %d already has a rule for %s" % (holder, match.key()))
-        records[owner] = lsp, match, rules
+        records[owner] = lsp, match
         self._count += rules
         return rules
 
@@ -105,10 +107,10 @@ class Fabric:
         record = self._records.pop(lsp_id, None)
         if record is None:
             return 0
-        # The record keeps its rule count: a teardown that looked its route
-        # up again would pay a cold read of the route cache.
-        _lsp, match, rules = record
+        lsp, match = record
         del self._holders[match]
+        path = lsp.path
+        rules = len(path) - 1 if path else 0  # the empty route programs none
         self._count -= rules
         return rules
 
@@ -120,4 +122,5 @@ class Fabric:
     def dump(self) -> str:
         """Stable textual table: switch, match, action, rate (Mbps), owner."""
         return "\n".join("%s\t%s\tfwd:%d\t%g\t%s" % (rule.switch_id, rule.match.key(), rule.out_port,
-                                                     mbps(rule.rate_kbps), rule.owner) for rule in self._table())
+                                                     mbps(rule.rate_kbps), rule.owner)
+                         for rule in self._table(self._records))

@@ -14,7 +14,10 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii
 from math import inf
+from operator import is_
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+
+from .core import Memo
 
 
 class MetricsRecord(NamedTuple):
@@ -41,8 +44,8 @@ def _csv_chunks(n_classes: int, cells: List) -> Iterator[str]:
     """The rows of a ``MetricsLog``'s cells: index, time, then per class the
     utilisation in Mbps, the blocked count and the preempted count.  The
     utilisation and preempted cells are rendered once, into the row format,
-    for consecutive rows that hold the same tuple object, as ``simulate``'s
-    rows do while they are equal."""
+    for consecutive rows that hold the same tuple object, as the log's rows
+    do while they are equal."""
     width = 4 + n_classes
     util_cells, count_cells = ",%g" * n_classes, ",%d" * n_classes
     util = preempted = object()  # matches no row's tuple
@@ -64,9 +67,9 @@ def _csv_chunks(n_classes: int, cells: List) -> Iterator[str]:
 class MetricsLog:
     """One row per request, appended in request order.  A row is kept as
     ``4 + n_classes`` cells, ``(util_kbps, preempted, request_index,
-    sim_time, *blocked)``: the two tuples by reference, so that equal rows
-    can share them, and the blocked counts by value.  Iterated, it yields
-    ``MetricsRecord``s."""
+    sim_time, *blocked)``: the two vectors as tuples, shared with the row
+    before while they equal its own, and the blocked counts by value.
+    Iterated, it yields ``MetricsRecord``s."""
 
     def __init__(self, n_classes: int) -> None:
         self.n_classes = n_classes
@@ -75,18 +78,27 @@ class MetricsLog:
 
     def append(self, record: Sequence) -> None:
         """Append ``(request_index, sim_time, util_kbps, blocked,
-        preempted)``, a ``MetricsRecord`` or a plain tuple.  ``blocked`` is
-        copied, so it may be a live counter list.  A row whose vectors are
-        not ``n_classes`` long, or whose index does not exceed the last one,
-        raises ValueError and leaves the log as it was."""
+        preempted)``, a ``MetricsRecord`` or a plain tuple.  The three
+        vectors are copied, so they may be live lists.  A row whose vectors
+        are not ``n_classes`` long, or whose index does not exceed the last
+        one, raises ValueError and leaves the log as it was."""
         index, time, util, blocked, preempted = record
+        util, preempted = tuple(util), tuple(preempted)
         n = self.n_classes
         if len(util) != n or len(blocked) != n or len(preempted) != n:
             raise ValueError("row %r: util_kbps, blocked and preempted must each hold %d values"
                              % (index, n))
         cells = self._cells
-        if cells and index <= cells[-2 - n]:
-            raise ValueError("request_index must be strictly increasing")
+        if cells:
+            if index <= cells[-2 - n]:
+                raise ValueError("request_index must be strictly increasing")
+            # -0.0 equals 0 but %g spells it apart, so a row with a zero
+            # shares only a tuple of the very same values.
+            last = cells[-4 - n]
+            if util == last and (0 not in util or all(map(is_, util, last))):
+                util = last
+            if preempted == cells[-3 - n]:
+                preempted = cells[-3 - n]
         cells.extend((util, preempted, index, time))
         cells.extend(blocked)
 
@@ -195,13 +207,10 @@ def _template(kind: str) -> str:
     return "{" + ", ".join(items) + "}\n"
 
 
-class _Encoded(dict):
-    """Strings and tuples of strings as json spells them, each encoded once."""
-
-    def __missing__(self, value):
-        text = self[value] = (encode_basestring_ascii(value) if type(value) is str else
-                              "[" + ", ".join(map(encode_basestring_ascii, value)) + "]")
-        return text
+def _encoded(value) -> str:
+    """A string or a tuple of strings as json spells it."""
+    return (encode_basestring_ascii(value) if type(value) is str else
+            "[" + ", ".join(map(encode_basestring_ascii, value)) + "]")
 
 
 def _render(cells: List, encode: Callable) -> Iterator[str]:
@@ -218,7 +227,7 @@ def _render(cells: List, encode: Callable) -> Iterator[str]:
     before any line after it, or the line it shifts, is handed out."""
     request, admit, block, preempt, expire = map(
         _template, ("request", "admit", "block", "preempt", "expire"))
-    text = _Encoded()
+    text = Memo(_encoded)  # each string and path encoded once
     last = object()  # is no record's time
     p, end = 0, len(cells)
     while p < end:

@@ -16,8 +16,7 @@ sorted once.  Ties at one timestamp resolve as departures first, then timed
 reconfigurations, then new requests; equal-time departures go in LSP id
 order.  Every handled request appends one row to the metrics log: the
 watched link's allocation per class and the cumulative blocked and preempted
-counts, handed over as a plain tuple whose values the log copies into its
-flat cells.
+counts, handed over as the live lists, which the log copies.
 """
 
 from __future__ import annotations
@@ -85,6 +84,7 @@ class ReconfigSpec:
     percent: bool = False
     after_request: Optional[int] = None
     at_time: Optional[float] = None
+    line: int = 0  # its event line in the source, which rejections name; 0 if built in code
 
 
 @dataclass
@@ -243,7 +243,7 @@ def _parse_line(scn: Scenario, section: str, tok: List[str], lineno: int) -> Non
             raise ScenarioError("unknown reconfig directive %r" % key)
         if tok[1] not in ("hard", "soft"):
             raise ScenarioError("reconfig mode must be hard or soft")
-        spec = ReconfigSpec(mode=tok[1], bc_mbps=[])
+        spec = ReconfigSpec(mode=tok[1], bc_mbps=[], line=lineno)
         i = 2
         while i < len(tok):
             if tok[i] == "after_request":
@@ -328,8 +328,8 @@ def _validate(scn: Scenario) -> None:
     for spec in scn.reconfigs:
         if spec.after_request is not None and not 1 <= spec.after_request <= total:
             raise ValidationError(
-                "%s: reconfig after_request %d outside 1..%d, so it would never fire"
-                % (src, spec.after_request, total)
+                "%s:%d: reconfig after_request %d outside 1..%d, so it would never fire"
+                % (src, spec.line, spec.after_request, total)
             )
 
 
@@ -370,19 +370,17 @@ def build(scn: Scenario) -> Tuple[NetworkState, Fabric, List[bam.ReconfigEvent]]
     classes = [TrafficClass(kbps(c.rate_mbps)) for c in scn.classes]
     try:
         state = NetworkState(topo, classes, _bc_config(scn, scn.bc_mbps, scn.bc_percent))
-        events = [
-            bam.ReconfigEvent(
-                mode=bam.ReconfigMode(spec.mode),
-                config=_bc_config(scn, spec.bc_mbps, spec.percent),
-                after_request=spec.after_request,
-                at_time=spec.at_time,
-            )
-            for spec in scn.reconfigs
-        ]
-        for event in events:
-            state.check_config(event.config)
     except InvalidBc as exc:
         raise ValidationError("%s: %s" % (scn.source, exc)) from None
+    events = []
+    for spec in scn.reconfigs:  # each vector judged at its event line
+        try:
+            config = _bc_config(scn, spec.bc_mbps, spec.percent)
+            state.check_config(config)
+        except InvalidBc as exc:
+            raise ValidationError("%s:%d: %s" % (scn.source, spec.line, exc)) from None
+        events.append(bam.ReconfigEvent(bam.ReconfigMode(spec.mode), config,
+                                        after_request=spec.after_request, at_time=spec.at_time))
     return state, Fabric(topo), events
 
 
@@ -499,24 +497,13 @@ def simulate(
 
     # Past the stop count no request is handled; the timers still run out.
     arrivals = schedule if stop is None else schedule[:max(stop, 0)]
-    # A row reuses the previous row's tuple when the new one is equal, so the
-    # CSV writer renders each run of equal cells once.  The log copies the
-    # blocked counts out of the live list.
-    util = preempted = None
     for handled, request in enumerate(arrivals, start=1):
         now = request.time
         if expiries and expiries[0][0] <= now or timed and timed[-1][0] <= now:
             run_timers(now)
-        controller.handle_request(request)
-        if request.id in state.active_lsps:
+        if controller.handle_request(request) is not None:
             expiries.append((now + lifetime, request.id))
-        fresh = tuple(alloc)
-        if fresh != util:
-            util = fresh
-        fresh = tuple(counters.preempted)
-        if fresh != preempted:
-            preempted = fresh
-        metrics.append((request.id, now, util, counters.blocked, preempted))
+        metrics.append((request.id, now, alloc, counters.blocked, counters.preempted))
         notify("request")
         for event in by_count.get(handled, ()):
             controller.apply_reconfig(event, now)

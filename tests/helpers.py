@@ -84,13 +84,13 @@ def put_in_place(state: NetworkState, lsp_id: int, new):
     return new
 
 
-def plant(fabric: Fabric, owner, lsp, match: FlowMatch, rules) -> None:
+def plant(fabric: Fabric, owner, lsp, match: FlowMatch) -> None:
     """Write a record straight into a fabric's records and conflict index,
-    leaving its rule count as it is and checking nothing, as a corrupted
-    fabric could hold it: the match's index entry names ``owner`` from now
-    on.  ``Fabric.install_path`` writes only an LSP's own record, once,
-    under a match no other LSP holds."""
-    fabric._records[owner] = (lsp, match, rules)
+    leaving its running rule count as it is and checking nothing, as a
+    corrupted fabric could hold it: the match's index entry names ``owner``
+    from now on.  ``Fabric.install_path`` writes only an LSP's own record,
+    once, under a match no other LSP holds."""
+    fabric._records[owner] = (lsp, match)
     fabric._holders[match] = owner
 
 

@@ -1153,13 +1153,13 @@ class TestRememberedDenyRow:
 def check_fabric_by_rebuild(state, fabric):
     """check_fabric as a rebuild, kept as the reference the package's check
     must agree with: every record names an active LSP, holds that LSP (or an
-    equal copy) and as many rules as its route has interior nodes, walked
-    here from the route's source over the links' endpoints, and shares its
-    match with no record before it; every active LSP holds a record; the
-    conflict index equals one rebuilt match by match; and the running rule
-    count is the records' sum.  On a fabric that passes, the per-switch
-    views must also be the rules the walks program, with ports numbered as
-    the topology numbers them."""
+    equal copy) and shares its match with no record before it; every active
+    LSP holds a record; the conflict index equals one rebuilt match by
+    match; and the running rule count is the number of interior nodes on
+    the records' routes, walked here from each route's source over the
+    links' endpoints.  On a fabric that passes, the per-switch views must
+    also be the rules the walks program, with ports numbered as the
+    topology numbers them."""
     active, records, links = state.active_lsps, fabric._records, state.topology.links
 
     def walk(path, node):
@@ -1172,15 +1172,11 @@ def check_fabric_by_rebuild(state, fabric):
         return hops
 
     items = list(records.items())
-    for i, (owner, (lsp, match, rules)) in enumerate(items):
+    for i, (owner, (lsp, match)) in enumerate(items):
         if owner not in active:
             raise InvariantViolation("fabric record owner %r is not an active LSP" % (owner,))
         if not (lsp is active[owner] or lsp == active[owner]):
             raise InvariantViolation("LSP %r fabric record holds another LSP %r" % (owner, lsp))
-        interior = len(walk(lsp.path, lsp.src_host))
-        if rules != interior:
-            raise InvariantViolation("LSP %r fabric record counts %r rules != %r on its route"
-                                     % (owner, rules, interior))
         earlier = [other for other, record in items[:i] if record[1] == match]
         if earlier:
             raise InvariantViolation("LSP %r fabric record shares its match with LSP %r" % (owner, earlier[0]))
@@ -1190,7 +1186,7 @@ def check_fabric_by_rebuild(state, fabric):
     if fabric._holders != {record[1]: owner for owner, record in items}:
         raise InvariantViolation("fabric conflict index disagrees with the records")
     table = []
-    for owner, (lsp, match, _rules) in items:
+    for owner, (lsp, match) in items:
         for node, out in walk(lsp.path, lsp.src_host):
             ports = sorted(lid for lid, link in links.items() if node in (link.a, link.b))
             table.append(FlowRule(node, match, ports.index(out) + 1, lsp.demand_kbps, owner))
@@ -1246,7 +1242,7 @@ def _swap_record_lsp(state, fabric, rng):
     demand."""
     owner = _some_owner(fabric, rng)
     if owner is not None:
-        lsp, match, rules = fabric._records[owner]
+        lsp, match = fabric._records[owner]
         others = [state.active_lsps[i] for i in sorted(state.active_lsps) if i != owner]
         other = rng.choice([
             rng.choice(others) if others else lsp._replace(path=lsp.path[:-1]),
@@ -1254,19 +1250,12 @@ def _swap_record_lsp(state, fabric, rng):
             lsp._replace(src_host=rng.choice([host for host in "ABCD" if host != lsp.src_host])),
             lsp._replace(demand_kbps=lsp.demand_kbps + rng.choice([-1, 1, 1000])),
         ])
-        fabric._records[owner] = other, match, rules
+        fabric._records[owner] = other, match
 
 
-def _miscount_record(state, fabric, rng):
-    """A record's rule count moved, or the fabric's running count."""
-    owner = _some_owner(fabric, rng)
-    if owner is not None:
-        lsp, match, rules = fabric._records[owner]
-        step = rng.choice([-1, 1, 1000])
-        if rng.random() < 0.5:
-            fabric._count += step
-        else:
-            fabric._records[owner] = lsp, match, rules + step
+def _miscount_rules(state, fabric, rng):
+    """The fabric's running rule count moved."""
+    fabric._count += rng.choice([-1, 1, 1000])
 
 
 def _drop_holder(state, fabric, rng):
@@ -1300,10 +1289,10 @@ def _share_match(state, fabric, rng):
     owners = list(fabric._records)
     if len(owners) > 1:
         owner, holder = rng.sample(owners, 2)
-        lsp, match, rules = fabric._records[owner]
+        lsp, match = fabric._records[owner]
         held = fabric._records[holder][1]
         del fabric._holders[match]
-        fabric._records[owner] = lsp, held, rules
+        fabric._records[owner] = lsp, held
         fabric._holders[held] = rng.choice([owner, holder])
 
 
@@ -1312,8 +1301,8 @@ def _copy_record(state, fabric, rng):
     LSP for the registry's, so this passes."""
     owner = _some_owner(fabric, rng)
     if owner is not None:
-        lsp, match, rules = fabric._records[owner]
-        fabric._records[owner] = lsp._replace(path=(*lsp.path,)), match, rules
+        lsp, match = fabric._records[owner]
+        fabric._records[owner] = lsp._replace(path=(*lsp.path,)), match
 
 
 def _class_entries(state, rng):
@@ -1417,7 +1406,7 @@ def _copy_entry_lsp(state, fabric, rng):
 CORRUPTIONS = [
     None,
     # fabric records and conflict index
-    _drop_record, _orphan_record, _unowned_record, _swap_record_lsp, _miscount_record,
+    _drop_record, _orphan_record, _unowned_record, _swap_record_lsp, _miscount_rules,
     _drop_holder, _extra_holder, _move_holder, _share_match, _copy_record,
     # class lists
     _drop_entry, _duplicate_entry, _move_entry_to_other_class, _swap_entries, _swap_tied_entries,

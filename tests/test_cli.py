@@ -315,6 +315,18 @@ class TestValidate:
         assert captured.out == ""
         assert captured.err == "error: %s:%d: demand endpoints must be hosts\n" % (bad, lineno)
 
+    def test_a_reconfig_rejection_names_its_event_line_and_is_bad_input(self, tmp_path, capsys):
+        # The second event line is the bad one.
+        text = MINI.replace("[demand]", "[reconfig]\nevent hard after_request 5 bc 30 30\n"
+                                        "event soft at_time 60 bc 30\n\n[demand]")
+        lineno = text.splitlines().index("event soft at_time 60 bc 30") + 1
+        bad = tmp_path / "r.scn"
+        bad.write_text(text)
+        assert run_cli(["validate", str(bad)]) == cli.EXIT_BAD_INPUT == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s:%d: constraint vector length must match class count\n" % (bad, lineno)
+
     def test_overlapping_port_ranges_are_bad_input(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"
         bad.write_text(MINI.replace("ports 31000-31999", "ports 30000-30999"))

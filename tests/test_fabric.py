@@ -145,6 +145,36 @@ class TestInstallPath:
         assert fabric.remove_by_owner(7) == 0  # idempotent
 
 
+class TestDerivedRuleCount:
+    """A teardown derives its rule count from the LSP's route: n >= 1 links
+    program n - 1 rules, and the empty route none, not -1."""
+
+    @pytest.mark.parametrize("path", [("L0",), ()], ids=["host_to_host", "empty"])
+    def test_a_route_without_a_switch_installs_and_removes_no_rule(self, path):
+        topo = Topology()
+        for h in ("HA", "HB", "HC"):
+            topo.add_host(h)
+        topo.add_switch("S1")
+        topo.add_link("L0", "HA", "HB", 1000)  # no switch between the hosts
+        topo.add_link("L1", "HA", "S1", 1000)
+        topo.add_link("L2", "S1", "HC", 1000)
+        topo.freeze()
+        fabric = Fabric(topo)
+
+        def lines():
+            return len(fabric.dump().splitlines())
+
+        other = FlowMatch("10.0.0.1", "10.0.0.3", 20001, 30001)
+        assert fabric.install_path(Lsp(1, 0, 500, ("L1", "L2"), "HA", 0.0), other) == 1
+        for _use in range(2):  # the second use reads the route cache
+            installed = fabric.install_path(Lsp(2, 0, 500, path, "HA", 0.0), MATCH)
+            assert installed == 0 and fabric.rule_count() == lines() == 1
+            assert fabric.remove_by_owner(2) == installed
+            assert fabric.rule_count() == lines() == 1
+        assert fabric.remove_by_owner(1) == 1
+        assert fabric.rule_count() == lines() == 0
+
+
 class TestRuleConflict:
     """A conflict is another active owner holding the same match, whatever
     either route; a refused install writes nothing."""
@@ -214,10 +244,15 @@ class TestOwnerIndex:
                for i in range(12)]
 
     @staticmethod
-    def scan(fabric: Fabric, owner: int):
-        """Rules of one owner by a full scan, in (switch, match key) order."""
-        return [r for sw in sorted(fabric.topology.switches)
-                for r in fabric.rules_on(sw) if r.owner == owner]
+    def tables(fabric: Fabric):
+        """Each switch's rules, by switch in sorted order."""
+        return {sw: fabric.rules_on(sw) for sw in sorted(fabric.topology.switches)}
+
+    @staticmethod
+    def scan(tables, owner: int):
+        """Rules of one owner by a full scan of the tables, in (switch,
+        match key) order."""
+        return [r for rules in tables.values() for r in rules if r.owner == owner]
 
     def test_random_installs_and_removals_agree_with_a_scan(self):
         # An owner is installed once, so each install takes a fresh id and
@@ -226,7 +261,6 @@ class TestOwnerIndex:
         # exactly when another active owner holds its match.
         rng = random.Random(4127)
         topo = line_topology()
-        switches = sorted(topo.switches)
         hosts = sorted(topo.hosts)
         routes = [(topo.shortest_path(a, b), a) for a in hosts for b in hosts if a != b]
         refused = 0
@@ -251,15 +285,15 @@ class TestOwnerIndex:
                         held[owner] = match
                 else:
                     owner = rng.choice(owners)
-                    expected = len(self.scan(fabric, owner))
+                    expected = len(self.scan(self.tables(fabric), owner))
                     assert fabric.remove_by_owner(owner) == expected
-                    assert self.scan(fabric, owner) == []
+                    assert self.scan(self.tables(fabric), owner) == []
                     assert fabric.remove_by_owner(owner) == 0  # idempotent
                     held.pop(owner, None)
+                tables = self.tables(fabric)
                 for o in owners:
-                    assert fabric.owner_rules(o) == self.scan(fabric, o)
-                total = sum(len(fabric.rules_on(sw)) for sw in switches)
-                assert fabric.rule_count() == total
+                    assert fabric.owner_rules(o) == self.scan(tables, o)
+                assert fabric.rule_count() == sum(map(len, tables.values()))
                 assert fabric._holders == {match: owner for owner, match in held.items()}
         assert refused > 300, refused
 

@@ -409,3 +409,21 @@ def test_csv_of_records_sharing_tuples_is_the_cell_by_cell_rendering(log_spec, c
     with mock.patch.object(metrics, "_CHUNK", chunk):
         assert _written(MetricsLog.write_csv, log) == csv_oracle(n, records)
         assert log.to_csv() == csv_oracle(n, records)
+
+
+def test_an_equal_row_shares_the_tuples_before_it_unless_a_zero_is_spelled_apart():
+    # The log copies live lists, and a row equal to the one before shares
+    # its tuples, so the writer renders them once; -0.0 equals 0, yet %g
+    # spells it "-0", so it must not take the tuple of a row holding 0.
+    log = MetricsLog(2)
+    util, blocked, preempted = [5000, 0], [0, 0], [0, 0]
+    log.append((1, 0.5, util, blocked, preempted))
+    blocked[1] += 1
+    log.append((2, 1.0, util, blocked, preempted))
+    log.append((3, 1.5, [5000, -0.0], blocked, preempted))
+    util[0] = blocked[0] = preempted[0] = 7000
+    first, second, third = log
+    assert first == (1, 0.5, (5000, 0), (0, 0), (0, 0))
+    assert second.util_kbps is first.util_kbps and second.preempted is first.preempted
+    assert third.util_kbps == second.util_kbps and third.util_kbps is not second.util_kbps
+    assert log.to_csv().splitlines()[1:] == ["1,0.5,5,0,0,0,0,0", "2,1,5,0,0,1,0,0", "3,1.5,5,-0,0,1,0,0"]

@@ -306,6 +306,38 @@ class TestValidation:
             scenario.build(scn)
         assert str(err.value) == "<test>:%d: %s" % (lineno, message)
 
+    FIRST_EVENT = "event hard after_request 3 bc 30 70"
+
+    def with_second_event(self, event):
+        """MINI with two reconfig events, the second ``event``, and that
+        event's line number: a message naming the first, or the section, is
+        caught."""
+        text = MINI.replace("[demand]", "[reconfig]\n%s\n%s\n\n[demand]" % (self.FIRST_EVENT, event))
+        return text, text.splitlines().index(event) + 1
+
+    @pytest.mark.parametrize("after", [0, 19])
+    def test_a_reconfig_that_would_never_fire_names_its_event_line(self, after):
+        text, lineno = self.with_second_event("event soft after_request %d bc 40 60" % after)
+        with pytest.raises(ValidationError) as err:
+            parse(text)
+        assert str(err.value) == "<test>:%d: reconfig after_request %d outside 1..18, so it would never fire" % (
+            lineno, after)
+
+    @pytest.mark.parametrize("bc, message", [
+        ("bc -5 60", "constraints must be non-negative"),
+        ("bc% 150 50", "percentages must be <= 100"),
+        ("bc 30", "constraint vector length must match class count"),
+        ("bc 150 50", "constraint 0 (150000 kbps) exceeds capacity of link L1"),
+    ], ids=["negative", "percent_over_100", "length", "over_capacity"])
+    def test_an_invalid_reconfig_vector_names_its_event_line(self, bc, message):
+        # The first two come from BcConfig, the last two from check_config.
+        text, lineno = self.with_second_event("event soft at_time 150 " + bc)
+        scn = parse(text)
+        assert [spec.line for spec in scn.reconfigs] == [lineno - 1, lineno]
+        with pytest.raises(ValidationError) as err:
+            scenario.build(scn)
+        assert str(err.value) == "<test>:%d: %s" % (lineno, message)
+
     def test_demand_without_a_route_is_a_validation_error(self):
         text = MINI.replace("node SW switch", "node SW switch\nnode C host").replace(
             "flows A B class 1", "flows A C class 1"
