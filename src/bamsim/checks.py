@@ -3,17 +3,29 @@
 ``check_all`` runs after every simulation event in tests, so it keeps a
 *shadow* of its last passing call on the state (``_check_shadow``): the
 registry's records as that call read them, the ledger and class lists they
-imply, and copies of the fabric's records and conflict index.  Each call
-reads the registry once and takes the delta from the recorded read: the
-LSPs added and removed since.  Records are immutable, so each kept key must
-still hold the very record it held, and an LSP replaced under its key is
-seen.  Both checks apply the delta to their copies and then compare every
-structure whole with them, at C speed:
+imply, copies of the fabric's records and conflict index, and the verdicts
+of the constraint rows.  Each call reads the registry once and takes the
+delta from the recorded read: the LSPs added and removed since.  The event
+loop moves the registry one of two ways on almost every call, and each is
+tested as it stands: one commit, the keys less the last equal to the
+recorded keys, and one release of the oldest LSP, as an expiry makes, the
+keys equal to the recorded keys less the first.  Any other move (a
+preemption, a hard reconfiguration's evictions) takes the general diff.
+Records are immutable, so each kept key must still hold the very record it
+held, and an LSP replaced under its key is seen.  Both checks apply the
+delta to their copies and then compare every structure whole with them, at
+C speed:
 
 - ``check_state``: the per-link ledger and the class lists, dicts by id
   compared with ``==``, then their key orders with the copy's, kept as
-  lists.  The rows of the current constraint table and the counter
-  identities still run on every call, on every link and class;
+  lists.  Every link is visited in order and its ledger compared with the
+  copy's, but its sign, capacity and row tests run only on a vector that
+  has not passed them under the link's current rows.  The shadow keeps per
+  link the row tuple of the current constraint table, by identity, and the
+  vectors that passed under it.  A verdict reads only those rows, the
+  vector and the link's fixed capacity, so a vector that passed passes
+  again; a vector that fails is never kept.  The counter identities still
+  run on every call, on every class;
 - ``check_fabric``: the fabric's records and its conflict index.
 
 A check with no copies, or whose copies disagree, runs its full check, so a
@@ -43,7 +55,7 @@ programs n - 1 of them.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, islice
 from operator import is_
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -75,7 +87,7 @@ def check_state(state: NetworkState, shadow: Optional[_Shadow] = None) -> None:
         return
     # The shadow's ledger is the registry's recount, so these raise exactly
     # what the full check would.
-    _check_links(state, shadow.ledger)
+    _check_links(state, shadow.ledger, shadow.passed)
     _check_counters(state, map(len, shadow.lists))
 
 
@@ -91,25 +103,38 @@ def _check_state_in_full(state: NetworkState) -> None:
             if lid not in recount:
                 _fail("LSP %r path names unknown link %r" % (lsp.id, lid))
             recount[lid][lsp.class_index] += lsp.demand_kbps
-    _check_links(state, recount)
+    _check_links(state, recount, {})
     _check_class_lists(state)
     _check_counters(state, active_per_class)
 
 
-def _check_links(state: NetworkState, recount: Dict[str, List[int]]) -> None:
+def _check_links(state: NetworkState, recount: Dict[str, List[int]],
+                 passed: Dict[str, Tuple[tuple, set]]) -> None:
+    """Every link's ledger equals its recount and breaches none of its rows
+    in the current constraint table.  ``passed`` maps a link to its row
+    tuple and the ledger vectors that passed under it; those are not tested
+    again, and the vectors that pass are added."""
     table = state.tables().current.table
     for lid, link in state.topology.links.items():
-        alloc = link.alloc
+        alloc, rows = link.alloc, table[lid]
         if alloc != recount[lid]:
             _fail("link %s ledger %r != registry recount %r" % (lid, alloc, recount[lid]))
+        seen, vectors = passed.get(lid, _UNSEEN)
+        vector = tuple(alloc)
+        if seen is rows and vector in vectors:
+            continue
         if min(alloc) < 0:  # alloc equals the recount: one entry per class
             _fail("link %s has a negative allocation" % lid)
         total = sum(alloc)
         if total > link.capacity_kbps:
             _fail("link %s over capacity: %d > %d" % (lid, total, link.capacity_kbps))
-        for held, _lo, _hi, cap, name in table[lid]:
+        for held, _lo, _hi, cap, name in rows:
             if held(alloc) > cap:
                 _fail("link %s %s over constraint: %d > %d" % (lid, name, held(alloc), cap))
+        if seen is rows:
+            vectors.add(vector)
+        else:
+            passed[lid] = rows, {vector}
 
 
 def _check_counters(state: NetworkState, active_per_class: Iterable[int]) -> None:
@@ -218,13 +243,36 @@ def _plain(lsp) -> bool:
 
 # What the class-list walk compares the first entry of a class with.
 _FIRST = (float("-inf"), 0)
+# A link's verdicts before any vector passed: rows no table holds, no vector.
+_UNSEEN = (None, frozenset())
+
+
+def _diff(old_keys: List[int], old_records: List[Lsp], keys: List[int],
+          records: List[Lsp]) -> Optional[Tuple[List[Lsp], List[Lsp]]]:
+    """The records removed and added between two reads of the registry, or
+    None if it did not move as commit and release move it.  Commit appends
+    to the registry and release deletes from it, so the live keys are the
+    recorded ones less the removed, then the added.  Takes the old lists
+    apart."""
+    removed = []
+    for key in set(old_keys).difference(keys):
+        i = old_keys.index(key)
+        del old_keys[i]
+        removed.append(old_records.pop(i))
+    kept = len(old_keys)
+    added = records[kept:]
+    if (keys[:kept] == old_keys and all(map(is_, records, old_records))
+            and all(map(_plain, added)) and keys[kept:] == [lsp.id for lsp in added]):
+        return removed, added
+    return None
 
 
 class _Shadow:
     """What the last passing ``check_all`` verified: the registry's keys and,
     aligned with them, its records, in order; the ledger and class lists
-    that registry implies; and copies of the fabric's records and conflict
-    index (``fabric`` is None when that call had no fabric).  ``delta`` holds
+    that registry implies; per link, the ledger vectors that passed its
+    rows; and copies of the fabric's records and conflict index (``fabric``
+    is None when that call had no fabric).  ``delta`` holds
     the records removed and added since, or None when the registry did not
     move as commit and release move it.
 
@@ -242,16 +290,20 @@ class _Shadow:
         self.ledger: Dict[str, List[int]] = {}
         self.lists: List[Dict[int, Lsp]] = []
         self.orders: List[List[int]] = []  # the keys of ``lists``, in order
+        # Per link, a row tuple and the ledger vectors that passed under it.
+        self.passed: Dict[str, Tuple[tuple, set]] = {}
         self.fabric: Optional[dict] = None
         self.holders: dict = {}
         self.rules = 0  # the fabric's running rule count
 
     def move(self, active: Dict[int, Lsp]) -> None:
         """Read the registry and take the delta from the recorded read.
-        Commit appends to the registry and release deletes from it, so the
-        live keys are the recorded ones less the removed, then the added.
         Each kept key must hold its recorded record, the same object, and
-        each added record must be ``_plain`` and filed under its id."""
+        each added record must be ``_plain`` and filed under its id.  The
+        event loop's two common moves are tested as they are: one commit,
+        appended at the tail, and one release of the oldest LSP, at the
+        head, as an expiry makes.  Any other move (a preemption, a hard
+        reconfiguration's evictions, a hand-built state) takes ``_diff``."""
         keys, old_keys, old_records = list(active), self.keys, self.records
         if keys == old_keys and all(map(is_, active.values(), old_records)):
             self.delta = [], []
@@ -260,16 +312,15 @@ class _Shadow:
         self.keys, self.records, self.delta = keys, records, None
         if old_keys is None:
             return
-        removed = []
-        for key in set(old_keys).difference(active):
-            i = old_keys.index(key)
-            del old_keys[i]
-            removed.append(old_records.pop(i))
-        kept = len(old_keys)
-        added = records[kept:]
-        if (keys[:kept] == old_keys and all(map(is_, records, old_records))
-                and all(map(_plain, added)) and keys[kept:] == [lsp.id for lsp in added]):
-            self.delta = removed, added
+        if keys[:-1] == old_keys:
+            last = records[-1]
+            if all(map(is_, records, old_records)) and _plain(last) and last.id == keys[-1]:
+                self.delta = [], [last]
+        elif keys == old_keys[1:]:
+            if all(map(is_, records, islice(old_records, 1, None))):
+                self.delta = old_records[:1], []
+        else:
+            self.delta = _diff(old_keys, old_records, keys, records)
 
     def advance_state(self) -> bool:
         if self.delta is None:

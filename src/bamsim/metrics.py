@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii
 from math import inf
-from operator import is_
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import Memo
@@ -93,9 +92,10 @@ class MetricsLog:
             if index <= cells[-2 - n]:
                 raise ValueError("request_index must be strictly increasing")
             # -0.0 equals 0 but %g spells it apart, so a row with a zero
-            # shares only a tuple of the very same values.
+            # shares only if neither tuple holds a float, the one type that
+            # can be -0.0: a sum is an int only if no value in it is one.
             last = cells[-4 - n]
-            if util == last and (0 not in util or all(map(is_, util, last))):
+            if util == last and (0 not in util or type(sum(util + last)) is int):
                 util = last
             if preempted == cells[-3 - n]:
                 preempted = cells[-3 - n]

@@ -400,6 +400,11 @@ def _more_demand(state, _fabric):
     replace_lsp(state, 1, demand_kbps=state.active_lsps[1].demand_kbps + 1)
 
 
+def _more_registry_demand(state, lsp_id):
+    lsp = state.active_lsps[lsp_id]
+    state.active_lsps[lsp_id] = lsp._replace(demand_kbps=lsp.demand_kbps + 1)
+
+
 def test_a_shared_match_is_refused_on_install_and_fails_the_check_when_planted(monkeypatch):
     # Routes that end at a switch program no rule, yet a match has one owner
     # whatever the routes: the second install raises and writes nothing.  A
@@ -495,6 +500,13 @@ SHADOWED = {
         s.active_by_class[0], reversed(s.active_by_class[0].items()))),
     # Moved past LSP 1 in time, but not in its class dict.
     "admit_time_in_place": (older_first_alone, lambda s, f: replace_lsp(s, 3, admit_time=3.0)),
+    # Changed under its key in the registry alone, so that only the record's
+    # identity shows it, on the same step as one of the event loop's two
+    # common moves: one commit at the tail, one expiry at the head.
+    "registry_demand_with_a_commit": (lambda: two_route_pair([("A", 1), ("A", 2)]), lambda s, f: (
+        _more_registry_demand(s, 1), _commit_from_c(s, f, 7, 5000))),
+    "registry_demand_with_an_expiry": (lambda: two_route_pair([("A", 1), ("A", 2)]), lambda s, f: (
+        _more_registry_demand(s, 2), _retire(1)(s, f))),
     # An LSP added since the passing call, with its record changed after
     # install_path wrote it: the shadow must check each field it adopts.
     "added_record_rerouted": (lambda: two_route_pair([("A", 1)]), lambda s, f: _readmit_from_c(
@@ -607,9 +619,25 @@ def _release_a_float_demand(state, fabric):
         fabric.remove_by_owner(5)
 
 
+def _retire(lsp_id):
+    """Release ``lsp_id`` as an expiry does."""
+    def retire(state, fabric):
+        release(state, lsp_id, LspState.COMPLETED)
+        if fabric is not None:
+            fabric.remove_by_owner(lsp_id)
+    return retire
+
+
+def _tighten(state, fabric):
+    # Under it, three LSPs on L1, 15000 kbps, breach; two, 10000, do not.
+    state.bc_config = BcConfig(Model.MAM, values_kbps=(12000,))
+
+
 # (put in after a passing call, then changed, the last full verdict): values
 # in the registry that the shadow must not adopt, then records it adopts and
-# must hand to the full check, or apply as the full check would.
+# must hand to the full check, or apply as the full check would; last, moves
+# of the ledger and of the constraint table that a verdict the rows passed
+# before must not hide.
 UNADOPTED = {
     "tuple_in_place": (_tuple_in_place, lambda s, f: None,
                        "AttributeError: 'tuple' object has no attribute 'class_index'"),
@@ -634,6 +662,19 @@ UNADOPTED = {
     # A route that ends at a switch has no interior switch, so the LSP's
     # record programs no rule.
     "no_interior_switch": (lambda s, f: _admit(s, f, Lsp(7, 0, 5000, ("L4",), "C", 7.0)), lambda s, f: None, "pass"),
+    # The vector the first call passed breaches the tighter table, and still
+    # does on the next call.
+    "tighter_config_twice": (_tighten, lambda s, f: None,
+                             "InvariantViolation: link L1 class 0 over constraint: 15000 > 12000"),
+    "ledger_drift_twice": (_ledger_plus_one, lambda s, f: None, "InvariantViolation: link L1 ledger [15001] != "),
+    # Away from the vector the first call passed, under a table that the
+    # vector now breaches, and back to it.
+    "back_to_a_vector_the_tighter_config_breaches": (
+        lambda s, f: (_retire(1)(s, f), _tighten(s, f)), lambda s, f: _admit(s, f, Lsp(7, 0, 5000, _A_TO_B, "A", 7.0)),
+        "InvariantViolation: link L1 class 0 over constraint: 15000 > 12000"),
+    "ledger_back_to_a_vector_that_passed": (_retire(3), lambda s, f: s.topology.links["L1"].alloc.__setitem__(0, 15000),
+                                            "InvariantViolation: link L1 ledger [15000] != registry recount [10000]"),
+    "release_in_the_middle": (_retire(2), _ledger_plus_one, "InvariantViolation: link L1 ledger [10001] != "),
 }
 
 
@@ -643,6 +684,7 @@ def test_a_record_put_in_after_a_passing_call_checks_as_in_full(put, change, las
     state, fabric = two_route_pair([("A", 1), ("A", 2), ("A", 3)])
     fabric = fabric if with_fabric else None
     check_all(state, fabric)
+    check_all(state, fabric)  # through the shadow, which keeps the row verdicts it passed
     for step in (put, change):
         step(state, fabric)
         expected = _check_all_in_full(state, fabric)

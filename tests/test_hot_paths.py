@@ -71,6 +71,34 @@ def test_a_checked_run_formats_no_match_key(name, monkeypatch):
     assert len(result.journal) > 0
 
 
+@pytest.mark.parametrize("name", scenario.bundled_names())
+def test_a_checked_run_diffs_in_full_only_what_neither_common_move_explains(name, monkeypatch):
+    """``check_all`` enters each full check once, on its first call, and
+    the general registry diff only on a call whose registry moved by neither
+    of the event loop's two common moves: one commit, appended at the tail,
+    or one release of the oldest LSP, at the head.  So neither move is sent
+    to a slower path unseen."""
+    entered = {"_check_state_in_full": [], "_check_fabric_in_full": [], "_diff": []}
+    calls = []
+    for full, log in entered.items():
+        real = getattr(checks, full)
+        monkeypatch.setattr(checks, full, lambda *args, real=real, log=log: (log.append(len(calls)), real(*args))[1])
+    other = []
+
+    def hook(kind, state, fabric):
+        keys = list(state.active_lsps)
+        if calls and keys not in (calls[-1], calls[-1][1:]) and keys[:-1] != calls[-1]:
+            other.append(len(calls))
+        checks.check_all(state, fabric)
+        calls.append(keys)
+
+    scn = scenario.load(name)
+    scn.run.seed = 7
+    scenario.simulate(scn, on_event=hook)
+    assert len(calls) > 1000
+    assert entered == {"_check_state_in_full": [0], "_check_fabric_in_full": [0], "_diff": other}
+
+
 class _Half(Exception):
     pass
 

@@ -381,7 +381,9 @@ def test_metrics_log_reads_like_the_list_of_its_records(log_spec):
 def shared_tuple_logs(draw):
     """Records whose tuples come from small pools, so that one tuple object
     recurs in runs and apart, mixed with equal but distinct copies.  A
-    utilisation may hold 0 or -0.0, equal values that %g spells apart."""
+    utilisation may hold 0 or -0.0, equal values that %g spells apart, and a
+    row may follow one whose utilisation it equals with each zero's sign
+    flipped."""
     n = draw(st.integers(1, 3))
     util = st.one_of(st.integers(0, 10**6), st.sampled_from([0, -0.0, 0.0]))
     util_pool = draw(st.lists(st.tuples(*[util] * n), min_size=1, max_size=3))
@@ -394,8 +396,10 @@ def shared_tuple_logs(draw):
     records, index = [], 0
     for _ in range(draw(st.integers(0, 12))):
         index += draw(st.integers(1, 5))
-        records.append(MetricsRecord(
-            index, draw(floats), pick(util_pool), pick(count_pool), pick(count_pool)))
+        util_kbps = pick(util_pool)
+        if records and draw(st.booleans()):
+            util_kbps = tuple(v or (0 if math.copysign(1, v) < 0 else -0.0) for v in records[-1].util_kbps)
+        records.append(MetricsRecord(index, draw(floats), util_kbps, pick(count_pool), pick(count_pool)))
     return n, records
 
 
