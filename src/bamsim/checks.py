@@ -22,10 +22,10 @@ C speed:
   copy's, but its sign, capacity and row tests run only on a vector that
   has not passed them under the link's current rows.  The shadow keeps per
   link the row tuple of the current constraint table, by identity, and the
-  vectors that passed under it.  A verdict reads only those rows, the
-  vector and the link's fixed capacity, so a vector that passed passes
-  again; a vector that fails is never kept.  The counter identities still
-  run on every call, on every class;
+  vectors that passed under it, at most ``_PASSED_CAP`` of them.  A verdict
+  reads only those rows, the vector and the link's fixed capacity, so a
+  vector that passed passes again; a vector that fails is never kept.  The
+  counter identities still run on every call, on every class;
 - ``check_fabric``: the fabric's records and its conflict index.
 
 A check with no copies, or whose copies disagree, runs its full check, so a
@@ -132,6 +132,8 @@ def _check_links(state: NetworkState, recount: Dict[str, List[int]],
             if held(alloc) > cap:
                 _fail("link %s %s over constraint: %d > %d" % (lid, name, held(alloc), cap))
         if seen is rows:
+            if len(vectors) >= _PASSED_CAP:  # a bound on memory: the link's rows run again
+                vectors.clear()
             vectors.add(vector)
         else:
             passed[lid] = rows, {vector}
@@ -245,6 +247,9 @@ def _plain(lsp) -> bool:
 _FIRST = (float("-inf"), 0)
 # A link's verdicts before any vector passed: rows no table holds, no vector.
 _UNSEEN = (None, frozenset())
+# The most vectors a link keeps; one more clears them.  A bundled run at x1
+# keeps at most ~500 per link, so the checked workload never reaches it.
+_PASSED_CAP = 1024
 
 
 def _diff(old_keys: List[int], old_records: List[Lsp], keys: List[int],

@@ -104,8 +104,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     scn = _load(args.scenario)
     try:
-        scenario.build(scn)
-        scenario.generate_schedule(scn)
+        scenario.build(scn)  # parsing checked the counts: no request is drawn
     except scenario.ScenarioError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_INPUT

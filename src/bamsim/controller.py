@@ -110,7 +110,7 @@ class Controller:
         decision = bam.decide(state, path, class_index, demand)
         if decision.verdict is DENY:
             state.counters.blocked[class_index] += 1
-            self.fabric.record_drop(req)
+            self.fabric.record_drop(lsp_id)
             journal.append(("block", now, lsp_id, class_index))
             return None
         victims = decision.victims

@@ -10,9 +10,9 @@ grant and a teardown touch one record and one index entry and build no
 per-switch object; a route of n >= 1 links programs n - 1 rules, and a
 running count keeps their sum.  ``lookup``, ``rules_on``, ``owner_rules``
 and ``dump`` derive the per-switch ``FlowRule``s from the records and
-``Topology.route_hops``.  A blocked request never lands in a table; the
-request itself is kept as an ephemeral drop record so the deny history
-stays inspectable.
+``Topology.route_hops``.  A blocked request never lands in a table; only its
+id is kept, as an ephemeral drop record, so the deny history stays
+inspectable.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class Fabric:
         self._records: Dict[int, tuple] = {}  # owner -> (lsp, match)
         self._holders: Dict[FlowMatch, int] = {}  # match -> its owner
         self._count = 0  # the per-switch rules the records program
-        self.drops: list = []  # blocked requests, as the controller passed them
+        self.drops: List[int] = []  # the ids of blocked requests
 
     def rule_count(self) -> int:
         return self._count
@@ -114,10 +114,10 @@ class Fabric:
         self._count -= rules
         return rules
 
-    def record_drop(self, request) -> None:
+    def record_drop(self, request_id: int) -> None:
         """Log a deny: blocked flows get no persistent rule, only an
-        ephemeral drop record at the ingress, which is the request itself."""
-        self.drops.append(request)
+        ephemeral drop record at the ingress, the request's id."""
+        self.drops.append(request_id)
 
     def dump(self) -> str:
         """Stable textual table: switch, match, action, rate (Mbps), owner."""

@@ -5,13 +5,14 @@ traffic classes, the constraint config, optional runtime reconfigurations,
 the offered demand and the run parameters.  Demand is expressed as per
 source/class totals spread over fixed-length cycles; arrival offsets inside a
 cycle are drawn from a seeded RNG, so a scenario plus a seed is fully
-deterministic.  Each schedule entry is a ``controller.LspRequest``, and the
-loop hands the controller that same record.
+deterministic.  ``arrivals`` yields each request as a
+``controller.LspRequest``, built only when the loop pulls it, and the loop
+hands the controller that same record and keeps none.
 
-The simulation is a discrete-event loop.  Arrivals are read from the
-schedule in its (time, id) order.  Expiries wait in a FIFO: requests are
-admitted in (time, id) order and live one fixed lifetime, so they come due
-in that order too.  The timed reconfigurations are known up front and are
+The simulation is a discrete-event loop.  Arrivals are pulled from
+``arrivals`` in their (time, id) order.  Expiries wait in a FIFO: requests
+are admitted in (time, id) order and live one fixed lifetime, so they come
+due in that order too.  The timed reconfigurations are known up front and are
 sorted once.  Ties at one timestamp resolve as departures first, then timed
 reconfigurations, then new requests; equal-time departures go in LSP id
 order.  Every handled request appends one row to the metrics log: the
@@ -26,8 +27,9 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import islice
 from math import inf, isfinite
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from . import bam
 from .controller import Classifier, Controller, LspRequest
@@ -384,8 +386,9 @@ def build(scn: Scenario) -> Tuple[NetworkState, Fabric, List[bam.ReconfigEvent]]
     return state, Fabric(topo), events
 
 
-def generate_schedule(scn: Scenario) -> List[LspRequest]:
-    """Expand demand totals into a timed, id-ordered request stream.
+def arrivals(scn: Scenario) -> Iterator[LspRequest]:
+    """The scenario's requests in (time, id) order, each built only when it
+    is pulled.
 
     Each demand entry's count is split as evenly as possible over its active
     cycles (earlier cycles take the remainder); every request gets a uniform
@@ -393,6 +396,10 @@ def generate_schedule(scn: Scenario) -> List[LspRequest]:
     then cycle, then index, so the stream is reproducible for a seed.  A
     request carries its endpoints as the IPs ``build`` gives the hosts, and
     its class as a destination port inside the class's range.
+
+    The first pull draws every time and sorts them once.  From then on the
+    generator keeps only the sorted times and, per request, its demand
+    entry's shared fields, so a request handed out and handled is garbage.
     """
     rng = random.Random(scn.run.seed)
     draw = rng.random
@@ -414,16 +421,20 @@ def generate_schedule(scn: Scenario) -> List[LspRequest]:
             # rng.uniform(0.0, cycle_length), bit for bit, without its call.
             times += [start + cycle_length * draw() for _ in range(per_cycle)]
             fields += [entry_fields] * per_cycle
-    # By time, then generation order: the sort is stable.
+    # By time, then generation order: the sort is stable.  Its index list
+    # goes as soon as both lists are in that order.
     order = sorted(range(len(times)), key=times.__getitem__)
+    times = list(map(times.__getitem__, order))
+    fields = list(map(fields.__getitem__, order))
+    del order
     new = tuple.__new__  # without the NamedTuple's Python-level __new__
-    schedule: List[LspRequest] = []
-    for position, i in enumerate(order, start=1):
-        src_ip, dst_ip, lo, span = fields[i]
-        schedule.append(
-            new(LspRequest, (position, times[i], src_ip, dst_ip, 20000 + position, lo + position % span))
-        )
-    return schedule
+    for position, (time, (src_ip, dst_ip, lo, span)) in enumerate(zip(times, fields), start=1):
+        yield new(LspRequest, (position, time, src_ip, dst_ip, 20000 + position, lo + position % span))
+
+
+def generate_schedule(scn: Scenario) -> List[LspRequest]:
+    """Every request ``arrivals`` yields, in one list."""
+    return list(arrivals(scn))
 
 
 @dataclass
@@ -432,7 +443,6 @@ class RunResult:
     state: NetworkState
     fabric: Fabric
     controller: Controller
-    schedule: List[LspRequest]
     metrics: MetricsLog
 
     @property
@@ -452,7 +462,7 @@ def simulate(
     state, fabric, events = build(scn)
     classifier = Classifier.for_state(state, [(c.port_lo, c.port_hi, c.index) for c in scn.classes])
     controller = Controller(state, fabric, classifier)
-    schedule = generate_schedule(scn)
+    requests = arrivals(scn)
     metrics = MetricsLog(scn.n_classes)
     watched = scn.bottleneck or min(state.topology.links)
     alloc = state.topology.links[watched].alloc
@@ -496,8 +506,9 @@ def simulate(
                 return
 
     # Past the stop count no request is handled; the timers still run out.
-    arrivals = schedule if stop is None else schedule[:max(stop, 0)]
-    for handled, request in enumerate(arrivals, start=1):
+    if stop is not None:
+        requests = islice(requests, max(stop, 0))
+    for handled, request in enumerate(requests, start=1):
         now = request.time
         if expiries and expiries[0][0] <= now or timed and timed[-1][0] <= now:
             run_timers(now)
@@ -509,7 +520,7 @@ def simulate(
             controller.apply_reconfig(event, now)
             notify("reconfig")
     run_timers(inf)
-    return RunResult(scn, state, fabric, controller, schedule, metrics)
+    return RunResult(scn, state, fabric, controller, metrics)
 
 
 def _bundled() -> dict:

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from bamsim import BcConfig, Lsp, LspState, Model, ReconfigMode, commit, reconfigure, release, scenario
+from bamsim import BcConfig, Lsp, LspState, Model, ReconfigMode, checks, commit, reconfigure, release, scenario
 from bamsim.checks import (
     InvariantViolation,
     _check_fabric_in_full,
@@ -690,3 +690,35 @@ def test_a_record_put_in_after_a_passing_call_checks_as_in_full(put, change, las
         expected = _check_all_in_full(state, fabric)
         assert verdict(check_all, state, fabric) == expected, step.__name__
     assert expected.startswith(last)
+
+
+def test_a_link_at_the_vector_cap_runs_its_rows_again_and_still_raises(monkeypatch):
+    """A link that holds ``_PASSED_CAP`` passed vectors forgets them on its
+    next miss: a vector that passed before the clear runs the rows again,
+    and a breach under the same rows raises as the full check does."""
+    monkeypatch.setattr(checks, "_PASSED_CAP", 2)
+    state, fabric = two_route_pair([("A", 1), ("A", 2), ("A", 3)])
+    table = state.tables().current.table
+    tested = []
+
+    def spy(held):
+        return lambda alloc: tested.append(tuple(alloc)) or held(alloc)
+
+    table["L1"] = tuple((spy(held), *rest) for held, *rest in table["L1"])
+    rows = len(table["L1"])
+    check_all(state, fabric)  # in full, which keeps no verdict
+    check_all(state, fabric)  # through the shadow: (15000,) passes and is kept
+    check_all(state, fabric)  # kept, so its rows do not run
+    _retire(3)(state, fabric)  # (10000,): two kept, the cap
+    check_all(state, fabric)
+    _retire(2)(state, fabric)  # (5000,) clears them
+    check_all(state, fabric)
+    assert state._check_shadow.passed["L1"][1] == {(5000,)}
+    _admit(state, fabric, Lsp(7, 0, 5000, _A_TO_B, "A", 7.0))  # (10000,) again, forgotten
+    check_all(state, fabric)
+    assert tested == [vector for vector in [(15000,), (15000,), (10000,), (5000,), (10000,)] for _ in range(rows)]
+    assert state._check_shadow.passed["L1"][1] == {(5000,), (10000,)}
+    _admit(state, fabric, Lsp(8, 0, 45000, _A_TO_B, "A", 8.0))  # (55000,) breaches the 50000 cap
+    expected = _check_all_in_full(state, fabric)
+    assert expected == "InvariantViolation: link L1 class 0 over constraint: 55000 > 50000"
+    assert verdict(check_all, state, fabric) == expected

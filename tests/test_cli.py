@@ -280,6 +280,29 @@ class TestValidate:
         assert done.returncode == cli.EXIT_OK, done.stderr
         assert "ok (770 requests over 1000000000 cycles)" in done.stdout
 
+    def test_validate_draws_no_request(self, tmp_path):
+        # 100 M requests: the counts are checked as numbers and no request is
+        # drawn, so validate fits under a 512 MB address-space limit that a
+        # drawn schedule would exhaust.  The limit binds the child alone.
+        text = (resources.files("bamsim") / "scenarios" / "exp1_rdm.scn").read_text()
+        total = 1125 - 400 + 99999999
+        for old, new in [("flows HS1 DST class 0 count 400 ", "flows HS1 DST class 0 count 99999999 "),
+                         ("stop 1125", "stop %d" % total)]:
+            assert old in text
+            text = text.replace(old, new)
+        path = tmp_path / "huge.scn"
+        path.write_text(text)
+        limited = ("import resource, sys\n"
+                   "limit = 512 * 2 ** 20\n"
+                   "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+                   "from bamsim import cli\n"
+                   "sys.exit(cli.main(['validate', sys.argv[1]]))\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bamsim.__file__)))
+        done = subprocess.run([sys.executable, "-c", limited, str(path)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == cli.EXIT_OK, done.stderr
+        assert done.stdout == "%s: ok (%d requests over 10 cycles)\n" % (path, total)
+
     def test_parse_error_is_bad_input(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"
         bad.write_text(MINI.replace("[run]", "[nope]"))

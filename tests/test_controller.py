@@ -126,9 +126,8 @@ class TestHandleRequest:
         assert list(ctl.state.active_lsps) == [1]
         assert ctl.state.counters.blocked[0] == 1
         assert ctl.fabric.rule_count() == 3  # only the first request's rules
-        assert ctl.fabric.drops == [denied]
-        assert ctl.fabric.drops[0] is denied  # the request itself, no key string
-        assert not any(isinstance(d, str) for d in ctl.fabric.drops)
+        assert ctl.fabric.drops == [2]
+        assert ctl.fabric.drops[0] is denied.id  # the id the journal holds, not the request
         assert kinds(ctl) == ["request", "admit", "request", "block"]
 
     def test_a_deny_from_a_replaced_decide_blocks(self, monkeypatch):
@@ -142,7 +141,7 @@ class TestHandleRequest:
         assert ctl.state.active_lsps == {} and ctl.state.counters.admitted == [0, 0, 0]
         assert ctl.state.counters.blocked == [1, 0, 0]
         assert ctl.state.topology.links["L1"].alloc == [0, 0, 0]
-        assert ctl.fabric.rule_count() == 0 and ctl.fabric.drops == [denied]
+        assert ctl.fabric.rule_count() == 0 and ctl.fabric.drops == [denied.id]
 
     def test_grant_with_preemption_evicts_victims_first(self):
         ctl = mk_controller(Model.RDM, (500000, 250000, 100000))

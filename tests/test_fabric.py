@@ -219,9 +219,9 @@ class TestRuleConflict:
 def test_drops_are_ephemeral():
     fabric = Fabric(line_topology())
     request = LspRequest(42, 3.5, "10.0.0.1", "10.0.0.4", 20001, 30001)
-    fabric.record_drop(request)
+    fabric.record_drop(request.id)
     assert fabric.rule_count() == 0
-    assert fabric.drops == [request] and fabric.drops[0] is request
+    assert fabric.drops == [42] and fabric.drops[0] is request.id  # the id, not the request
 
 
 def test_dump_is_stable_and_tab_separated():

@@ -33,6 +33,7 @@ HOT_PATHS = {
     "Fabric.install_path": Fabric.install_path,
     "Fabric.remove_by_owner": Fabric.remove_by_owner,
     "scenario.generate_schedule": scenario.generate_schedule,
+    "scenario.arrivals": scenario.arrivals,
 }
 
 FORBIDDEN = {"LspState", "Verdict", "Model", "ReconfigMode", "_make"}

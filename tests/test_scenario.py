@@ -2,6 +2,7 @@ import gc
 import math
 import os
 import tempfile
+from collections import deque
 from importlib import resources
 from unittest import mock
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from bamsim import Model, ParseError, ScenarioError, ValidationError, simulate
 from bamsim import cli, scenario
 from bamsim.checks import check_all
-from bamsim.controller import Controller
+from bamsim.controller import Controller, LspRequest
 from bamsim.metrics import read_journal, summarize, write_journal
 
 from helpers import heap_loop_run
@@ -448,6 +449,17 @@ class TestSchedule:
         assert pairs == {(hosts["A"], hosts["B"]), (hosts["B"], hosts["A"])}
         assert hosts["A"] == "10.0.0.2"  # numbered in file order, C first
 
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("name", scenario.bundled_names())
+    def test_the_schedule_is_the_stream_in_one_list(self, name, seed):
+        scn = scenario.load(name)
+        scn.run.seed = seed
+        schedule = scenario.generate_schedule(scn)
+        streamed = list(scenario.arrivals(scn))
+        assert len(schedule) == scn.run.stop
+        assert schedule == streamed
+        assert set(map(record_types, schedule + streamed)) == {(LspRequest, (int, float, str, str, int, int))}
+
     def test_same_seed_same_schedule_different_seed_differs(self):
         a = scenario.generate_schedule(parse())
         b = scenario.generate_schedule(parse())
@@ -455,6 +467,31 @@ class TestSchedule:
         other = parse(MINI.replace("seed 5", "seed 6"))
         c = scenario.generate_schedule(other)
         assert [r.time for r in c] != [r.time for r in a]
+
+
+def record_types(request):
+    return type(request), tuple(map(type, request))
+
+
+def held_by(roots):
+    """Every object reachable from ``roots`` through dicts, lists, tuples,
+    sets, deques and the ``vars()`` of the package's objects.  The garbage
+    collector cannot answer this: it untracks a tuple that holds only
+    atomic values, as a request does."""
+    seen, stack = set(), list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        yield obj
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset, deque)):
+            stack.extend(obj)
+        elif type(obj).__module__.startswith("bamsim") and hasattr(obj, "__dict__"):
+            stack.append(vars(obj))
 
 
 class TestSimulate:
@@ -478,7 +515,8 @@ class TestSimulate:
         for lsp_id, t0 in admits.items():
             assert math.isclose(expires[lsp_id] - t0, 80.0)
 
-    def test_schedule_records_reach_the_controller_as_they_are(self, monkeypatch):
+    @pytest.mark.parametrize("stop", [None, 5, 0])
+    def test_the_controller_receives_the_stream_in_order_and_stop_cuts_it_short(self, stop, monkeypatch):
         seen = []
         handle = Controller.handle_request
 
@@ -487,9 +525,25 @@ class TestSimulate:
             return handle(controller, req)
 
         monkeypatch.setattr(Controller, "handle_request", spy)
-        result = simulate(parse())
-        assert len(seen) == len(result.schedule) == 18
-        assert all(got is sent for got, sent in zip(seen, result.schedule))
+        scn = parse()
+        scn.run.stop = stop
+        simulate(scn)
+        expected = scenario.generate_schedule(parse())[:stop]
+        assert len(seen) == (18 if stop is None else stop)
+        assert seen == expected
+        assert list(map(record_types, seen)) == list(map(record_types, expected))
+
+    @pytest.mark.parametrize("name", scenario.bundled_names())
+    def test_a_finished_run_holds_no_request(self, name):
+        """A handled request is garbage at once: nothing the run keeps, the
+        fabric's drop log included, reaches an ``LspRequest``."""
+        result = simulate(scenario.load(name))
+        assert result.fabric.drops and all(type(d) is int for d in result.fabric.drops)
+        roots = [result.state, result.fabric, result.controller, result.journal, result.metrics]
+        assert not any(isinstance(obj, LspRequest) for obj in held_by(roots))
+        # The walk does reach a request that something keeps.
+        result.fabric.drops.append(scenario.generate_schedule(parse())[0])
+        assert any(isinstance(obj, LspRequest) for obj in held_by(roots))
 
     def test_stop_short_circuits_but_still_drains(self):
         scn = parse()
@@ -561,10 +615,11 @@ class TestSimulate:
         scn = parse(TIE)
         first, second = scenario.generate_schedule(scn)
         forced = second._replace(time=first.time + 50.0)
-        monkeypatch.setattr(scenario, "generate_schedule", lambda _scn: [first, forced])
+        monkeypatch.setattr(scenario, "arrivals", lambda _scn: iter([first, forced]))
         result = simulate(scn)
         # The link fits one LSP; the second request lands exactly at the
         # first's expiry and must see the freed capacity.
+        assert [(e["kind"], e["time"]) for e in result.journal][2:4] == [("expire", forced.time), ("request", forced.time)]
         assert result.state.counters.blocked == [0]
         assert result.state.counters.completed == [2]
 
@@ -714,7 +769,7 @@ def tie_runs(draw):
 
 
 class TestLoopMatchesTheHeapLoop:
-    """``simulate`` reads arrivals from the schedule, expiries from a FIFO
+    """``simulate`` pulls arrivals from ``arrivals``, expiries from a FIFO
     and timed reconfigurations from a list sorted once;
     ``helpers.heap_loop_run`` pushes every event into one heap.  Both must
     write the same bytes."""
@@ -747,9 +802,9 @@ class TestLoopMatchesTheHeapLoop:
         scn = parse(TIE)
         first, second = scenario.generate_schedule(scn)
         forced = [first, second._replace(time=first.time + 50.0)]
-        with mock.patch.object(scenario, "generate_schedule", lambda _scn: forced):
+        with mock.patch.object(scenario, "arrivals", lambda _scn: iter(forced)):
             result = assert_same_bytes_as_the_heap_loop(scn)
-        assert [e["kind"] for e in result.journal][2:4] == ["expire", "request"]
+        assert [(e["kind"], e["time"]) for e in result.journal][2:4] == [("expire", forced[1].time), ("request", forced[1].time)]
 
     def test_expiries_whose_times_round_together_go_in_id_order(self):
         # 0.0 + 2**53 and 1.0 + 2**53 round to the same float, so two arrivals
@@ -758,7 +813,7 @@ class TestLoopMatchesTheHeapLoop:
                     .replace("lsp_lifetime 50", "lsp_lifetime %r" % 2.0 ** 53))
         first, second = scenario.generate_schedule(scn)
         forced = [first._replace(time=0.0), second._replace(time=1.0)]
-        with mock.patch.object(scenario, "generate_schedule", lambda _scn: forced):
+        with mock.patch.object(scenario, "arrivals", lambda _scn: iter(forced)):
             result = assert_same_bytes_as_the_heap_loop(scn)
         expired = [(e["time"], e["lsp"]) for e in result.journal if e["kind"] == "expire"]
         assert expired == [(2.0 ** 53, 1), (2.0 ** 53, 2)]
@@ -777,5 +832,6 @@ class TestLoopMatchesTheHeapLoop:
         scn = parse(text)
         scn.run.stop = stop
         schedule = [r._replace(time=t) for r, t in zip(scenario.generate_schedule(scn), times)]
-        with mock.patch.object(scenario, "generate_schedule", lambda _scn: schedule):
-            assert_same_bytes_as_the_heap_loop(scn)
+        with mock.patch.object(scenario, "arrivals", lambda _scn: iter(schedule)):
+            result = assert_same_bytes_as_the_heap_loop(scn)
+        assert [r.sim_time for r in result.metrics.records] == times[:stop]
